@@ -251,8 +251,3 @@ def build_orientation_poset(g, max_edges=MAX_POSET_EDGES):
 def maximal_elements(poset):
     """The poset elements with support exactly the separating edges."""
     return poset.maximal_elements()
-
-
-def orientation_of_edges(g, edges_with_dirs):
-    """Convenience: Orientation from (edge, direction) pairs."""
-    return Orientation(dict(edges_with_dirs))

@@ -10,22 +10,34 @@ the multiplicity two independent ways: subdiagram volume of the convex
 hull, and the leading finite difference of the Hilbert-Samuel function.
 
 Everything is exact; hull computations run over the rationals with
-integer outputs.  The instances are tiny (cones of dimension at most a
-handful with about a dozen generators), so facet enumeration simply tests
-all d-subsets of generators for supporting-hyperplane status; correctness
-beats asymptotics here.
+integer outputs.
+
+Cost model, for a cone of dimension d with n Hilbert basis elements:
+
+- Hull volume: every d-subset of the generators is tested for a
+  supporting hyperplane, C(n, d) exact rational solves, and each bounded
+  facet is fan-triangulated the same way one dimension down.
+- Hilbert-Samuel oracle: one visit per lattice point with fewer than
+  ``horizon`` parts, about multiplicity * horizon^d / d! of them.  A
+  visit looks up its n parents by integer key; a parent never visited
+  costs one membership test, one integer dot product per edge functional
+  of the cone.  This is the largest single cost of ``analyze``.
+- Toric ideal: all exponent vectors of degree at most the bound, C(n +
+  degree, n) of them, grouped by image.
 """
 
 import heapq
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
+from operator import mul
 
 from .chains import Chain1, fundamental_cycle_basis, is_cycle
 from .circuits import circuit_class, compatible_circuits
 from .errors import CapacityError
-from .fan import Cone, cone_contains, facets
+from .fan import Cone, facets
 from .graph import FORWARD, delete_edges
 from .linalg import det_int, hyperplane_through, smith_invariant_factors, solve_rational
 
@@ -54,9 +66,38 @@ class AffineSemigroup:
         cols = [self.coordinates(c) for c in self.hilbert_basis]
         return [tuple(col[i] for col in cols) for i in range(self.lattice_rank)]
 
+    @cached_property
+    def _sign_rows(self):
+        """Edge functionals whose nonnegativity cuts out the cone.
+
+        One row per non-support edge e: the coefficient of e in each basis
+        cycle, times the sign of e's direction.  Zero rows are dropped and
+        duplicates merged.  Support edges need no row, because the basis
+        cycles live off the support.
+        """
+        label = self.cone.label
+        basis = self.cycle_basis.basis
+        rows = set()
+        for e in self.graph.edges:
+            if e in label.support:
+                continue
+            sign = 1 if label.phi.direction(e) == FORWARD else -1
+            row = tuple(sign * b.coeff(e) for b in basis)
+            if any(row):
+                rows.add(row)
+        return sorted(rows)
+
     def contains(self, coords):
-        """Membership of a lattice coordinate vector in the cone."""
-        return cone_contains(self.cone, self.chain(coords))
+        """Membership of a lattice coordinate vector in the cone.
+
+        An integer sign test: every edge functional of ``_sign_rows`` pairs
+        nonnegatively with ``coords``.  No cycle check is needed, since
+        every integer combination of fundamental cycles is a cycle.
+        """
+        for row in self._sign_rows:
+            if sum(map(mul, row, coords)) < 0:
+                return False
+        return True
 
 
 def hilbert_basis(g, pair):
@@ -336,6 +377,19 @@ def hilbert_samuel_function(s, horizon):
     parts in any splitting is computed by dynamic programming over lattice
     points in increasing degree (degree is linear on the cone, so every
     parent precedes its children).
+
+    Lattice points are packed into one integer each.  A point is queued
+    only from a point with at most ``cutoff`` parts, and parts grow by one
+    along every queueing step, so each queued point is a sum of at most
+    ``cutoff + 1`` generators and each parent examined is such a sum minus
+    one generator.  With M the largest absolute generator coordinate,
+    every coordinate the DP touches therefore lies in [-reach, reach] for
+    reach = (cutoff + 2) * M, with cutoff read as 0 when the horizon is
+    empty.  On that box, base ``2 * reach + 1`` digits with offset
+    ``reach`` (first coordinate most significant) encode points
+    injectively and in lexicographic order, so parent and child are
+    ``key -+ step`` and the heap order is that of coordinate tuples.  A
+    key is decoded only on a membership-cache miss.
     """
     d = s.lattice_rank
     if d == 0:
@@ -344,43 +398,47 @@ def hilbert_samuel_function(s, horizon):
     degrees = [c.l1() for c in s.hilbert_basis]
     cutoff = horizon - 1
 
+    reach = (max(cutoff, 0) + 2) * max(
+        (abs(x) for gvec in gens for x in gvec), default=0)
+    base = 2 * reach + 1
+    weights = [base ** (d - 1 - i) for i in range(d)]
+    steps = [sum(w * x for w, x in zip(weights, gvec)) for gvec in gens]
+    zero = reach * sum(weights)
+
+    def decode(key):
+        return [key // w % base - reach for w in weights]
+
     member_cache = {}
-
-    def member(pt):
-        cached = member_cache.get(pt)
-        if cached is None:
-            cached = s.contains(pt)
-            member_cache[pt] = cached
-        return cached
-
-    zero = tuple([0] * d)
     max_parts = {zero: 0}
     heap = []
     queued = set()
-    for gvec, gdeg in zip(gens, degrees):
-        child = tuple(a + b for a, b in zip(zero, gvec))
+    for step, gdeg in zip(steps, degrees):
+        child = zero + step
         if child not in queued:
             queued.add(child)
             heapq.heappush(heap, (gdeg, child))
     while heap:
-        deg, pt = heapq.heappop(heap)
-        if pt in max_parts:
+        deg, key = heapq.heappop(heap)
+        if key in max_parts:
             continue
         best = 0
-        for gvec in gens:
-            parent = tuple(a - b for a, b in zip(pt, gvec))
+        for step in steps:
+            parent = key - step
             known = max_parts.get(parent)
             if known is None:
-                if member(parent):
-                    known = cutoff + 1  # unvisited member: beyond the cutoff
-                else:
+                inside = member_cache.get(parent)
+                if inside is None:
+                    inside = member_cache[parent] = s.contains(decode(parent))
+                if not inside:
                     continue
-            best = max(best, known + 1)
+                known = cutoff + 1  # unvisited member: beyond the cutoff
+            if known >= best:
+                best = known + 1
         best = min(best, cutoff + 1)
-        max_parts[pt] = best
+        max_parts[key] = best
         if best <= cutoff:
-            for gvec, gdeg in zip(gens, degrees):
-                child = tuple(a + b for a, b in zip(pt, gvec))
+            for step, gdeg in zip(steps, degrees):
+                child = key + step
                 if child not in max_parts and child not in queued:
                     queued.add(child)
                     heapq.heappush(heap, (deg + gdeg, child))
@@ -393,7 +451,8 @@ def multiplicity_hs_oracle(s, horizon=None):
 
     Takes the d-th finite difference of n -> dim R/m^n and requires it to
     have stabilized by the end of the horizon (default: dimension + 6);
-    raises a capacity error suggesting a longer horizon otherwise.
+    raises a capacity error otherwise, whose size is the horizon needed
+    next: d + 2 when there are fewer than two differences, else one more.
     Independent of the convex-hull route by construction.
     """
     d = s.lattice_rank
@@ -404,8 +463,10 @@ def multiplicity_hs_oracle(s, horizon=None):
     for _ in range(d):
         diffs = [b - a for a, b in zip(diffs, diffs[1:])]
     if len(diffs) < 2 or diffs[-1] != diffs[-2]:
-        raise CapacityError("Hilbert-Samuel horizon (differences not stable)",
-                            horizon, horizon)
+        needed = d + 2 if len(diffs) < 2 else horizon + 1
+        raise CapacityError(
+            f"Hilbert-Samuel horizon at dimension {d} "
+            f"({d}-th differences not stable)", needed, horizon)
     return diffs[-1]
 
 

@@ -1,8 +1,16 @@
 import random
 
 import pytest
+from hypothesis import settings
 
 from cographic import build_fan, catalog_graph, catalog_names
+
+# Property tests replay the same examples on every run, and a slow example
+# on a loaded host is not a failure.  Another profile can still be chosen
+# with pytest's --hypothesis-profile option.
+settings.register_profile("tier1", derandomize=True, deadline=None,
+                          max_examples=40, database=None)
+settings.load_profile("tier1")
 
 CATALOG_NAMES = catalog_names()
 SMALL = ["TREE3", "LOOP1", "B2", "B3", "C3", "C4", "C5"]

@@ -1,0 +1,76 @@
+"""Fast paths against their slow twins in ``oracles.py``.
+
+The Hilbert-Samuel DP runs on packed integer keys and membership is an
+integer sign test on lattice coordinates; the references keep coordinate
+tuples and the chain-level ``cone_contains``.  Outputs must agree exactly.
+"""
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from cographic import (build_fan, cone_contains, from_edge_list,
+                       hilbert_basis, hilbert_samuel_function)
+from oracles import hilbert_samuel_function_reference
+
+K4 = [("e1", "v1", "v2"), ("e2", "v1", "v3"), ("e3", "v1", "v4"),
+      ("e4", "v2", "v3"), ("e5", "v2", "v4"), ("e6", "v3", "v4")]
+
+
+@st.composite
+def multigraphs(draw, max_vertices=4, max_edges=5):
+    """Multigraphs with loops and parallel edges; shrinks to fewer edges."""
+    vertices = [f"v{i}" for i in range(draw(st.integers(1, max_vertices)))]
+    ends = draw(st.lists(st.tuples(st.sampled_from(vertices),
+                                   st.sampled_from(vertices)),
+                         min_size=1, max_size=max_edges))
+    spec = [(f"e{j}", s, t) for j, (s, t) in enumerate(ends)]
+    return from_edge_list(spec, vertices=vertices)
+
+
+def _fan(name, fan_of):
+    return build_fan(from_edge_list(K4)) if name == "K4" else fan_of(name)
+
+
+@pytest.mark.parametrize("name",
+                         ["B3", "C5", "THETA2", "FIG-NG", "FIG-NH", "K4"])
+def test_hs_matches_reference_on_chambers(name, fan_of):
+    """Every chamber, horizons d + 2 .. d + 6.
+
+    The reference runs once, at d + 6: its values for n <= h do not depend
+    on the horizon, which only clips part counts above n = horizon.  The
+    fast function runs at every horizon, so each packing base is used.
+    """
+    fan = _fan(name, fan_of)
+    for chamber in fan.chambers():
+        s = hilbert_basis(fan.graph, chamber.label)
+        d = s.lattice_rank
+        expected = hilbert_samuel_function_reference(s, d + 6)
+        for horizon in range(d + 2, d + 7):
+            assert hilbert_samuel_function(s, horizon) == expected[:horizon]
+
+
+@given(g=multigraphs(), extra=st.integers(0, 5))
+def test_hs_matches_reference_on_random_multigraphs(g, extra):
+    for chamber in build_fan(g).chambers():
+        s = hilbert_basis(g, chamber.label)
+        horizon = s.lattice_rank + extra
+        assert hilbert_samuel_function(s, horizon) == \
+            hilbert_samuel_function_reference(s, horizon)
+
+
+@pytest.mark.parametrize("name", ["B3", "C4", "THETA2", "FIG-NH"])
+def test_contains_matches_cone_contains(name, fan_of, rng):
+    """Every poset element: zero, each Hilbert basis element, and random
+    vectors in [-4, 4]^d, non-members included."""
+    fan = fan_of(name)
+    for pair in fan.poset:
+        s = hilbert_basis(fan.graph, pair)
+        d = s.lattice_rank
+        points = [tuple([0] * d)]
+        points += [s.coordinates(c) for c in s.hilbert_basis]
+        points += [tuple(rng.randint(-4, 4) for _ in range(d))
+                   for _ in range(40)]
+        for pt in points:
+            assert s.contains(pt) == cone_contains(s.cone, s.chain(pt))
+        assert all(s.contains(s.coordinates(c)) for c in s.hilbert_basis)

@@ -265,5 +265,10 @@ def test_multiplicity_two_routes_agree_on_sample_chambers(fan_of):
 def test_hs_oracle_unstable_horizon_raises():
     from cographic import CapacityError
     g, s = chamber("THETA2")
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError) as info:
         multiplicity_hs_oracle(s, horizon=4)  # not enough differences at d=4
+    exc = info.value
+    assert exc.size > exc.cap
+    assert (exc.size, exc.cap) == (6, 4)
+    assert str(exc) == ("Hilbert-Samuel horizon at dimension 4 "
+                        "(4-th differences not stable): size 6 exceeds cap 4")
