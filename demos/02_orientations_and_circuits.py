@@ -8,8 +8,7 @@ restriction poset, and decompose cycles into concordant circuits.
 
 from cographic import (Chain1, build_orientation_poset, catalog_graph,
                        circuit_class, compatible_circuits, decompose_cycle,
-                       enumerate_oriented_circuits, enumerate_tco,
-                       maximal_elements)
+                       enumerate_oriented_circuits, enumerate_tco)
 
 g = catalog_graph("B3")
 
@@ -24,7 +23,7 @@ for phi in tcos:
 # rest totally cyclically.  Restriction orders the pairs.
 poset = build_orientation_poset(g)
 print(f"\nposet size {len(poset)}, maximal elements "
-      f"{len(maximal_elements(poset))}, minimum = delete everything")
+      f"{len(poset.maximal_elements())}, minimum = delete everything")
 
 # Oriented circuits are the minimal cyclic subgraphs with a coherent
 # direction; their classes are the 0/+-1 cycles.
@@ -41,7 +40,7 @@ for gamma, n in decompose_cycle(g, c):
     print(f"   {n} x {gamma.to_json(g)}")
 
 # The circuits compatible with one chamber orientation generate its cone.
-chamber = maximal_elements(poset)[0]
+chamber = poset.maximal_elements()[0]
 print("\nfirst chamber:", chamber.phi.to_json())
 print("compatible circuits:",
       [gamma.to_json(g) for gamma in compatible_circuits(g, chamber)])

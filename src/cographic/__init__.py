@@ -20,7 +20,7 @@ from .chains import (Chain1, boundary, is_cycle, inner_product,
                      fundamental_cycle_basis, canonical_form, CycleBasis)
 from .orientations import (Orientation, TotCycPair, OrientationPoset,
                            is_totally_cyclic, enumerate_tco,
-                           build_orientation_poset, maximal_elements)
+                           build_orientation_poset)
 from .circuits import (OrientedCircuit, enumerate_oriented_circuits,
                        circuit_class, concordant, compatible_circuits,
                        decompose_cycle, support_orientation_of)

@@ -11,13 +11,22 @@ circuits supported on it and concordant with its signs; the decomposition
 implemented here is the greedy one (peel a lowest-edge-id directed cycle,
 subtract as much of it as possible, repeat) and is deterministic though
 not canonical: only the re-summed total is unique.
+
+Cost model.  Listing the circuit supports walks every vertex-simple path
+from each anchor edge, which is exponential in the worst case.
+``compatible_circuits`` never walks: the first call on a graph lists the
+circuits once into a table kept on the graph, one row per support with
+its edge-index bitmask and the bitmask of the edges its walk traverses
+forward.  Each call then costs one pass over the pair's edges to build
+its masks plus a few integer operations per row, and allocates nothing
+but the result list.
 """
 
 from dataclasses import dataclass
 
 from .chains import Chain1, canonical_form, is_cycle
 from .errors import CapacityError
-from .graph import FORWARD, BACKWARD, delete_edges
+from .graph import FORWARD, BACKWARD
 from .orientations import MAX_ORIENTATION_EDGES, Orientation, TotCycPair
 
 
@@ -102,49 +111,68 @@ def enumerate_oriented_circuits(g, max_edges=MAX_ORIENTATION_EDGES):
     """All oriented circuits of g in canonical order.
 
     Every support contributes its two coherent orientations, so the count
-    is even; a loop contributes two single-edge circuits.
+    is even; a loop contributes two single-edge circuits.  A table row's
+    circuit runs its lowest edge forward, so it sorts before its reversal.
     """
     m = len(g.edges)
     if m > max_edges:
         raise CapacityError("circuit enumeration edge cap", m, max_edges)
-    circuits = []
-    for edges, dirs in _circuit_supports(g):
-        gamma = OrientedCircuit(frozenset(edges), Orientation(dirs))
-        circuits.append(gamma)
-        circuits.append(gamma.reversal())
-    circuits.sort(key=lambda c: c.sort_key(g))
-    return circuits
+    return [c for _, _, gamma, reversal in _circuit_table(g)
+            for c in (gamma, reversal)]
 
 
-def compatible_circuits(g, pair, max_edges=MAX_ORIENTATION_EDGES):
+def _circuit_table(g):
+    """Every circuit of g once, as rows (support mask, forward mask,
+    circuit, reversal).
+
+    Bit i of a mask stands for the edge of index i.  ``circuit`` is the
+    walk of ``_circuit_supports``, which runs the lowest edge forward; the
+    forward mask holds the support edges it traverses in their reference
+    direction.  Rows are in canonical order (sorted edge-index tuple),
+    which is the ``sort_key`` order of any selection holding at most one
+    orientation per support.  Built on first use and kept on the graph.
+    """
+    table = g._circuit_table
+    if table is None:
+        rows = []
+        for edges, dirs in _circuit_supports(g):
+            order = tuple(sorted(g.edge_index(e) for e in edges))
+            supp = sum(1 << i for i in order)
+            fwd = sum(1 << g.edge_index(e) for e in edges if dirs[e] == FORWARD)
+            gamma = OrientedCircuit(frozenset(edges), Orientation(dirs))
+            rows.append((order, supp, fwd, gamma, gamma.reversal()))
+        rows.sort(key=lambda row: row[0])
+        table = g._circuit_table = [row[1:] for row in rows]
+    return table
+
+
+def compatible_circuits(g, pair):
     """Circuits supported off ``pair.support`` and oriented by ``pair.phi``.
 
     Exactly one orientation per qualifying support survives, namely the
     restriction of phi; the result is nonempty as soon as the complement
-    of the support has an edge.
+    of the support has an edge.  phi orients every edge off T, so a
+    support qualifies when it avoids T and phi's forward edges on it are
+    the walk's forward edges (the walk) or the rest of the support (its
+    reversal).
     """
-    rest = delete_edges(g, pair.support)
+    blocked = 0
+    for e in pair.support:
+        blocked |= 1 << g.edge_index(e)
+    forward = 0
+    for e, d in pair.phi.items():
+        if d == FORWARD:
+            forward |= 1 << g.edge_index(e)
     out = []
-    for edges, dirs in _circuit_supports(rest):
-        restricted = pair.phi.restrict(edges)
-        walk = Orientation(dirs)
-        if restricted == walk or restricted == walk.reversed():
-            out.append(OrientedCircuit(frozenset(edges), restricted))
-    out.sort(key=lambda c: c.sort_key(g))
+    for supp, fwd, gamma, reversal in _circuit_table(g):
+        if supp & blocked:
+            continue
+        signs = forward & supp
+        if signs == fwd:
+            out.append(gamma)
+        elif signs == supp ^ fwd:
+            out.append(reversal)
     return out
-
-
-def covered_by_compatible_circuits(g, phi):
-    """Debug oracle for total cyclicity: every edge on a compatible circuit.
-
-    Slower than the strong-connectivity test but a genuinely different
-    route; kept for cross-checks.
-    """
-    pair = TotCycPair(frozenset(), phi)
-    covered = set()
-    for gamma in compatible_circuits(g, pair):
-        covered |= gamma.support
-    return covered == set(g.edges)
 
 
 def decompose_cycle(g, c):

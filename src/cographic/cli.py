@@ -108,10 +108,11 @@ def cmd_circuits(args):
 def cmd_fan(args):
     g = _load_graph(args.graph)
     fan = build_fan(g, max_edges=args.max_poset_edges)
+    num_chambers = len(fan.chambers())
     _emit({"graph": _graph_summary(g),
-           "num_cones": len(fan), "num_chambers": len(fan.chambers()),
+           "num_cones": len(fan), "num_chambers": num_chambers,
            "cones": fan.to_json()},
-          f"fan: {len(fan)} cones, {len(fan.chambers())} chambers")
+          f"fan: {len(fan)} cones, {num_chambers} chambers")
     return EXIT_OK
 
 

@@ -27,7 +27,8 @@ class Graph:
     ``(edge_id, BACKWARD)``; the involution flips the sign.
     """
 
-    __slots__ = ("vertices", "edges", "_ends", "_vindex", "_eindex", "_hash")
+    __slots__ = ("vertices", "edges", "_ends", "_vindex", "_eindex", "_hash",
+                 "_circuit_table")
 
     def __init__(self, vertices, edges, ends):
         self.vertices = tuple(vertices)
@@ -45,6 +46,10 @@ class Graph:
                 raise ValueError(f"edge {e!r} references an unknown vertex")
         self._hash = hash((self.vertices, self.edges,
                            tuple(self._ends[e] for e in self.edges)))
+        # Filled by ``circuits`` on first use.  A graph never changes, so
+        # the table never goes stale, and threads racing to fill it build
+        # equal tables.
+        self._circuit_table = None
 
     # -- basic accessors -------------------------------------------------
 

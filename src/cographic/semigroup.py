@@ -34,7 +34,7 @@ from functools import cached_property
 from math import gcd
 from operator import mul
 
-from .chains import Chain1, fundamental_cycle_basis, is_cycle
+from .chains import fundamental_cycle_basis
 from .circuits import circuit_class, compatible_circuits
 from .errors import CapacityError
 from .fan import Cone, facets
@@ -509,55 +509,3 @@ def semigroup_report(s, degree=3, horizon=None):
             "hilbert_samuel": multiplicity_hs_oracle(s, horizon),
         },
     }
-
-
-# -- brute-force oracles used by the test suite --------------------------
-
-
-def semigroup_points_up_to_degree(s, bound):
-    """All cone lattice points of degree (chain L1 norm) at most ``bound``.
-
-    Enumerated directly from sign-compatible edge coefficients, with no
-    reference to the Hilbert basis: an independent oracle.
-    """
-    g = s.graph
-    label = s.cone.label
-    free = [e for e in g.edges if e not in label.support]
-    phi = label.phi
-    points = []
-
-    def rec(idx, budget, coeffs):
-        if idx == len(free):
-            c = Chain1(coeffs)
-            if is_cycle(g, c):
-                points.append(c)
-            return
-        e = free[idx]
-        sign = 1 if phi.direction(e) == FORWARD else -1
-        for k in range(budget + 1):
-            coeffs[e] = sign * k
-            rec(idx + 1, budget - k, coeffs)
-        coeffs.pop(e, None)
-
-    rec(0, bound, {})
-    return points
-
-
-def irreducible_points_up_to_degree(s, bound):
-    """Brute-force irreducible elements among the bounded cone points.
-
-    A nonzero point is irreducible when it is not the sum of two nonzero
-    cone points; any decomposition of a point within the bound stays
-    within the bound because degree is additive on the cone.
-    """
-    pts = semigroup_points_up_to_degree(s, bound)
-    pt_set = set(pts)
-    out = []
-    for c in pts:
-        if c.is_zero():
-            continue
-        reducible = any(not y.is_zero() and y != c and (c - y) in pt_set
-                        and not (c - y).is_zero() for y in pts)
-        if not reducible:
-            out.append(c)
-    return out

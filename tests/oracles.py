@@ -1,13 +1,17 @@
 """Slow reference implementations that the fast paths are tested against.
 
-Each oracle keeps the straightforward formulation of a routine whose
-production version was rewritten for speed; differential tests compare
-the two outputs exactly.
+Each ``*_reference`` oracle keeps the straightforward formulation of a
+routine whose production version was rewritten for speed; differential
+tests compare the two outputs exactly.  The rest are brute-force
+enumerations that only tests use.
 """
 
 import heapq
 
-from cographic import cone_contains
+from cographic import (Chain1, Orientation, OrientedCircuit, TotCycPair,
+                       cone_contains, delete_edges, is_cycle)
+from cographic.circuits import _circuit_supports
+from cographic.graph import FORWARD
 
 
 def hilbert_samuel_function_reference(s, horizon):
@@ -71,3 +75,96 @@ def hilbert_samuel_function_reference(s, horizon):
                     heapq.heappush(heap, (deg + gdeg, child))
     return [sum(1 for parts in max_parts.values() if parts <= n - 1)
             for n in range(1, horizon + 1)]
+
+
+def maximal_elements_reference(poset):
+    """Elements below no other element, by comparing every pair: O(n^2)."""
+    return [p for p in poset.elements
+            if not any(q is not p and poset.leq(p, q) for q in poset.elements)]
+
+
+def enumerate_oriented_circuits_reference(g):
+    """Both orientations of every walked circuit, then sorted."""
+    circuits = []
+    for edges, dirs in _circuit_supports(g):
+        gamma = OrientedCircuit(frozenset(edges), Orientation(dirs))
+        circuits.append(gamma)
+        circuits.append(gamma.reversal())
+    circuits.sort(key=lambda c: c.sort_key(g))
+    return circuits
+
+
+def compatible_circuits_reference(g, pair):
+    """Walk every circuit of the graph with the support deleted and keep
+    those the restriction of phi orients coherently, then sort."""
+    rest = delete_edges(g, pair.support)
+    out = []
+    for edges, dirs in _circuit_supports(rest):
+        restricted = pair.phi.restrict(edges)
+        walk = Orientation(dirs)
+        if restricted == walk or restricted == walk.reversed():
+            out.append(OrientedCircuit(frozenset(edges), restricted))
+    out.sort(key=lambda c: c.sort_key(g))
+    return out
+
+
+def covered_by_compatible_circuits(g, phi):
+    """Total cyclicity another way: every edge on a compatible circuit.
+
+    Slower than the strong-connectivity test but a genuinely different
+    route; kept for cross-checks.
+    """
+    pair = TotCycPair(frozenset(), phi)
+    covered = set()
+    for gamma in compatible_circuits_reference(g, pair):
+        covered |= gamma.support
+    return covered == set(g.edges)
+
+
+def semigroup_points_up_to_degree(s, bound):
+    """All cone lattice points of degree (chain L1 norm) at most ``bound``.
+
+    Enumerated directly from sign-compatible edge coefficients, with no
+    reference to the Hilbert basis: an independent oracle.
+    """
+    g = s.graph
+    label = s.cone.label
+    free = [e for e in g.edges if e not in label.support]
+    phi = label.phi
+    points = []
+
+    def rec(idx, budget, coeffs):
+        if idx == len(free):
+            c = Chain1(coeffs)
+            if is_cycle(g, c):
+                points.append(c)
+            return
+        e = free[idx]
+        sign = 1 if phi.direction(e) == FORWARD else -1
+        for k in range(budget + 1):
+            coeffs[e] = sign * k
+            rec(idx + 1, budget - k, coeffs)
+        coeffs.pop(e, None)
+
+    rec(0, bound, {})
+    return points
+
+
+def irreducible_points_up_to_degree(s, bound):
+    """Brute-force irreducible elements among the bounded cone points.
+
+    A nonzero point is irreducible when it is not the sum of two nonzero
+    cone points; any decomposition of a point within the bound stays
+    within the bound because degree is additive on the cone.
+    """
+    pts = semigroup_points_up_to_degree(s, bound)
+    pt_set = set(pts)
+    out = []
+    for c in pts:
+        if c.is_zero():
+            continue
+        reducible = any(not y.is_zero() and y != c and (c - y) in pt_set
+                        and not (c - y).is_zero() for y in pts)
+        if not reducible:
+            out.append(c)
+    return out

@@ -24,8 +24,8 @@ from cographic import (Chain1, Cone, Orientation, TotCycPair, betti1,
                        FinitePoset)
 from cographic.linalg import det_int, solve_rational
 from cographic.orientations import OrientationPoset
-from cographic.semigroup import irreducible_points_up_to_degree
 from cographic.graph import FORWARD
+from oracles import irreducible_points_up_to_degree
 
 CATALOG = catalog_names()
 

@@ -9,9 +9,9 @@ from cographic import (Chain1, OrientedCircuit, Orientation, TotCycPair,
                        enumerate_tco, from_edge_list,
                        fundamental_cycle_basis, is_cycle, is_totally_cyclic,
                        separating_edges, support_orientation_of)
-from cographic.circuits import covered_by_compatible_circuits
 from cographic.graph import FORWARD, BACKWARD
 from cographic.linalg import smith_invariant_factors
+from oracles import covered_by_compatible_circuits
 
 B2 = from_edge_list([("a", 1, 2), ("b", 1, 2)])
 

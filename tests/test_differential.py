@@ -2,16 +2,24 @@
 
 The Hilbert-Samuel DP runs on packed integer keys and membership is an
 integer sign test on lattice coordinates; the references keep coordinate
-tuples and the chain-level ``cone_contains``.  Outputs must agree exactly.
+tuples and the chain-level ``cone_contains``.  Chamber selection filters
+by support, and circuits are read from a per-graph bitmask table; the
+references compare every pair of poset elements and walk the circuits of
+each complement.  Outputs must agree exactly.
 """
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cographic import (build_fan, cone_contains, from_edge_list,
+from cographic import (TotCycPair, build_fan, build_orientation_poset,
+                       catalog_names, compatible_circuits, cone_contains,
+                       enumerate_oriented_circuits, from_edge_list,
                        hilbert_basis, hilbert_samuel_function)
-from oracles import hilbert_samuel_function_reference
+from oracles import (compatible_circuits_reference,
+                     enumerate_oriented_circuits_reference,
+                     hilbert_samuel_function_reference,
+                     maximal_elements_reference)
 
 K4 = [("e1", "v1", "v2"), ("e2", "v1", "v3"), ("e3", "v1", "v4"),
       ("e4", "v2", "v3"), ("e5", "v2", "v4"), ("e6", "v3", "v4")]
@@ -74,3 +82,34 @@ def test_contains_matches_cone_contains(name, fan_of, rng):
         for pt in points:
             assert s.contains(pt) == cone_contains(s.cone, s.chain(pt))
         assert all(s.contains(s.coordinates(c)) for c in s.hilbert_basis)
+
+
+def _facet_pairs(g, pair):
+    """The pairs ``facets`` hands to ``compatible_circuits``: one more
+    edge forced to vanish, its direction dropped."""
+    for e in g.edges:
+        if e not in pair.support:
+            rest = pair.phi.restrict(set(pair.phi.edges()) - {e})
+            yield TotCycPair(pair.support | {e}, rest)
+
+
+def _assert_poset_matches_references(g):
+    assert enumerate_oriented_circuits(g) == \
+        enumerate_oriented_circuits_reference(g)
+    poset = build_orientation_poset(g)
+    assert poset.maximal_elements() == maximal_elements_reference(poset)
+    for pair in poset:
+        for p in [pair, *_facet_pairs(g, pair)]:
+            assert compatible_circuits(g, p) == \
+                compatible_circuits_reference(g, p)
+
+
+@pytest.mark.parametrize("name", catalog_names() + ["K4"])
+def test_chambers_and_compatible_circuits_match_reference(name, graphs):
+    g = from_edge_list(K4) if name == "K4" else graphs[name]
+    _assert_poset_matches_references(g)
+
+
+@given(g=multigraphs())
+def test_chambers_and_compatible_circuits_match_reference_on_random_multigraphs(g):
+    _assert_poset_matches_references(g)

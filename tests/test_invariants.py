@@ -1,6 +1,7 @@
 from cographic import (Chain1, boundary, catalog_graph, check_iso_truncated,
                        cycles_up_to_mass, from_edge_list,
-                       invariant_monomial_basis)
+                       invariant_monomial_basis, multiply_monomials)
+from cographic import ring
 from cographic.graph import FORWARD, BACKWARD
 from cographic.invariants import OrientedMonomial, _signed_chains_up_to_mass
 
@@ -74,3 +75,29 @@ def test_product_zero_sets_agree_pairwise():
         for d in cycles:
             opposite = any(n * d.coeff(e) < 0 for e, n in c.items())
             assert opposite == (not common_cone(c, d))
+
+
+def test_b2_products_by_hand():
+    # B2: a, b both from 1 to 2.  c = a - b is U[a+] U[b-]; -c is
+    # U[a-] U[b+].  Their ambient product holds U[a+] U[a-] = 0, and no
+    # cone holds both cycles; c * c = U[a+]^2 U[b-]^2 is the cycle 2c.
+    b2 = from_edge_list([("a", "1", "2"), ("b", "1", "2")])
+    c = Chain1({"a": 1, "b": -1})
+    m = OrientedMonomial.from_weight(b2, c)
+    n = OrientedMonomial.from_weight(b2, -c)
+    assert m.exponents == ((("a", FORWARD), 1), (("b", BACKWARD), 1))
+    assert n.exponents == ((("a", BACKWARD), 1), (("b", FORWARD), 1))
+    assert multiply_monomials(b2, c, -c) is None
+    assert multiply_monomials(b2, c, c) == Chain1({"a": 2, "b": -2})
+    assert check_iso_truncated(b2, 4)
+
+
+def test_check_iso_detects_corrupted_cone_test(monkeypatch):
+    # The ring multiplication decides zero products by the cone test; a
+    # wrong cone test must make half (b) fail against the ambient ring.
+    b2 = catalog_graph("B2")
+    assert check_iso_truncated(b2, 4)
+    monkeypatch.setattr(ring, "common_cone", lambda c, d: True)
+    assert not check_iso_truncated(b2, 4)
+    monkeypatch.setattr(ring, "common_cone", lambda c, d: False)
+    assert not check_iso_truncated(b2, 4)

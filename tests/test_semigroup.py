@@ -10,8 +10,8 @@ from cographic import (Chain1, Orientation, TotCycPair, catalog_graph,
 from cographic.fan import facets
 from cographic.graph import FORWARD, BACKWARD
 from cographic.linalg import rank
-from cographic.semigroup import (irreducible_points_up_to_degree,
-                                 semigroup_points_up_to_degree)
+from oracles import (irreducible_points_up_to_degree,
+                     semigroup_points_up_to_degree)
 
 
 def chamber(name):
