@@ -7,7 +7,7 @@ they share a cone, otherwise to zero.  Dimension, embedded dimension,
 minimal primes, and multiplicity all read off the combinatorics.
 """
 
-from cographic import (Chain1, catalog_graph, check_iso_truncated,
+from cographic import (Chain1, build_fan, catalog_graph, check_iso_truncated,
                        graded_prime_of, multiply_monomials, present_ring,
                        ring_report, strata_poset, sum_of_primes)
 
@@ -19,16 +19,17 @@ y = Chain1({"e2": 1, "e3": -1})
 print("X^(e1-e3) * X^(e2-e3) =", multiply_monomials(g, x, y).to_json())
 print("X^(e1-e3) * X^(e3-e1) =", multiply_monomials(g, x, -1 * x))
 
-# Presentation: one variable per oriented circuit, a quadric for every
-# discordant pair, binomials per chamber (none for the banana).
-p = present_ring(g)
+# Presentation of the ring of the built fan: one variable per oriented
+# circuit, a quadric for every discordant pair, binomials per chamber
+# (none for the banana).
+p = present_ring(build_fan(g))
 print(f"\ngenerators: {len(p.generators)}  "
       f"discordance quadrics: {len(p.discordance_quadrics)}")
 
-# Invariants across the catalog.
+# Invariants across the catalog, read off each presentation.
 print("\nname      dim embdim minpr mult")
 for name in ("TREE3", "LOOP1", "B2", "B3", "C5", "FIG-NG", "THETA2"):
-    r = ring_report(catalog_graph(name))
+    r = ring_report(present_ring(build_fan(catalog_graph(name))))
     print(f"{name:9s} {r.dimension:3d} {r.embedded_dimension:6d} "
           f"{len(r.minimal_prime_labels):5d} {r.multiplicity:4d}")
 

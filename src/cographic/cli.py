@@ -19,8 +19,8 @@ from .invariants import check_iso_truncated
 from .orientations import enumerate_tco
 from .circuits import enumerate_oriented_circuits
 from .ring import present_ring, ring_report
-from .semigroup import hilbert_basis, semigroup_report
-from .torelli import same_cographic_ring, three_edge_connectivization
+from .semigroup import semigroup_report
+from .torelli import cyclically_equivalent, three_edge_connectivization
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -58,23 +58,21 @@ def cmd_analyze(args):
     g = _load_graph(args.graph)
     fan = build_fan(g, max_edges=args.max_poset_edges)
     poset = fan.poset
-    maximal = poset.maximal_elements()
-    presentation = present_ring(g, degree=args.degree,
-                                max_edges=args.max_poset_edges)
-    report = ring_report(g, max_edges=args.max_poset_edges)
-    chambers = [semigroup_report(hilbert_basis(g, pair), degree=args.degree,
-                                 horizon=args.hs_horizon)
-                for pair in maximal]
+    presentation = present_ring(fan, degree=args.degree)
+    report = ring_report(presentation)
+    chambers = [semigroup_report(s, ideal, volume, horizon=args.hs_horizon)
+                for (_, s, ideal), volume in
+                zip(presentation.per_chamber_binomials, report.chamber_volumes)]
     out = {
         "graph": _graph_summary(g),
         "orientation_poset": {
             "size": len(poset),
-            "num_maximal": len(maximal),
+            "num_maximal": len(chambers),
             "minimum": poset.minimum.to_json(g),
         },
         "fan": {
             "num_cones": len(fan),
-            "num_chambers": len(maximal),
+            "num_chambers": len(chambers),
             "dimension": betti1(g),
         },
         "ring": report.to_json(g),
@@ -82,7 +80,7 @@ def cmd_analyze(args):
         "chambers": chambers,
     }
     _emit(out, f"analyze: |V|={len(g.vertices)} |E|={len(g.edges)} "
-               f"b1={betti1(g)} poset={len(poset)} chambers={len(maximal)} "
+               f"b1={betti1(g)} poset={len(poset)} chambers={len(chambers)} "
                f"multiplicity={report.multiplicity}")
     return EXIT_OK
 
@@ -118,9 +116,9 @@ def cmd_fan(args):
 
 def cmd_ring(args):
     g = _load_graph(args.graph)
-    report = ring_report(g, max_edges=args.max_poset_edges)
-    presentation = present_ring(g, degree=args.degree,
-                                max_edges=args.max_poset_edges)
+    presentation = present_ring(build_fan(g, max_edges=args.max_poset_edges),
+                                degree=args.degree)
+    report = ring_report(presentation)
     _emit({"graph": _graph_summary(g),
            "ring": report.to_json(g),
            "presentation": presentation.to_json()},
@@ -135,7 +133,7 @@ def cmd_compare(args):
     h = _load_graph(args.other)
     rep_g = three_edge_connectivization(g, max_edges=args.max_poset_edges)
     rep_h = three_edge_connectivization(h, max_edges=args.max_poset_edges)
-    same = same_cographic_ring(g, h, max_edges=args.max_poset_edges)
+    same = cyclically_equivalent(rep_g, rep_h, max_edges=args.max_poset_edges)
     _emit({"same_ring": same,
            "g_class_size": len(rep_g.edges),
            "h_class_size": len(rep_h.edges)},

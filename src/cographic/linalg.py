@@ -1,9 +1,10 @@
 """Exact linear algebra over the integers and rationals.
 
 All inputs are sequences of equal-length rows with int (or Fraction)
-entries.  Nothing here ever touches a float: ranks and solutions go
-through Fraction elimination, determinants through the fraction-free
-Bareiss scheme, and lattice questions through the Smith normal form.
+entries.  Nothing here ever touches a float: ranks, solutions and
+kernels go through one Fraction reduced-echelon routine, determinants
+through the fraction-free Bareiss scheme, and lattice questions through
+the Smith normal form.
 """
 
 from fractions import Fraction
@@ -53,14 +54,22 @@ def det_int(matrix):
     return sign * m[n - 1][n - 1]
 
 
-def rank(matrix):
-    """Rank of a matrix with int/Fraction entries, by exact elimination."""
+def _rref(matrix, ncols=None):
+    """Reduced row echelon form over Q: (Fraction rows, pivot columns).
+
+    Gauss-Jordan: each pivot row is divided by its pivot, then the pivot
+    column is cleared in every other row.  Pivots are sought in the first
+    ``ncols`` columns only (default: all), so an augmented right-hand
+    side is carried along without being pivoted on.
+    """
     rows = [[Fraction(x) for x in row] for row in matrix]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
+    if ncols is None:
+        ncols = len(rows[0]) if rows else 0
+    pivots = []
     r = 0
     for col in range(ncols):
+        if r == len(rows):
+            break
         pivot = None
         for i in range(r, len(rows)):
             if rows[i][col] != 0:
@@ -69,15 +78,20 @@ def rank(matrix):
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        pr = rows[r]
+        pr = [x / rows[r][col] for x in rows[r]]
+        rows[r] = pr
         for i in range(len(rows)):
             if i != r and rows[i][col] != 0:
-                f = rows[i][col] / pr[col]
+                f = rows[i][col]
                 rows[i] = [a - f * b for a, b in zip(rows[i], pr)]
+        pivots.append(col)
         r += 1
-        if r == len(rows):
-            break
-    return r
+    return rows, pivots
+
+
+def rank(matrix):
+    """Rank of a matrix with int/Fraction entries, by exact elimination."""
+    return len(_rref(matrix)[1])
 
 
 def solve_rational(matrix, rhs):
@@ -86,34 +100,14 @@ def solve_rational(matrix, rhs):
     Gauss-Jordan on the augmented matrix; free variables (if any) are set
     to zero.  Returns a list of Fractions.
     """
-    rows = [[Fraction(x) for x in row] + [Fraction(b)]
-            for row, b in zip(matrix, rhs)]
     ncols = len(matrix[0]) if matrix else 0
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        pivot = None
-        for i in range(r, len(rows)):
-            if rows[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pr = [x / rows[r][col] for x in rows[r]]
-        rows[r] = pr
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], pr)]
-        pivots.append(col)
-        r += 1
-    for i in range(r, len(rows)):
-        if rows[i][ncols] != 0:
-            return None
+    rows, pivots = _rref([list(row) + [b] for row, b in zip(matrix, rhs)],
+                         ncols)
+    if any(row[ncols] != 0 for row in rows[len(pivots):]):
+        return None
     x = [Fraction(0)] * ncols
-    for i, col in enumerate(pivots):
-        x[col] = rows[i][ncols]
+    for row, col in zip(rows, pivots):
+        x[col] = row[ncols]
     return x
 
 
@@ -121,34 +115,16 @@ def kernel_rational(matrix):
     """Basis of the right kernel of a matrix over Q (list of Fraction rows)."""
     if not matrix:
         return []
-    rows = [[Fraction(x) for x in row] for row in matrix]
+    rows, pivots = _rref(matrix)
     ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        pivot = None
-        for i in range(r, len(rows)):
-            if rows[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pr = [x / rows[r][col] for x in rows[r]]
-        rows[r] = pr
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], pr)]
-        pivots.append(col)
-        r += 1
-    free = [c for c in range(ncols) if c not in pivots]
     basis = []
-    for fc in free:
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
         v = [Fraction(0)] * ncols
         v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -rows[i][fc]
+        for row, pc in zip(rows, pivots):
+            v[pc] = -row[fc]
         basis.append(v)
     return basis
 

@@ -6,6 +6,14 @@ zero otherwise) is decided by the sign test, and every invariant in reach
 comes from the presentation data.  The presentation has one variable per
 oriented circuit, a quadric for every discordant pair, and one
 degree-bounded binomial ideal per maximal cone.
+
+Each object is built once and passed on: ``present_ring`` takes a built
+fan and makes each chamber's semigroup and ideal, and ``ring_report``
+reads the presentation, adding one subdiagram volume per chamber::
+
+    fan = build_fan(g)
+    presentation = present_ring(fan)
+    report = ring_report(presentation)
 """
 
 from dataclasses import dataclass
@@ -57,22 +65,26 @@ class RingReport:
     dimension: int
     embedded_dimension: int
     minimal_prime_labels: list   # maximal poset elements
-    multiplicity: int
-    normalization_components: list
+    chamber_volumes: list        # subdiagram volume of each, same order
+
+    @property
+    def multiplicity(self):
+        return sum(self.chamber_volumes)
 
     def to_json(self, g):
         # Gorenstein/seminormal/slc hold for every graph ring by general
         # theory; this tool does not certify them, so the report says so
-        # instead of printing a computed verdict.
+        # instead of printing a computed verdict.  The normalization has
+        # one component per minimal prime.
         asserted = "holds for every graph ring (general theory); not computed"
+        primes = [p.to_json(g) for p in self.minimal_prime_labels]
         return {
             "dimension": self.dimension,
             "embedded_dimension": self.embedded_dimension,
-            "num_minimal_primes": len(self.minimal_prime_labels),
-            "minimal_primes": [p.to_json(g) for p in self.minimal_prime_labels],
+            "num_minimal_primes": len(primes),
+            "minimal_primes": primes,
             "multiplicity": self.multiplicity,
-            "normalization_components": [p.to_json(g) for p in
-                                         self.normalization_components],
+            "normalization_components": primes,
             "asserted_properties": {
                 "gorenstein": asserted,
                 "seminormal": asserted,
@@ -81,20 +93,21 @@ class RingReport:
         }
 
 
-def present_ring(g, degree=DEFAULT_DEGREE_BOUND, max_edges=None):
-    """Presentation of the ring: circuit variables, discordance quadrics,
-    and per-maximal-chamber binomials up to the given degree.
+def present_ring(fan, degree=DEFAULT_DEGREE_BOUND):
+    """Presentation of the ring of a built fan: circuit variables,
+    discordance quadrics, and per-maximal-chamber binomials up to the
+    given degree.
 
     Only maximal elements carry binomial ideals; every other cone's ideal
-    is a coordinate projection of a maximal one.
+    is a coordinate projection of a maximal one.  The fan's build already
+    passed its edge cap, which is below the circuit enumeration's.
     """
-    kwargs = {} if max_edges is None else {"max_edges": max_edges}
-    circuits = enumerate_oriented_circuits(g, **kwargs)
+    g = fan.graph
+    circuits = enumerate_oriented_circuits(g)
     quadrics = [(a, b)
                 for i, a in enumerate(circuits)
                 for b in circuits[i + 1:]
                 if not concordant(a, b)]
-    fan = build_fan(g, **kwargs)
     chambers = []
     for cone in fan.chambers():
         s = hilbert_basis(g, cone.label)
@@ -143,21 +156,20 @@ def graded_prime_of(g, pair):
     return GradedPrime(g, pair)
 
 
-def ring_report(g, max_edges=None):
-    """Dimension, embedded dimension, minimal primes, and multiplicity."""
-    kwargs = {} if max_edges is None else {"max_edges": max_edges}
-    circuits = enumerate_oriented_circuits(g, **kwargs)
-    fan = build_fan(g, **kwargs)
-    maximal = fan.poset.maximal_elements()
-    multiplicity = 0
-    for pair in maximal:
-        multiplicity += subdiagram_volume(hilbert_basis(g, pair))
+def ring_report(presentation):
+    """Dimension, embedded dimension, minimal primes, and multiplicity of
+    a presented ring.
+
+    The embedded dimension counts the circuit variables, the minimal
+    primes are the chambers, and the multiplicity is the sum of the
+    chambers' subdiagram volumes.
+    """
+    chambers = presentation.per_chamber_binomials
     return RingReport(
-        dimension=betti1(g),
-        embedded_dimension=len(circuits),
-        minimal_prime_labels=maximal,
-        multiplicity=multiplicity,
-        normalization_components=maximal,
+        dimension=betti1(presentation.graph),
+        embedded_dimension=len(presentation.generators),
+        minimal_prime_labels=[pair for pair, _, _ in chambers],
+        chamber_volumes=[subdiagram_volume(s) for _, s, _ in chambers],
     )
 
 

@@ -39,7 +39,8 @@ from .circuits import circuit_class, compatible_circuits
 from .errors import CapacityError
 from .fan import Cone, facets
 from .graph import FORWARD, delete_edges
-from .linalg import det_int, hyperplane_through, smith_invariant_factors, solve_rational
+from .linalg import (_rref, det_int, hyperplane_through,
+                     smith_invariant_factors, solve_rational)
 
 
 @dataclass
@@ -341,29 +342,17 @@ def _triangulate(points):
 
 
 def _affine_coordinates(points):
-    """Coordinates of the points in a basis of their affine hull."""
+    """Integer coordinates of the points in their affine hull.
+
+    The difference vectors from the first point, projected onto the pivot
+    columns of their reduced echelon form.  On the span of the differences
+    that projection is a linear isomorphism, so affine dependence, and
+    with it every facet and triangulation, is unchanged.
+    """
     base = points[0]
     vectors = [tuple(a - b for a, b in zip(p, base)) for p in points]
-    echelon = []
-    for v in vectors:
-        reduced = [Fraction(x) for x in v]
-        for e in echelon:
-            pivot = next(i for i, x in enumerate(e) if x != 0)
-            f = reduced[pivot] / e[pivot]
-            reduced = [a - f * b for a, b in zip(reduced, e)]
-        if any(x != 0 for x in reduced):
-            echelon.append(reduced)
-    out = []
-    for v in vectors:
-        reduced = [Fraction(x) for x in v]
-        coeffs = []
-        for e in echelon:
-            pivot = next(i for i, x in enumerate(e) if x != 0)
-            f = reduced[pivot] / e[pivot]
-            coeffs.append(f)
-            reduced = [a - f * b for a, b in zip(reduced, e)]
-        out.append(tuple(coeffs))
-    return out
+    _, pivots = _rref(vectors)
+    return [tuple(v[c] for c in pivots) for v in vectors]
 
 
 # -- multiplicity, route two: Hilbert-Samuel finite differences ----------
@@ -473,13 +462,15 @@ def multiplicity_hs_oracle(s, horizon=None):
 # -- reporting ------------------------------------------------------------
 
 
-def semigroup_report(s, degree=3, horizon=None):
-    """Everything the reports carry for one cone, JSON-ready."""
+def semigroup_report(s, ideal, volume, horizon=None):
+    """Everything the reports carry for one cone, JSON-ready.
+
+    ``ideal`` and ``volume`` are the cone's binomial ideal and subdiagram
+    volume, as the ring presentation and report already hold them.
+    """
     g = s.graph
     uni, witness = is_unimodular(s)
     qg, gor, m = q_gorenstein(s)
-    ideal = toric_ideal_up_to_degree(s, degree) if s.hilbert_basis else \
-        BinomialIdeal([], degree)
     var_labels = [gamma.to_json(g)
                   for gamma in compatible_circuits(g, s.cone.label)]
     return {
@@ -505,7 +496,7 @@ def semigroup_report(s, degree=3, horizon=None):
                              {e: [x.numerator, x.denominator]
                               for e, x in sorted(m.items())}),
         "multiplicity": {
-            "subdiagram_volume": subdiagram_volume(s),
+            "subdiagram_volume": volume,
             "hilbert_samuel": multiplicity_hs_oracle(s, horizon),
         },
     }

@@ -1,5 +1,9 @@
 import json
+import sys
 
+import pytest
+
+import cographic
 from cographic.cli import main
 from cographic.catalog import CATALOG
 
@@ -157,3 +161,58 @@ def test_round_trip_catalog_reports(capsys):
         _, first, _ = run_cli(capsys, "analyze", name)
         _, second, _ = run_cli(capsys, "analyze", name)
         assert first == second
+
+
+# Per-graph objects each command builds: a fan, the circuit list, and per
+# chamber a semigroup, a toric ideal and a volume; ``compare`` needs one
+# connectivization per graph.  ``semigroup_report`` (and with it the
+# Hilbert-Samuel oracle) belongs to ``analyze`` alone.
+COUNTED = ("build_fan", "enumerate_oriented_circuits", "hilbert_basis",
+           "subdiagram_volume", "toric_ideal_up_to_degree",
+           "three_edge_connectivization", "semigroup_report")
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Call counts of the COUNTED functions, wrapped in every ``cographic``
+    module that binds them."""
+    counts = dict.fromkeys(COUNTED, 0)
+    modules = [m for name, m in sorted(sys.modules.items())
+               if name == "cographic" or name.startswith("cographic.")]
+    for name in COUNTED:
+        original = getattr(cographic, name)
+
+        def wrapper(*args, _name=name, _fn=original, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for module in modules:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, wrapper)
+    return counts
+
+
+@pytest.mark.parametrize("command, name", [
+    ("analyze", "THETA2"), ("analyze", "FIG-NH"), ("ring", "FIG-NG")])
+def test_each_object_is_built_once(command, name, calls, capsys):
+    code, out, _ = run_cli(capsys, command, name)
+    assert code == 0
+    chambers = json.loads(out)["ring"]["num_minimal_primes"]
+    assert chambers > 1
+    assert calls == {
+        "build_fan": 1,
+        "enumerate_oriented_circuits": 1,
+        "hilbert_basis": chambers,
+        "subdiagram_volume": chambers,
+        "toric_ideal_up_to_degree": chambers,
+        "three_edge_connectivization": 0,
+        "semigroup_report": chambers if command == "analyze" else 0,
+    }
+
+
+def test_compare_connectivizes_each_graph_once(calls, capsys):
+    code, out, _ = run_cli(capsys, "compare", "THETA2", "FIG-NH")
+    assert code == 0
+    assert json.loads(out)["same_ring"] is True
+    assert calls == dict.fromkeys(COUNTED, 0) | {
+        "three_edge_connectivization": 2}

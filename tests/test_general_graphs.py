@@ -4,7 +4,8 @@ vertices, and mixtures of loops with bridges."""
 from cographic import (betti1, build_fan, build_orientation_poset,
                        catalog_graph, check_iso_truncated,
                        enumerate_oriented_circuits, enumerate_tco,
-                       from_edge_list, ring_report, same_cographic_ring,
+                       from_edge_list, present_ring, ring_report,
+                       same_cographic_ring,
                        separating_edges, three_edge_connectivization)
 
 
@@ -31,7 +32,7 @@ def test_disjoint_triangles_counts():
 
 def test_disjoint_triangles_ring():
     g = two_triangles()
-    r = ring_report(g)
+    r = ring_report(present_ring(build_fan(g)))
     assert r.dimension == 2
     assert r.embedded_dimension == 4
     assert len(r.minimal_prime_labels) == 4
@@ -54,7 +55,7 @@ def test_loop_with_bridge():
     maximal = poset.maximal_elements()
     assert len(maximal) == 2
     assert all(p.support == frozenset({"br"}) for p in maximal)
-    r = ring_report(g)
+    r = ring_report(present_ring(build_fan(g)))
     assert (r.dimension, r.embedded_dimension, r.multiplicity) == (1, 2, 2)
     assert same_cographic_ring(g, catalog_graph("LOOP1"))
     assert check_iso_truncated(g, 4)

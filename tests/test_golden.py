@@ -1,9 +1,10 @@
 """Byte-identical CLI output on every catalog graph.
 
 ``golden/stdout_sha256.json`` holds the sha256 of the stdout of
-``cographic fan`` and ``cographic analyze`` for each bundled graph.  A
-refactor or speed-up must leave these bytes unchanged.  To re-record
-after a deliberate output change, run from the repository root:
+``cographic fan``, ``cographic analyze`` and ``cographic ring`` for each
+bundled graph.  A refactor or speed-up must leave these bytes unchanged.
+To re-record after a deliberate output change, run from the repository
+root:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -20,7 +21,7 @@ from cographic.catalog import catalog_names
 from cographic.cli import main
 
 GOLDEN = Path(__file__).parent / "golden" / "stdout_sha256.json"
-COMMANDS = ("fan", "analyze")
+COMMANDS = ("fan", "analyze", "ring")
 
 
 def stdout_sha256(command, name):

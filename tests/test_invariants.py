@@ -1,4 +1,5 @@
-from cographic import (Chain1, boundary, catalog_graph, check_iso_truncated,
+from cographic import (Chain1, boundary, build_fan, catalog_graph,
+                       check_iso_truncated, common_cone, cone_contains,
                        cycles_up_to_mass, from_edge_list,
                        invariant_monomial_basis, multiply_monomials)
 from cographic import ring
@@ -67,14 +68,19 @@ def test_check_iso_small_graphs():
 
 
 def test_product_zero_sets_agree_pairwise():
-    # opposite orientation on a shared edge <=> no common cone
-    g = catalog_graph("B3")
-    cycles = cycles_up_to_mass(g, 2)
-    from cographic import common_cone
-    for c in cycles:
-        for d in cycles:
-            opposite = any(n * d.coeff(e) < 0 for e, n in c.items())
-            assert opposite == (not common_cone(c, d))
+    # The sign shortcut (no edge carries opposite signs) against the fan
+    # itself: some cone holds both cycles, by the sign test of every cone.
+    # Mass 3 reaches THETA2's triangles, not just its 2-cycles.
+    for name in ("B3", "THETA2"):
+        g = catalog_graph(name)
+        cones = build_fan(g).cones
+        cycles = cycles_up_to_mass(g, 3)
+        holding = {c: {i for i, cone in enumerate(cones)
+                       if cone_contains(cone, c)} for c in cycles}
+        for c in cycles:
+            for d in cycles:
+                shared = not holding[c].isdisjoint(holding[d])
+                assert common_cone(c, d) == shared, (name, c, d)
 
 
 def test_b2_products_by_hand():

@@ -8,7 +8,7 @@ from cographic import (Chain1, betti1, build_fan, check_iso_truncated,
                        delete_edges, enumerate_oriented_circuits,
                        enumerate_tco, from_edge_list,
                        fundamental_cycle_basis, hilbert_basis,
-                       multiplicity_hs_oracle, ring_report,
+                       multiplicity_hs_oracle, present_ring, ring_report,
                        separating_edges, spans_lattice, subdiagram_volume)
 
 
@@ -68,7 +68,7 @@ def test_random_multiplicity_two_routes(rng):
             vol = subdiagram_volume(s)
             assert vol == multiplicity_hs_oracle(s)
             total += vol
-        assert ring_report(g).multiplicity == total
+        assert ring_report(present_ring(fan)).multiplicity == total
 
 
 def test_random_invariant_subring(rng):

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from cographic import (Chain1, Cone, Orientation, TotCycPair, betti1,
-                       catalog_graph, circuit_class, cone_contains,
+                       build_fan, catalog_graph, circuit_class, cone_contains,
                        delete_edges, enumerate_oriented_circuits,
                        enumerate_tco, find_poset_isomorphism,
                        fundamental_cycle_basis, graded_prime_of,
@@ -15,7 +15,7 @@ from cographic.graph import FORWARD
 
 
 def test_present_loop1():
-    p = present_ring(catalog_graph("LOOP1"))
+    p = present_ring(build_fan(catalog_graph("LOOP1")))
     assert len(p.generators) == 2
     assert len(p.discordance_quadrics) == 1
     assert all(len(ideal) == 0 for _, _, ideal in p.per_chamber_binomials)
@@ -23,7 +23,7 @@ def test_present_loop1():
 
 
 def test_present_b2():
-    p = present_ring(catalog_graph("B2"))
+    p = present_ring(build_fan(catalog_graph("B2")))
     assert len(p.generators) == 2
     assert len(p.discordance_quadrics) == 1
     assert all(len(ideal) == 0 for _, _, ideal in p.per_chamber_binomials)
@@ -31,7 +31,7 @@ def test_present_b2():
 
 def test_present_fig_nh_contains_the_binomial():
     g = catalog_graph("FIG-NH")
-    p = present_ring(g, degree=3)
+    p = present_ring(build_fan(g), degree=3)
     reference = TotCycPair.create(
         g, frozenset(), Orientation({e: FORWARD for e in g.edges}))
     by_label = {pair: ideal for pair, _, ideal in p.per_chamber_binomials}
@@ -42,7 +42,7 @@ def test_present_fig_nh_contains_the_binomial():
 def test_quadrics_are_exactly_discordant_pairs(graphs):
     from cographic import concordant
     for name in ("LOOP1", "B3", "FIG-NG"):
-        p = present_ring(graphs[name])
+        p = present_ring(build_fan(graphs[name]))
         circuits = p.generators
         expected = {(a, b) for i, a in enumerate(circuits)
                     for b in circuits[i + 1:] if not concordant(a, b)}
@@ -132,13 +132,13 @@ def brute_tco_count(g):
 
 
 def test_ring_report_tree():
-    r = ring_report(catalog_graph("TREE3"))
+    r = ring_report(present_ring(build_fan(catalog_graph("TREE3"))))
     assert (r.dimension, r.embedded_dimension, r.multiplicity) == (0, 0, 1)
     assert len(r.minimal_prime_labels) == 1
 
 
 def test_ring_report_b3():
-    r = ring_report(catalog_graph("B3"))
+    r = ring_report(present_ring(build_fan(catalog_graph("B3"))))
     assert r.dimension == 2
     assert r.embedded_dimension == 6
     assert len(r.minimal_prime_labels) == 6
@@ -147,18 +147,17 @@ def test_ring_report_b3():
 
 def test_ring_report_fig_ng():
     g = catalog_graph("FIG-NG")
-    r = ring_report(g)
+    r = ring_report(present_ring(build_fan(g)))
     assert r.dimension == 4
     assert r.embedded_dimension == 20
     assert len(r.minimal_prime_labels) == 30
     assert len(r.minimal_prime_labels) == brute_tco_count(g)
-    assert r.normalization_components == r.minimal_prime_labels
 
 
 def test_report_identities_against_brute_force(graphs):
     for name in ("LOOP1", "B2", "B3", "C3", "C5"):
         g = graphs[name]
-        r = ring_report(g)
+        r = ring_report(present_ring(build_fan(g)))
         assert r.dimension == betti1(g)
         assert r.embedded_dimension == len(enumerate_oriented_circuits(g))
         assert len(r.minimal_prime_labels) == brute_tco_count(g)
