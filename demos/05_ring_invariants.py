@@ -22,7 +22,8 @@ print("X^(e1-e3) * X^(e3-e1) =", multiply_monomials(g, x, -1 * x))
 # Presentation of the ring of the built fan: one variable per oriented
 # circuit, a quadric for every discordant pair, binomials per chamber
 # (none for the banana).
-p = present_ring(build_fan(g))
+fan = build_fan(g)
+p = present_ring(fan)
 print(f"\ngenerators: {len(p.generators)}  "
       f"discordance quadrics: {len(p.discordance_quadrics)}")
 
@@ -35,7 +36,7 @@ for name in ("TREE3", "LOOP1", "B2", "B3", "C5", "FIG-NG", "THETA2"):
 
 # Graded primes and strata: the prime of a cone holds the monomials of
 # the cycles outside it, and sums of minimal primes are again primes.
-fanposet = strata_poset(g).poset
+fanposet = strata_poset(fan).poset
 chambers = fanposet.maximal_elements()
 shared = sum_of_primes(g, chambers[:2])
 print("\nsum of two chamber primes lives on T =", sorted(shared.support))

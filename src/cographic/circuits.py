@@ -73,6 +73,8 @@ def _circuit_supports(g):
     Each non-loop circuit is anchored at its lowest edge, traversed in the
     reference direction, so every support is produced exactly once.  The
     walk direction also hands us one of the two coherent orientations.
+    The visited set alone keeps a walk simple: stepping back along a path
+    edge reaches a visited vertex other than ``start``.
     """
     incidence = {v: [] for v in g.vertices}
     for e in g.edges:
@@ -92,9 +94,7 @@ def _circuit_supports(g):
             for e, other, direction in incidence[vertex]:
                 if g.edge_index(e) <= a_idx:
                     continue
-                if any(e == f for f, _ in path):
-                    continue
-                if other == start and path is not None:
+                if other == start:
                     edges = (anchor,) + tuple(f for f, _ in path) + (e,)
                     dirs = {anchor: FORWARD}
                     dirs.update({f: d for f, d in path})

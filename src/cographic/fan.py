@@ -10,7 +10,7 @@ vanish.  No floating point and no half-space solver anywhere.
 from dataclasses import dataclass, field
 
 from .chains import canonical_form, fundamental_cycle_basis, is_cycle
-from .circuits import circuit_class, compatible_circuits, support_orientation_of
+from .circuits import circuit_class, compatible_circuits
 from .errors import CapacityError
 from .graph import FORWARD, delete_edges, betti1
 from .linalg import primitive_vector
@@ -87,10 +87,15 @@ def face_label(g, support, phi):
 
     ``phi`` orients the complement of ``support`` but need not be totally
     cyclic there; the canonical label keeps only the edges covered by
-    compatible circuits.  The point set is unchanged.
+    compatible circuits, oriented by phi.  The point set is unchanged.
+    The compatible circuits are concordant (they all agree with phi), and
+    a union of directed circuits is totally cyclic, so the label is valid
+    by construction.
     """
-    pair = TotCycPair(frozenset(support), phi)
-    return support_orientation_of(g, compatible_circuits(g, pair))
+    covered = set()
+    for gamma in compatible_circuits(g, TotCycPair(frozenset(support), phi)):
+        covered |= gamma.support
+    return TotCycPair(frozenset(g.edges) - covered, phi.restrict(covered))
 
 
 def facets(cone):

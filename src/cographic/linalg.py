@@ -1,10 +1,11 @@
 """Exact linear algebra over the integers and rationals.
 
 All inputs are sequences of equal-length rows with int (or Fraction)
-entries.  Nothing here ever touches a float: ranks, solutions and
-kernels go through one Fraction reduced-echelon routine, determinants
-through the fraction-free Bareiss scheme, and lattice questions through
-the Smith normal form.
+entries.  Nothing here ever touches a float: ranks and rational solutions
+go through one Fraction reduced-echelon routine; determinants, and the
+hyperplane through k points of Z^k as a vector of maximal minors, through
+the fraction-free Bareiss scheme; lattice questions through the Smith
+normal form.
 """
 
 from fractions import Fraction
@@ -111,24 +112,6 @@ def solve_rational(matrix, rhs):
     return x
 
 
-def kernel_rational(matrix):
-    """Basis of the right kernel of a matrix over Q (list of Fraction rows)."""
-    if not matrix:
-        return []
-    rows, pivots = _rref(matrix)
-    ncols = len(rows[0])
-    basis = []
-    for fc in range(ncols):
-        if fc in pivots:
-            continue
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for row, pc in zip(rows, pivots):
-            v[pc] = -row[fc]
-        basis.append(v)
-    return basis
-
-
 def smith_invariant_factors(matrix):
     """Nonzero invariant factors of an integer matrix, in divisibility order.
 
@@ -192,21 +175,26 @@ def smith_invariant_factors(matrix):
 
 
 def hyperplane_through(points):
-    """Integer hyperplane (normal, offset) through the given points.
+    """Integer hyperplane (normal, offset) through k points of Z^k.
 
     Returns a primitive pair ``(normal, c)`` with ``normal . p = c`` for
     every input point, or None when the points are affinely dependent (the
-    hyperplane would not be unique).
+    hyperplane would not be unique).  By Cramer's rule, ``normal + (c,)``
+    is the vector of signed maximal minors of the k x (k + 1) rows
+    ``[p | -1]``; all of them vanish exactly when those rows have rank
+    below k.  The sign is fixed so that ``c >= 0``: the hull volume keeps
+    a plane through every generator only when its offset is positive.
+    Raises ValueError unless there are exactly k points of length k.
     """
-    # kernel of [p | -1] rows determines (normal, c) up to scale
+    k = len(points)
+    if any(len(p) != k for p in points):
+        raise ValueError("hyperplane_through needs k points of length k")
     rows = [list(p) + [-1] for p in points]
-    ker = kernel_rational(rows)
-    if len(ker) != 1:
+    minors = [(-1) ** j * det_int([row[:j] + row[j + 1:] for row in rows])
+              for j in range(k + 1)]
+    if not any(minors):
         return None
-    v = ker[0]
-    denom = 1
-    for x in v:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    ints = [int(x * denom) for x in v]
-    ints = list(primitive_vector(ints))
-    return tuple(ints[:-1]), ints[-1]
+    if minors[-1] < 0:
+        minors = [-m for m in minors]
+    normal = primitive_vector(minors)
+    return normal[:-1], normal[-1]

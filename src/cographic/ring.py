@@ -20,10 +20,10 @@ from dataclasses import dataclass
 
 from .chains import is_cycle
 from .circuits import (circuit_class, compatible_circuits, concordant,
-                       enumerate_oriented_circuits, support_orientation_of)
-from .fan import Cone, build_fan, common_cone, cone_contains, FinitePoset
+                       enumerate_oriented_circuits)
+from .fan import Cone, common_cone, cone_contains, face_label, FinitePoset
 from .graph import betti1
-from .orientations import Orientation, TotCycPair
+from .orientations import Orientation
 from .semigroup import (hilbert_basis, subdiagram_volume,
                         toric_ideal_up_to_degree, BinomialIdeal)
 
@@ -220,10 +220,9 @@ class StrataPoset:
         return FinitePoset(self.elements(), self.leq)
 
 
-def strata_poset(g, max_edges=None):
-    kwargs = {} if max_edges is None else {"max_edges": max_edges}
-    fan = build_fan(g, **kwargs)
-    return StrataPoset(g, fan.poset)
+def strata_poset(fan):
+    """The strata poset of a built fan's ring."""
+    return StrataPoset(fan.graph, fan.poset)
 
 
 def sum_of_primes(g, pairs):
@@ -248,5 +247,4 @@ def sum_of_primes(g, pairs):
             directions[e] = dirs.pop()
         else:
             support.add(e)
-    pair = TotCycPair(frozenset(support), Orientation(directions))
-    return support_orientation_of(g, compatible_circuits(g, pair))
+    return face_label(g, support, Orientation(directions))

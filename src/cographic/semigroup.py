@@ -9,14 +9,15 @@ toric ideal of relations, the (Q-)Gorenstein test from facet normals, and
 the multiplicity two independent ways: subdiagram volume of the convex
 hull, and the leading finite difference of the Hilbert-Samuel function.
 
-Everything is exact; hull computations run over the rationals with
-integer outputs.
+Everything is exact.  The hull volume is integer arithmetic throughout;
+only the Gorenstein test solves a system over the rationals.
 
 Cost model, for a cone of dimension d with n Hilbert basis elements:
 
 - Hull volume: every d-subset of the generators is tested for a
-  supporting hyperplane, C(n, d) exact rational solves, and each bounded
-  facet is fan-triangulated the same way one dimension down.
+  supporting hyperplane, C(n, d) planes of d + 1 integer d x d
+  determinants each, and each bounded facet, with one coordinate
+  dropped, is fan-triangulated the same way one dimension down.
 - Hilbert-Samuel oracle: one visit per lattice point with fewer than
   ``horizon`` parts, about multiplicity * horizon^d / d! of them.  A
   visit looks up its n parents by integer key; a parent never visited
@@ -39,8 +40,8 @@ from .circuits import circuit_class, compatible_circuits
 from .errors import CapacityError
 from .fan import Cone, facets
 from .graph import FORWARD, delete_edges
-from .linalg import (_rref, det_int, hyperplane_through,
-                     smith_invariant_factors, solve_rational)
+from .linalg import (det_int, hyperplane_through, smith_invariant_factors,
+                     solve_rational)
 
 
 @dataclass
@@ -258,36 +259,44 @@ def subdiagram_volume(s):
     The region is the union of the pyramids from the origin over the
     bounded facets of hull(Hilbert basis) + cone; its normalized volume
     (unimodular simplex = 1) is the sum over those facets of the absolute
-    determinants of a fan triangulation.  Exact integer output.
+    determinants of a fan triangulation.  A supporting plane with
+    normal . p >= c for all generators is a bounded facet exactly when
+    c > 0: the recession cone is spanned by the generators themselves, so
+    a positive offset forces the normal to be strictly positive along
+    every ray.  Exact integer output.
     """
     d = s.lattice_rank
     if d == 0:
         return 1
     points = [s.coordinates(c) for c in s.hilbert_basis]
     total = 0
-    for facet_indices in _bounded_facets(points, d):
-        facet_pts = [points[i] for i in facet_indices]
-        for simplex in _triangulate(facet_pts):
-            mat = [facet_pts[i] for i in simplex]
-            total += abs(det_int(mat))
+    for normal, c, facet in _supporting_planes(points):
+        if c <= 0:
+            continue
+        facet_pts = [points[i] for i in facet]
+        axis = next(j for j, a in enumerate(normal) if a)
+        for simplex in _triangulate([p[:axis] + p[axis + 1:]
+                                     for p in facet_pts]):
+            total += abs(det_int([facet_pts[i] for i in simplex]))
     return total
 
 
-def _bounded_facets(points, d):
-    """Index sets of the bounded facets of conv(points) + cone(points).
+def _supporting_planes(points):
+    """Every plane through k of the points of Z^k with all points on one
+    side, as (normal, c, indices of the points on it).
 
-    A supporting hyperplane normal . x = c with normal . p >= c for all
-    generators gives a bounded facet exactly when c > 0: the recession
-    cone is spanned by the generators themselves, so positive offset
-    forces the normal to be strictly positive along every ray.
+    Each plane appears once, in first-found order over the k-subsets,
+    oriented so that normal . p >= c for every point.  When all points lie
+    on the plane, it keeps the orientation of ``hyperplane_through``,
+    whose offset is nonnegative.
     """
-    seen = {}
-    for subset in itertools.combinations(range(len(points)), d):
+    planes = {}
+    for subset in itertools.combinations(range(len(points)), len(points[0])):
         plane = hyperplane_through([points[i] for i in subset])
         if plane is None:
             continue
         normal, c = plane
-        values = [sum(a * b for a, b in zip(normal, p)) for p in points]
+        values = [sum(map(mul, normal, p)) for p in points]
         if all(v >= c for v in values):
             pass
         elif all(v <= c for v in values):
@@ -296,24 +305,26 @@ def _bounded_facets(points, d):
             values = [-v for v in values]
         else:
             continue
-        if c <= 0:
-            continue
-        key = (normal, c)
-        if key not in seen:
-            seen[key] = tuple(i for i, v in enumerate(values) if v == c)
-    return sorted(seen.values())
+        if (normal, c) not in planes:
+            planes[normal, c] = tuple(i for i, v in enumerate(values)
+                                      if v == c)
+    return [(normal, c, on) for (normal, c), on in planes.items()]
 
 
 def _triangulate(points):
-    """Fan triangulation of the polytope spanned by the given points.
+    """Fan triangulation of the full-dimensional polytope spanned by the
+    given points of Z^k.
 
     The points must all be vertices, which holds for the facets met here
     because every Hilbert basis element spans its own extremal ray.
     Returns simplices as index tuples into ``points``; the fan is anchored
-    at index 0, the lowest point in canonical order.
+    at index 0, the lowest point in canonical order.  Each facet that
+    misses index 0 is triangulated in Z^(k-1), by deleting one coordinate
+    where its normal is nonzero: on the facet's plane that projection is
+    a linear isomorphism, so affine dependence, every facet and the
+    triangulation are unchanged.
     """
-    coords = _affine_coordinates(points)
-    k = len(coords[0]) if coords else 0
+    k = len(points[0])
     n = len(points)
     if n == 1:
         return [(0,)]
@@ -322,37 +333,15 @@ def _triangulate(points):
     if n == k + 1:
         return [tuple(range(n))]
     simplices = []
-    seen = set()
-    for subset in itertools.combinations(range(n), k):
-        plane = hyperplane_through([coords[i] for i in subset])
-        if plane is None:
-            continue
-        normal, c = plane
-        values = [sum(a * b for a, b in zip(normal, p)) for p in coords]
-        if not (all(v >= c for v in values) or all(v <= c for v in values)):
-            continue
-        facet = tuple(i for i, v in enumerate(values) if v == c)
-        if facet in seen or 0 in facet:
+    for normal, _, facet in _supporting_planes(points):
+        if 0 in facet:
             continue  # fan from the lowest vertex: skip facets through it
-        seen.add(facet)
-        sub = _triangulate([points[i] for i in facet])
+        axis = next(j for j, a in enumerate(normal) if a)
+        sub = _triangulate([points[i][:axis] + points[i][axis + 1:]
+                            for i in facet])
         simplices += [(0,) + tuple(facet[i] for i in simplex)
                       for simplex in sub]
     return simplices
-
-
-def _affine_coordinates(points):
-    """Integer coordinates of the points in their affine hull.
-
-    The difference vectors from the first point, projected onto the pivot
-    columns of their reduced echelon form.  On the span of the differences
-    that projection is a linear isomorphism, so affine dependence, and
-    with it every facet and triangulation, is unchanged.
-    """
-    base = points[0]
-    vectors = [tuple(a - b for a, b in zip(p, base)) for p in points]
-    _, pivots = _rref(vectors)
-    return [tuple(v[c] for c in pivots) for v in vectors]
 
 
 # -- multiplicity, route two: Hilbert-Samuel finite differences ----------

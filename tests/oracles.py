@@ -7,11 +7,14 @@ enumerations that only tests use.
 """
 
 import heapq
+from fractions import Fraction
+from math import gcd
 
 from cographic import (Chain1, Orientation, OrientedCircuit, TotCycPair,
                        cone_contains, delete_edges, is_cycle)
 from cographic.circuits import _circuit_supports
 from cographic.graph import FORWARD
+from cographic.linalg import _rref, primitive_vector
 
 
 def hilbert_samuel_function_reference(s, horizon):
@@ -75,6 +78,43 @@ def hilbert_samuel_function_reference(s, horizon):
                     heapq.heappush(heap, (deg + gdeg, child))
     return [sum(1 for parts in max_parts.values() if parts <= n - 1)
             for n in range(1, horizon + 1)]
+
+
+def kernel_rational(matrix):
+    """Basis of the right kernel of a matrix over Q (list of Fraction rows)."""
+    if not matrix:
+        return []
+    rows, pivots = _rref(matrix)
+    ncols = len(rows[0])
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for row, pc in zip(rows, pivots):
+            v[pc] = -row[fc]
+        basis.append(v)
+    return basis
+
+
+def hyperplane_through_reference(points):
+    """Primitive (normal, c) with normal . p = c on every point, or None.
+
+    The rational kernel of the rows ``[p | -1]``, cleared of denominators
+    by their LCM.  Its sign is whatever the elimination leaves.
+    """
+    rows = [list(p) + [-1] for p in points]
+    ker = kernel_rational(rows)
+    if len(ker) != 1:
+        return None
+    v = ker[0]
+    denom = 1
+    for x in v:
+        denom = denom * x.denominator // gcd(denom, x.denominator)
+    ints = [int(x * denom) for x in v]
+    ints = list(primitive_vector(ints))
+    return tuple(ints[:-1]), ints[-1]
 
 
 def maximal_elements_reference(poset):

@@ -229,7 +229,7 @@ def test_acceptance_6_poset_triangle(fan_of):
         fan = fan_of(name)
         g = fan.graph
         poset = fan.poset
-        strata = strata_poset(g)
+        strata = strata_poset(fan)
         # explicit bijection: the identity on labels; the two geometric
         # orders (cone containment via rays, prime reverse inclusion) are
         # computed from cone membership, the syntactic order from
@@ -245,7 +245,7 @@ def test_acceptance_6_poset_triangle(fan_of):
                 assert syntactic == cone_order == prime_order, (name, p, q)
     # and an explicit isomorphism search on one instance for good measure
     fan = fan_of("B3")
-    strata = strata_poset(fan.graph)
+    strata = strata_poset(fan)
     a = FinitePoset(list(fan.poset), OrientationPoset.leq)
     b = strata.finite_poset()
     assert find_poset_isomorphism(a, b) is not None

@@ -5,20 +5,28 @@ integer sign test on lattice coordinates; the references keep coordinate
 tuples and the chain-level ``cone_contains``.  Chamber selection filters
 by support, and circuits are read from a per-graph bitmask table; the
 references compare every pair of poset elements and walk the circuits of
-each complement.  Outputs must agree exactly.
+each complement.  A facet label is built from the circuits that cover
+it; the reference validates the circuits and the label.  The hull's
+hyperplane is a vector of integer minors; the reference solves a
+rational kernel.  Outputs must agree exactly.
 """
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cographic import (TotCycPair, build_fan, build_orientation_poset,
                        catalog_names, compatible_circuits, cone_contains,
                        enumerate_oriented_circuits, from_edge_list,
-                       hilbert_basis, hilbert_samuel_function)
+                       hilbert_basis, hilbert_samuel_function,
+                       multiplicity_hs_oracle, subdiagram_volume,
+                       support_orientation_of)
+from cographic.fan import face_label
+from cographic.linalg import hyperplane_through
 from oracles import (compatible_circuits_reference,
                      enumerate_oriented_circuits_reference,
                      hilbert_samuel_function_reference,
+                     hyperplane_through_reference,
                      maximal_elements_reference)
 
 K4 = [("e1", "v1", "v2"), ("e2", "v1", "v3"), ("e3", "v1", "v4"),
@@ -100,8 +108,10 @@ def _assert_poset_matches_references(g):
     assert poset.maximal_elements() == maximal_elements_reference(poset)
     for pair in poset:
         for p in [pair, *_facet_pairs(g, pair)]:
-            assert compatible_circuits(g, p) == \
-                compatible_circuits_reference(g, p)
+            reference = compatible_circuits_reference(g, p)
+            assert compatible_circuits(g, p) == reference
+            assert face_label(g, p.support, p.phi) == \
+                support_orientation_of(g, reference)
 
 
 @pytest.mark.parametrize("name", catalog_names() + ["K4"])
@@ -113,3 +123,43 @@ def test_chambers_and_compatible_circuits_match_reference(name, graphs):
 @given(g=multigraphs())
 def test_chambers_and_compatible_circuits_match_reference_on_random_multigraphs(g):
     _assert_poset_matches_references(g)
+
+
+@st.composite
+def point_tuples(draw):
+    """k points of Z^k, k <= 5, entries in [-3, 3].  The points are drawn
+    from a pool that may be smaller than k, so repeated (and hence
+    affinely dependent) points are common."""
+    k = draw(st.integers(1, 5))
+    pool = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * k),
+                         min_size=1, max_size=k))
+    return [draw(st.sampled_from(pool)) for _ in range(k)]
+
+
+@given(points=point_tuples())
+@example(points=[(1, 1), (1, 1)])
+@example(points=[(1, 1), (2, 2)])
+@example(points=[(-1, 0), (0, -1)])
+@example(points=[(1, 2, 0), (2, 4, 0), (3, 6, 0)])
+@example(points=[(0, 0, 0), (1, 0, 0), (0, 1, 0)])
+def test_hyperplane_through_matches_reference(points):
+    plane = hyperplane_through(points)
+    reference = hyperplane_through_reference(points)
+    if reference is None:
+        assert plane is None
+        return
+    normal, c = plane
+    assert c >= 0
+    assert all(sum(a * b for a, b in zip(normal, p)) == c for p in points)
+    flipped = (tuple(-a for a in reference[0]), -reference[1])
+    if c == 0:
+        assert plane in (reference, flipped)
+    else:
+        assert plane == (reference if reference[1] > 0 else flipped)
+
+
+@given(g=multigraphs())
+def test_subdiagram_volume_matches_hs_on_random_multigraphs(g):
+    for chamber in build_fan(g).chambers():
+        s = hilbert_basis(g, chamber.label)
+        assert subdiagram_volume(s) == multiplicity_hs_oracle(s)

@@ -1,8 +1,10 @@
 from fractions import Fraction
 
-from cographic.linalg import (det_int, hyperplane_through, kernel_rational,
-                              primitive_vector, rank, smith_invariant_factors,
-                              solve_rational)
+import pytest
+
+from cographic.linalg import (det_int, hyperplane_through, primitive_vector,
+                              rank, smith_invariant_factors, solve_rational)
+from oracles import kernel_rational
 
 
 def test_det_small():
@@ -55,8 +57,18 @@ def test_hyperplane_through():
     normal, c = hyperplane_through([(1, 0), (0, 1)])
     assert abs(normal[0]) == abs(normal[1]) == abs(c)
     assert normal[0] * 1 + normal[1] * 0 == c
+    # the offset is never negative
+    assert (normal, c) == ((1, 1), 1)
+    assert hyperplane_through([(-1, 0), (0, -1)]) == ((-1, -1), 1)
+    assert hyperplane_through([(2, 0, 0), (0, 2, 0), (0, 0, 2)]) == \
+        ((1, 1, 1), 2)
     # distinct points through the origin still give a unique line
     normal, c = hyperplane_through([(1, 1), (2, 2)])
     assert c == 0 and normal[0] == -normal[1]
     # a degenerate span has no unique hyperplane
     assert hyperplane_through([(1, 1, 0), (1, 1, 0), (2, 2, 0)]) is None
+    # exactly k points of Z^k
+    for points in ([(1, 0), (0, 1), (1, 1)], [(1, 0, 0), (0, 1, 0)],
+                   [(1, 0), (0, 1, 0)]):
+        with pytest.raises(ValueError):
+            hyperplane_through(points)

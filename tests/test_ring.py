@@ -218,15 +218,15 @@ def test_sum_of_primes_is_cone_intersection(fan_of):
 
 def test_strata_poset_matches_orientation_poset(fan_of):
     for name in ("LOOP1", "B3", "C4"):
-        sp = strata_poset(fan_of(name).graph)
+        sp = strata_poset(fan_of(name))
         elems = sp.elements()
         for p in elems:
             for q in elems:
                 assert sp.leq(p, q) == OrientationPoset.leq(p, q)
 
 
-def test_strata_poset_isomorphic_to_fan_poset():
-    sp = strata_poset(catalog_graph("B3"))
+def test_strata_poset_isomorphic_to_fan_poset(fan_of):
+    sp = strata_poset(fan_of("B3"))
     strata = sp.finite_poset()
     orient = FinitePoset(sp.elements(), OrientationPoset.leq)
     assert find_poset_isomorphism(strata, orient) is not None

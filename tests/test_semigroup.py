@@ -9,7 +9,8 @@ from cographic import (Chain1, Orientation, TotCycPair, catalog_graph,
                        subdiagram_volume, toric_ideal_up_to_degree)
 from cographic.fan import facets
 from cographic.graph import FORWARD, BACKWARD
-from cographic.linalg import rank
+from cographic.linalg import det_int, rank
+from cographic.semigroup import _triangulate
 from oracles import (irreducible_points_up_to_degree,
                      semigroup_points_up_to_degree)
 
@@ -238,6 +239,32 @@ def test_subdiagram_volume_unimodular_cases():
 
 def test_subdiagram_volume_origin_cone():
     assert subdiagram_volume(minimum_semigroup("B3")) == 1
+
+
+def test_triangulate_unit_cube():
+    # the three facets missing the origin, two triangles each: six
+    # unimodular tetrahedra from vertex 0, none of them degenerate
+    cube = [(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)]
+    simplices = _triangulate(cube)
+    assert len(simplices) == 6
+    for simplex in simplices:
+        assert simplex[0] == 0
+        assert abs(det_int([cube[i] for i in simplex[1:]])) == 1
+
+
+def test_subdiagram_volume_builds_no_fraction(fan_of, monkeypatch):
+    # the hull volume is integer arithmetic from end to end
+    samples = [hilbert_basis(fan_of(name).graph, cone.label)
+               for name in ("THETA2", "FIG-NH")
+               for cone in fan_of(name).chambers()[:4]]
+    expected = [multiplicity_hs_oracle(s) for s in samples]
+
+    def no_fraction(*args):
+        raise AssertionError("Fraction built in the hull volume")
+
+    monkeypatch.setattr("cographic.linalg.Fraction", no_fraction)
+    monkeypatch.setattr("cographic.semigroup.Fraction", no_fraction)
+    assert [subdiagram_volume(s) for s in samples] == expected
 
 
 def test_hilbert_samuel_known_shapes():
