@@ -26,7 +26,7 @@ from .circuits import (OrientedCircuit, enumerate_oriented_circuits,
                        decompose_cycle, support_orientation_of)
 from .fan import (Cone, Fan, build_fan, cone_contains, common_cone, cone_of,
                   cone_dimension, voronoi_face_dim, extremal_rays, facets,
-                  FinitePoset, poset_of_fan, poset_isomorphic,
+                  FinitePoset, poset_isomorphic,
                   find_poset_isomorphism)
 from .semigroup import (AffineSemigroup, BinomialIdeal, hilbert_basis,
                         spans_lattice, is_unimodular, toric_ideal_up_to_degree,

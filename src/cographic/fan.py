@@ -209,10 +209,6 @@ class FinitePoset:
         return covers_up
 
 
-def poset_of_fan(fan):
-    return FinitePoset(list(fan.poset), OrientationPoset.leq)
-
-
 def find_poset_isomorphism(p, q, max_size=5000):
     """An order isomorphism between two finite posets, or None.
 

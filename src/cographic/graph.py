@@ -67,11 +67,6 @@ class Graph:
         s, t = self._ends[e]
         return t if d == FORWARD else s
 
-    @staticmethod
-    def flip(oriented_edge):
-        e, d = oriented_edge
-        return (e, -d)
-
     def is_loop(self, e):
         s, t = self._ends[e]
         return s == t
@@ -84,16 +79,9 @@ class Graph:
     def vertex_index(self, v):
         return self._vindex[v]
 
-    def has_edge(self, e):
-        return e in self._eindex
-
     def sort_edges(self, subset):
         """The given edge ids in canonical (enumeration) order."""
         return tuple(sorted(subset, key=self.edge_index))
-
-    def incident(self, v):
-        """Edges incident to v, loops listed once."""
-        return [e for e in self.edges if v in self._ends[e]]
 
     def __eq__(self, other):
         if not isinstance(other, Graph):

@@ -1,14 +1,14 @@
-"""Exact linear algebra over the integers and rationals.
+"""Exact integer linear algebra: one elimination routine, determinants.
 
-All inputs are sequences of equal-length rows with int (or Fraction)
-entries.  Nothing here ever touches a float: ranks and rational solutions
-go through one Fraction reduced-echelon routine; determinants, and the
-hyperplane through k points of Z^k as a vector of maximal minors, through
-the fraction-free Bareiss scheme; lattice questions through the Smith
-normal form.
+All inputs are sequences of equal-length rows with int entries, and
+nothing here touches a float or a Fraction.  The fraction-free Bareiss
+determinant is the only elimination; the rest is built from its minors.
+The hyperplane through k points of Z^k is a vector of maximal minors, and
+callers answer lattice questions the same way: the gcd of the d x d
+minors of n generators in Z^d is the index of the lattice they span (0
+below full rank), and Cramer's rule solves a square system.
 """
 
-from fractions import Fraction
 from math import gcd
 
 
@@ -53,125 +53,6 @@ def det_int(matrix):
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
-
-
-def _rref(matrix, ncols=None):
-    """Reduced row echelon form over Q: (Fraction rows, pivot columns).
-
-    Gauss-Jordan: each pivot row is divided by its pivot, then the pivot
-    column is cleared in every other row.  Pivots are sought in the first
-    ``ncols`` columns only (default: all), so an augmented right-hand
-    side is carried along without being pivoted on.
-    """
-    rows = [[Fraction(x) for x in row] for row in matrix]
-    if ncols is None:
-        ncols = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        if r == len(rows):
-            break
-        pivot = None
-        for i in range(r, len(rows)):
-            if rows[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pr = [x / rows[r][col] for x in rows[r]]
-        rows[r] = pr
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], pr)]
-        pivots.append(col)
-        r += 1
-    return rows, pivots
-
-
-def rank(matrix):
-    """Rank of a matrix with int/Fraction entries, by exact elimination."""
-    return len(_rref(matrix)[1])
-
-
-def solve_rational(matrix, rhs):
-    """One exact solution of ``matrix @ x = rhs`` over Q, or None.
-
-    Gauss-Jordan on the augmented matrix; free variables (if any) are set
-    to zero.  Returns a list of Fractions.
-    """
-    ncols = len(matrix[0]) if matrix else 0
-    rows, pivots = _rref([list(row) + [b] for row, b in zip(matrix, rhs)],
-                         ncols)
-    if any(row[ncols] != 0 for row in rows[len(pivots):]):
-        return None
-    x = [Fraction(0)] * ncols
-    for row, col in zip(rows, pivots):
-        x[col] = row[ncols]
-    return x
-
-
-def smith_invariant_factors(matrix):
-    """Nonzero invariant factors of an integer matrix, in divisibility order.
-
-    Classic Smith reduction by row/column operations; fine at the sizes
-    this package meets (a handful of rows and columns).
-    """
-    m = [list(row) for row in matrix]
-    if not m or not m[0]:
-        return []
-    nrows, ncols = len(m), len(m[0])
-    factors = []
-    top = 0
-    while top < min(nrows, ncols):
-        # find a nonzero pivot in the remaining block
-        pivot = None
-        for i in range(top, nrows):
-            for j in range(top, ncols):
-                if m[i][j] != 0:
-                    pivot = (i, j)
-                    break
-            if pivot:
-                break
-        if pivot is None:
-            break
-        i, j = pivot
-        m[top], m[i] = m[i], m[top]
-        for row in m:
-            row[top], row[j] = row[j], row[top]
-        while True:
-            # clear the pivot column
-            for i in range(top + 1, nrows):
-                while m[i][top] != 0:
-                    q = m[i][top] // m[top][top]
-                    for j in range(top, ncols):
-                        m[i][j] -= q * m[top][j]
-                    if m[i][top] != 0:
-                        m[top], m[i] = m[i], m[top]
-            # clear the pivot row
-            for j in range(top + 1, ncols):
-                while m[top][j] != 0:
-                    q = m[top][j] // m[top][top]
-                    for i in range(top, nrows):
-                        m[i][j] -= q * m[i][top]
-                    if m[top][j] != 0:
-                        for row in m:
-                            row[top], row[j] = row[j], row[top]
-            if all(m[i][top] == 0 for i in range(top + 1, nrows)):
-                break
-        factors.append(abs(m[top][top]))
-        top += 1
-    # enforce the divisibility chain
-    for i in range(len(factors)):
-        for j in range(i + 1, len(factors)):
-            a, b = factors[i], factors[j]
-            g = gcd(a, b)
-            if g == 0:
-                continue
-            factors[i] = g
-            factors[j] = a * b // g
-    return [f for f in factors if f != 0]
 
 
 def hyperplane_through(points):

@@ -48,12 +48,11 @@ class RingPresentation:
                          for a, b in self.discordance_quadrics],
             "chambers": [{
                 "label": pair.to_json(g),
-                "variables": [gamma.to_json(g)
-                              for gamma in compatible_circuits(g, pair)],
+                "variables": [gamma.to_json(g) for gamma in s.circuits],
                 "generators": [{"u": list(u), "v": list(v)}
                                for u, v in ideal.generators],
                 "degree_bound": ideal.degree_bound,
-            } for pair, _, ideal in self.per_chamber_binomials],
+            } for pair, s, ideal in self.per_chamber_binomials],
             "degree_bound": self.degree_bound,
         }
 
@@ -138,10 +137,6 @@ class GradedPrime:
     def contains(self, c):
         """Is the monomial of the cycle c a member?"""
         return not cone_contains(self._cone, c)
-
-    def describe(self):
-        t = ",".join(self.graph.sort_edges(self.label.support))
-        return f"(monomials of cycles outside the cone of (T={{{t}}}, phi))"
 
     def __repr__(self):
         return f"GradedPrime({self.label!r})"

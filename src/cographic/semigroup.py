@@ -3,17 +3,26 @@
 For a cone labeled (T, phi), the lattice points form a positive normal
 affine semigroup whose Hilbert basis is exactly the set of compatible
 circuit classes.  This module computes, per cone: the basis in both edge
-and cycle-basis coordinates, lattice spanning (Smith form), unimodularity
-(equality of all maximal minors up to sign), a degree-bounded slice of the
-toric ideal of relations, the (Q-)Gorenstein test from facet normals, and
-the multiplicity two independent ways: subdiagram volume of the convex
-hull, and the leading finite difference of the Hilbert-Samuel function.
+and cycle-basis coordinates, lattice spanning (gcd of the maximal minors),
+unimodularity (equality of all maximal minors up to sign), a
+degree-bounded slice of the toric ideal of relations, the
+(Q-)Gorenstein test from facet normals (Cramer's rule), and the
+multiplicity two independent ways: subdiagram volume of the convex hull,
+and the leading finite difference of the Hilbert-Samuel function.
 
-Everything is exact.  The hull volume is integer arithmetic throughout;
-only the Gorenstein test solves a system over the rationals.
+Everything is exact, and every elimination is an integer determinant
+(``linalg.det_int``).  Only the Gorenstein point is reported as
+Fractions, each a ratio of two of those determinants.
 
 Cost model, for a cone of dimension d with n Hilbert basis elements:
 
+- Lattice spanning and unimodularity: up to C(n, d) d x d integer
+  determinants, one per d-subset of the generators.  Spanning stops at
+  the first subset that brings the gcd to 1; unimodularity stops at the
+  first minor of a second absolute value.
+- Gorenstein test: d x d determinants over d-subsets of the facet
+  normals until one is nonzero, then d more for Cramer's rule and one
+  integer dot product per normal.
 - Hull volume: every d-subset of the generators is tested for a
   supporting hyperplane, C(n, d) planes of d + 1 integer d x d
   determinants each, and each bounded facet, with one coordinate
@@ -40,8 +49,7 @@ from .circuits import circuit_class, compatible_circuits
 from .errors import CapacityError
 from .fan import Cone, facets
 from .graph import FORWARD, delete_edges
-from .linalg import (det_int, hyperplane_through, smith_invariant_factors,
-                     solve_rational)
+from .linalg import det_int, hyperplane_through
 
 
 @dataclass
@@ -49,7 +57,8 @@ class AffineSemigroup:
     """Lattice points of one cone, presented by its Hilbert basis."""
 
     cone: Cone
-    hilbert_basis: list        # Chain1 circuit classes, canonical order
+    circuits: list             # compatible oriented circuits, canonical order
+    hilbert_basis: list        # their Chain1 classes, same order
     lattice_rank: int          # dimension of the cone's span
     cycle_basis: object        # CycleBasis of the complement of the support
 
@@ -62,11 +71,6 @@ class AffineSemigroup:
 
     def chain(self, coords):
         return self.cycle_basis.chain(coords)
-
-    def basis_matrix(self):
-        """Rows indexed by lattice coordinates, columns by basis elements."""
-        cols = [self.coordinates(c) for c in self.hilbert_basis]
-        return [tuple(col[i] for col in cols) for i in range(self.lattice_rank)]
 
     @cached_property
     def _sign_rows(self):
@@ -108,41 +112,46 @@ def hilbert_basis(g, pair):
     The Hilbert basis is the set of compatible circuit classes; the
     lattice is spanned by the fundamental cycles off the support.
     """
-    basis = [circuit_class(gamma) for gamma in compatible_circuits(g, pair)]
+    circuits = compatible_circuits(g, pair)
+    basis = [circuit_class(gamma) for gamma in circuits]
     rest = delete_edges(g, pair.support)
     cycle_basis = fundamental_cycle_basis(rest)
-    return AffineSemigroup(Cone(g, pair), basis, len(cycle_basis), cycle_basis)
+    return AffineSemigroup(Cone(g, pair), circuits, basis, len(cycle_basis),
+                           cycle_basis)
 
 
 def spans_lattice(s):
     """Do the basis elements span the full cycle lattice over the integers?
 
-    Checked by Smith normal form: full rank with all invariant factors 1.
-    Expected to hold for every cone; exposed as a checkable assertion.
+    The gcd of the d x d minors of the generator coordinates is the index
+    of the lattice they span, and 0 below full rank (Newman, *Integral
+    Matrices*), so they span exactly when that gcd reaches 1.  In rank 0
+    the one minor is the empty determinant, 1.  Expected to hold for
+    every cone; exposed as a checkable assertion.
     """
-    if s.lattice_rank == 0:
-        return True
     rows = [s.coordinates(c) for c in s.hilbert_basis]
-    factors = smith_invariant_factors(rows)
-    return len(factors) == s.lattice_rank and all(f == 1 for f in factors)
+    index = 0
+    for minor in itertools.combinations(rows, s.lattice_rank):
+        index = gcd(index, det_int(minor))
+        if index == 1:
+            return True
+    return False
 
 
 def is_unimodular(s):
     """Do all nonzero maximal minors of the basis matrix share one
     absolute value?
 
-    On failure returns two witnesses ((columns, minor), (columns, minor))
-    with different absolute values; column indices refer to the canonical
-    Hilbert basis order.
+    The basis matrix has one column per Hilbert basis element, in lattice
+    coordinates; a minor is taken on the generator rows instead, which is
+    its transpose and has the same determinant.  On failure returns two
+    witnesses ((columns, minor), (columns, minor)) with different absolute
+    values; column indices refer to the canonical Hilbert basis order.
     """
-    d = s.lattice_rank
-    n = len(s.hilbert_basis)
-    if d == 0 or n < d:
-        return True, None
-    matrix = s.basis_matrix()
+    rows = [s.coordinates(c) for c in s.hilbert_basis]
     first = None
-    for cols in itertools.combinations(range(n), d):
-        minor = det_int([[matrix[i][j] for j in cols] for i in range(d)])
+    for cols in itertools.combinations(range(len(rows)), s.lattice_rank):
+        minor = det_int([rows[j] for j in cols])
         if minor == 0:
             continue
         if first is None:
@@ -228,7 +237,10 @@ def q_gorenstein(s):
     Solves normal(m) = 1 over the rationals for all primitive facet
     normals.  The normals of a full-dimensional pointed cone span the dual
     space, so a solution is unique when it exists; the ring is Gorenstein
-    in the integral sense when that solution is a lattice point.
+    in the integral sense when that solution is a lattice point.  Cramer's
+    rule solves the first d normals, in ``combinations`` order, with a
+    nonzero determinant; the solution then stands if every normal pairs
+    to 1 with it.
 
     Returns (q_gorenstein, gorenstein_integral, m) where m is the rational
     cycle realizing the pairings, as a dict edge -> Fraction, or None.
@@ -237,9 +249,15 @@ def q_gorenstein(s):
     if d == 0:
         return True, True, {}
     normals = [normal for _, normal in facets(s.cone)]
-    solution = solve_rational(normals, [1] * len(normals))
-    if solution is None:
+    for rows in itertools.combinations(normals, d):
+        det = det_int(rows)
+        if det:
+            break
+    numerators = [det_int([row[:j] + (1,) + row[j + 1:] for row in rows])
+                  for j in range(d)]
+    if any(sum(map(mul, normal, numerators)) != det for normal in normals):
         return False, False, None
+    solution = [Fraction(x, det) for x in numerators]
     integral = all(x.denominator == 1 for x in solution)
     m = {}
     for coeff, basis_chain in zip(solution, s.cycle_basis.basis):
@@ -460,8 +478,7 @@ def semigroup_report(s, ideal, volume, horizon=None):
     g = s.graph
     uni, witness = is_unimodular(s)
     qg, gor, m = q_gorenstein(s)
-    var_labels = [gamma.to_json(g)
-                  for gamma in compatible_circuits(g, s.cone.label)]
+    var_labels = [gamma.to_json(g) for gamma in s.circuits]
     return {
         "label": s.cone.label.to_json(g),
         "lattice_rank": s.lattice_rank,

@@ -10,6 +10,7 @@ the lowest-id member.
 
 import itertools
 
+from .circuits import _circuit_table
 from .errors import CapacityError
 from .graph import (connected_components, contract_edge, delete_edges,
                     separating_edges)
@@ -54,10 +55,9 @@ def three_edge_connectivization(g, max_edges=MAX_POSET_EDGES):
 
 
 def circuit_supports(g):
-    """The circuit hypergraph: all circuit edge sets, as frozensets."""
-    from .circuits import _circuit_supports
-    return sorted({frozenset(edges) for edges, _ in _circuit_supports(g)},
-                  key=lambda s: tuple(sorted(g.edge_index(e) for e in s)))
+    """The circuit hypergraph: all circuit edge sets, as frozensets, in
+    canonical order (one row of the circuit table each)."""
+    return [gamma.support for _, _, gamma, _ in _circuit_table(g)]
 
 
 def cyclically_equivalent(g, h, max_edges=MAX_POSET_EDGES):

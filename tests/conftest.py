@@ -2,8 +2,9 @@ import random
 
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
-from cographic import build_fan, catalog_graph, catalog_names
+from cographic import build_fan, catalog_graph, catalog_names, from_edge_list
 
 # Property tests replay the same examples on every run, and a slow example
 # on a loaded host is not a failure.  Another profile can still be chosen
@@ -18,7 +19,18 @@ SMALL = ["TREE3", "LOOP1", "B2", "B3", "C3", "C4", "C5"]
 
 def pytest_addoption(parser):
     parser.addoption("--seed", type=int, default=20260808,
-                     help="seed for the randomized property suites")
+                     help="seed for the tests that take the rng fixture")
+
+
+@st.composite
+def multigraphs(draw, max_vertices=4, max_edges=5):
+    """Multigraphs with loops and parallel edges; shrinks to fewer edges."""
+    vertices = [f"v{i}" for i in range(draw(st.integers(1, max_vertices)))]
+    ends = draw(st.lists(st.tuples(st.sampled_from(vertices),
+                                   st.sampled_from(vertices)),
+                         min_size=1, max_size=max_edges))
+    spec = [(f"e{j}", s, t) for j, (s, t) in enumerate(ends)]
+    return from_edge_list(spec, vertices=vertices)
 
 
 @pytest.fixture

@@ -3,18 +3,20 @@
 Each ``*_reference`` oracle keeps the straightforward formulation of a
 routine whose production version was rewritten for speed; differential
 tests compare the two outputs exactly.  The rest are brute-force
-enumerations that only tests use.
+enumerations that only tests use, and the rational and Smith-form
+eliminations that the determinant-only product replaced.
 """
 
 import heapq
+import itertools
 from fractions import Fraction
 from math import gcd
 
 from cographic import (Chain1, Orientation, OrientedCircuit, TotCycPair,
-                       cone_contains, delete_edges, is_cycle)
+                       cone_contains, delete_edges, facets, is_cycle)
 from cographic.circuits import _circuit_supports
 from cographic.graph import FORWARD
-from cographic.linalg import _rref, primitive_vector
+from cographic.linalg import det_int, primitive_vector
 
 
 def hilbert_samuel_function_reference(s, horizon):
@@ -80,6 +82,125 @@ def hilbert_samuel_function_reference(s, horizon):
             for n in range(1, horizon + 1)]
 
 
+def _rref(matrix, ncols=None):
+    """Reduced row echelon form over Q: (Fraction rows, pivot columns).
+
+    Gauss-Jordan: each pivot row is divided by its pivot, then the pivot
+    column is cleared in every other row.  Pivots are sought in the first
+    ``ncols`` columns only (default: all), so an augmented right-hand
+    side is carried along without being pivoted on.
+    """
+    rows = [[Fraction(x) for x in row] for row in matrix]
+    if ncols is None:
+        ncols = len(rows[0]) if rows else 0
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        if r == len(rows):
+            break
+        pivot = None
+        for i in range(r, len(rows)):
+            if rows[i][col] != 0:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        pr = [x / rows[r][col] for x in rows[r]]
+        rows[r] = pr
+        for i in range(len(rows)):
+            if i != r and rows[i][col] != 0:
+                f = rows[i][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], pr)]
+        pivots.append(col)
+        r += 1
+    return rows, pivots
+
+
+def rank(matrix):
+    """Rank of a matrix with int/Fraction entries, by exact elimination."""
+    return len(_rref(matrix)[1])
+
+
+def solve_rational(matrix, rhs):
+    """One exact solution of ``matrix @ x = rhs`` over Q, or None.
+
+    Gauss-Jordan on the augmented matrix; free variables (if any) are set
+    to zero.  Returns a list of Fractions.
+    """
+    ncols = len(matrix[0]) if matrix else 0
+    rows, pivots = _rref([list(row) + [b] for row, b in zip(matrix, rhs)],
+                         ncols)
+    if any(row[ncols] != 0 for row in rows[len(pivots):]):
+        return None
+    x = [Fraction(0)] * ncols
+    for row, col in zip(rows, pivots):
+        x[col] = row[ncols]
+    return x
+
+
+def smith_invariant_factors(matrix):
+    """Nonzero invariant factors of an integer matrix, in divisibility order.
+
+    Classic Smith reduction by row/column operations; fine at the sizes
+    this package meets (a handful of rows and columns).
+    """
+    m = [list(row) for row in matrix]
+    if not m or not m[0]:
+        return []
+    nrows, ncols = len(m), len(m[0])
+    factors = []
+    top = 0
+    while top < min(nrows, ncols):
+        # find a nonzero pivot in the remaining block
+        pivot = None
+        for i in range(top, nrows):
+            for j in range(top, ncols):
+                if m[i][j] != 0:
+                    pivot = (i, j)
+                    break
+            if pivot:
+                break
+        if pivot is None:
+            break
+        i, j = pivot
+        m[top], m[i] = m[i], m[top]
+        for row in m:
+            row[top], row[j] = row[j], row[top]
+        while True:
+            # clear the pivot column
+            for i in range(top + 1, nrows):
+                while m[i][top] != 0:
+                    q = m[i][top] // m[top][top]
+                    for j in range(top, ncols):
+                        m[i][j] -= q * m[top][j]
+                    if m[i][top] != 0:
+                        m[top], m[i] = m[i], m[top]
+            # clear the pivot row
+            for j in range(top + 1, ncols):
+                while m[top][j] != 0:
+                    q = m[top][j] // m[top][top]
+                    for i in range(top, nrows):
+                        m[i][j] -= q * m[i][top]
+                    if m[top][j] != 0:
+                        for row in m:
+                            row[top], row[j] = row[j], row[top]
+            if all(m[i][top] == 0 for i in range(top + 1, nrows)):
+                break
+        factors.append(abs(m[top][top]))
+        top += 1
+    # enforce the divisibility chain
+    for i in range(len(factors)):
+        for j in range(i + 1, len(factors)):
+            a, b = factors[i], factors[j]
+            g = gcd(a, b)
+            if g == 0:
+                continue
+            factors[i] = g
+            factors[j] = a * b // g
+    return [f for f in factors if f != 0]
+
+
 def kernel_rational(matrix):
     """Basis of the right kernel of a matrix over Q (list of Fraction rows)."""
     if not matrix:
@@ -115,6 +236,57 @@ def hyperplane_through_reference(points):
     ints = [int(x * denom) for x in v]
     ints = list(primitive_vector(ints))
     return tuple(ints[:-1]), ints[-1]
+
+
+def spans_lattice_reference(s):
+    """Lattice spanning by Smith normal form: full rank with all
+    invariant factors 1."""
+    if s.lattice_rank == 0:
+        return True
+    rows = [s.coordinates(c) for c in s.hilbert_basis]
+    factors = smith_invariant_factors(rows)
+    return len(factors) == s.lattice_rank and all(f == 1 for f in factors)
+
+
+def is_unimodular_reference(s):
+    """Maximal minors of the basis matrix (lattice-coordinate rows, one
+    column per Hilbert basis element), taken column subset by column
+    subset; the same witnesses as ``is_unimodular``."""
+    d = s.lattice_rank
+    n = len(s.hilbert_basis)
+    if d == 0 or n < d:
+        return True, None
+    cols = [s.coordinates(c) for c in s.hilbert_basis]
+    matrix = [tuple(col[i] for col in cols) for i in range(d)]
+    first = None
+    for subset in itertools.combinations(range(n), d):
+        minor = det_int([[matrix[i][j] for j in subset] for i in range(d)])
+        if minor == 0:
+            continue
+        if first is None:
+            first = (subset, minor)
+        elif abs(minor) != abs(first[1]):
+            return False, (first, (subset, minor))
+    return True, None
+
+
+def q_gorenstein_reference(s):
+    """The Gorenstein system normal(m) = 1 over all facet normals at once,
+    by rational Gauss-Jordan elimination."""
+    d = s.lattice_rank
+    if d == 0:
+        return True, True, {}
+    normals = [normal for _, normal in facets(s.cone)]
+    solution = solve_rational(normals, [1] * len(normals))
+    if solution is None:
+        return False, False, None
+    integral = all(x.denominator == 1 for x in solution)
+    m = {}
+    for coeff, basis_chain in zip(solution, s.cycle_basis.basis):
+        for e, n in basis_chain.items():
+            m[e] = m.get(e, Fraction(0)) + coeff * n
+    m = {e: x for e, x in m.items() if x != 0}
+    return True, integral, m
 
 
 def maximal_elements_reference(poset):

@@ -22,10 +22,10 @@ from cographic import (Chain1, Cone, Orientation, TotCycPair, betti1,
                        ring_report, same_cographic_ring, separating_edges, strata_poset,
                        subdiagram_volume, toric_ideal_up_to_degree,
                        FinitePoset)
-from cographic.linalg import det_int, solve_rational
+from cographic.linalg import det_int
 from cographic.orientations import OrientationPoset
 from cographic.graph import FORWARD
-from oracles import irreducible_points_up_to_degree
+from oracles import irreducible_points_up_to_degree, solve_rational
 
 CATALOG = catalog_names()
 

@@ -10,8 +10,7 @@ from cographic import (Chain1, OrientedCircuit, Orientation, TotCycPair,
                        fundamental_cycle_basis, is_cycle, is_totally_cyclic,
                        separating_edges, support_orientation_of)
 from cographic.graph import FORWARD, BACKWARD
-from cographic.linalg import smith_invariant_factors
-from oracles import covered_by_compatible_circuits
+from oracles import covered_by_compatible_circuits, smith_invariant_factors
 
 B2 = from_edge_list([("a", 1, 2), ("b", 1, 2)])
 

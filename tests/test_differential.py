@@ -8,7 +8,10 @@ references compare every pair of poset elements and walk the circuits of
 each complement.  A facet label is built from the circuits that cover
 it; the reference validates the circuits and the label.  The hull's
 hyperplane is a vector of integer minors; the reference solves a
-rational kernel.  Outputs must agree exactly.
+rational kernel.  Lattice spanning is the gcd of the maximal minors and
+the Gorenstein point comes from Cramer's rule; the references take the
+Smith normal form and a rational Gauss-Jordan solve.  Outputs must agree
+exactly.
 """
 
 import pytest
@@ -18,34 +21,30 @@ from hypothesis import strategies as st
 from cographic import (TotCycPair, build_fan, build_orientation_poset,
                        catalog_names, compatible_circuits, cone_contains,
                        enumerate_oriented_circuits, from_edge_list,
-                       hilbert_basis, hilbert_samuel_function,
-                       multiplicity_hs_oracle, subdiagram_volume,
-                       support_orientation_of)
+                       hilbert_basis, hilbert_samuel_function, is_unimodular,
+                       multiplicity_hs_oracle, q_gorenstein, spans_lattice,
+                       subdiagram_volume, support_orientation_of)
 from cographic.fan import face_label
 from cographic.linalg import hyperplane_through
+from conftest import multigraphs
 from oracles import (compatible_circuits_reference,
                      enumerate_oriented_circuits_reference,
                      hilbert_samuel_function_reference,
-                     hyperplane_through_reference,
-                     maximal_elements_reference)
+                     hyperplane_through_reference, is_unimodular_reference,
+                     maximal_elements_reference, q_gorenstein_reference,
+                     spans_lattice_reference)
 
 K4 = [("e1", "v1", "v2"), ("e2", "v1", "v3"), ("e3", "v1", "v4"),
       ("e4", "v2", "v3"), ("e5", "v2", "v4"), ("e6", "v3", "v4")]
-
-
-@st.composite
-def multigraphs(draw, max_vertices=4, max_edges=5):
-    """Multigraphs with loops and parallel edges; shrinks to fewer edges."""
-    vertices = [f"v{i}" for i in range(draw(st.integers(1, max_vertices)))]
-    ends = draw(st.lists(st.tuples(st.sampled_from(vertices),
-                                   st.sampled_from(vertices)),
-                         min_size=1, max_size=max_edges))
-    spec = [(f"e{j}", s, t) for j, (s, t) in enumerate(ends)]
-    return from_edge_list(spec, vertices=vertices)
+# K4, and K4 plus a parallel copy of each of its first two edges
+NON_CATALOG = {"K4": K4,
+               "K4p2": K4 + [("e7", "v1", "v2"), ("e8", "v1", "v3")]}
 
 
 def _fan(name, fan_of):
-    return build_fan(from_edge_list(K4)) if name == "K4" else fan_of(name)
+    if name in NON_CATALOG:
+        return build_fan(from_edge_list(NON_CATALOG[name]))
+    return fan_of(name)
 
 
 @pytest.mark.parametrize("name",
@@ -163,3 +162,23 @@ def test_subdiagram_volume_matches_hs_on_random_multigraphs(g):
     for chamber in build_fan(g).chambers():
         s = hilbert_basis(g, chamber.label)
         assert subdiagram_volume(s) == multiplicity_hs_oracle(s)
+
+
+def _assert_lattice_tests_match_references(g, poset):
+    for pair in poset:
+        s = hilbert_basis(g, pair)
+        assert spans_lattice(s) == spans_lattice_reference(s)
+        assert q_gorenstein(s) == q_gorenstein_reference(s)
+        assert is_unimodular(s) == is_unimodular_reference(s)
+
+
+@pytest.mark.parametrize("name", catalog_names() + ["K4", "K4p2"])
+def test_lattice_tests_match_references(name, fan_of):
+    """Every poset element, not only the chambers."""
+    fan = _fan(name, fan_of)
+    _assert_lattice_tests_match_references(fan.graph, fan.poset)
+
+
+@given(g=multigraphs())
+def test_lattice_tests_match_references_on_random_multigraphs(g):
+    _assert_lattice_tests_match_references(g, build_fan(g).poset)

@@ -147,7 +147,7 @@ def test_extremal_rays_counts():
 
 
 def test_rays_span_dimension(fan_of):
-    from cographic.linalg import rank
+    from oracles import rank
     for name in ("B3", "FIG-NG", "C4"):
         fan = fan_of(name)
         basis = fundamental_cycle_basis(fan.graph)

@@ -2,9 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from cographic.linalg import (det_int, hyperplane_through, primitive_vector,
-                              rank, smith_invariant_factors, solve_rational)
-from oracles import kernel_rational
+from cographic.linalg import det_int, hyperplane_through, primitive_vector
+from oracles import (kernel_rational, rank, smith_invariant_factors,
+                     solve_rational)
 
 
 def test_det_small():

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -9,10 +10,11 @@ from cographic import (Chain1, Orientation, TotCycPair, catalog_graph,
                        subdiagram_volume, toric_ideal_up_to_degree)
 from cographic.fan import facets
 from cographic.graph import FORWARD, BACKWARD
-from cographic.linalg import det_int, rank
+from cographic import linalg
+from cographic.linalg import det_int
 from cographic.semigroup import _triangulate
-from oracles import (irreducible_points_up_to_degree,
-                     semigroup_points_up_to_degree)
+from oracles import (irreducible_points_up_to_degree, rank,
+                     semigroup_points_up_to_degree, spans_lattice_reference)
 
 
 def chamber(name):
@@ -82,6 +84,20 @@ def test_spans_lattice_everywhere(fan_of):
         fan = fan_of(name)
         for pair in fan.poset:
             assert spans_lattice(hilbert_basis(fan.graph, pair))
+
+
+def test_spans_lattice_false_on_sublattices():
+    # hand-built generator sets in B3's rank-2 chamber lattice
+    g, s = b3_chamber()
+    a, b = s.hilbert_basis
+    # a + b and a - b span an index-2 sublattice: the one minor is +-2
+    index_two = replace(s, hilbert_basis=[a + b, a - b])
+    assert not spans_lattice(index_two)
+    # one generator in rank 2: no maximal minor at all
+    too_few = replace(s, hilbert_basis=[a])
+    assert not spans_lattice(too_few)
+    assert not spans_lattice_reference(index_two)
+    assert not spans_lattice_reference(too_few)
 
 
 def test_unimodular_b3_chamber():
@@ -262,7 +278,7 @@ def test_subdiagram_volume_builds_no_fraction(fan_of, monkeypatch):
     def no_fraction(*args):
         raise AssertionError("Fraction built in the hull volume")
 
-    monkeypatch.setattr("cographic.linalg.Fraction", no_fraction)
+    assert not hasattr(linalg, "Fraction")
     monkeypatch.setattr("cographic.semigroup.Fraction", no_fraction)
     assert [subdiagram_volume(s) for s in samples] == expected
 
