@@ -43,5 +43,32 @@ from .torelli import (two_edge_cuts, three_edge_connectivization,
 from .catalog import CATALOG, catalog_graph, catalog_names
 from .errors import CapacityError, GraphParseError
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "Graph", "from_edge_list", "delete_edges", "contract_edge",
+    "separating_edges", "betti1", "connected_components", "parse_graph_text",
+    "graph_to_text", "FORWARD", "BACKWARD",
+    "Chain1", "boundary", "is_cycle", "inner_product",
+    "fundamental_cycle_basis", "canonical_form", "CycleBasis",
+    "Orientation", "TotCycPair", "OrientationPoset", "is_totally_cyclic",
+    "enumerate_tco", "build_orientation_poset",
+    "OrientedCircuit", "enumerate_oriented_circuits", "circuit_class",
+    "concordant", "compatible_circuits", "decompose_cycle",
+    "support_orientation_of",
+    "Cone", "Fan", "build_fan", "cone_contains", "common_cone", "cone_of",
+    "cone_dimension", "voronoi_face_dim", "extremal_rays", "facets",
+    "FinitePoset", "poset_isomorphic", "find_poset_isomorphism",
+    "AffineSemigroup", "BinomialIdeal", "hilbert_basis", "spans_lattice",
+    "is_unimodular", "toric_ideal_up_to_degree", "is_homogeneous",
+    "q_gorenstein", "subdiagram_volume", "multiplicity_hs_oracle",
+    "hilbert_samuel_function", "semigroup_report",
+    "RingPresentation", "RingReport", "present_ring", "multiply_monomials",
+    "graded_prime_of", "ring_report", "StrataPoset", "strata_poset",
+    "sum_of_primes",
+    "OrientedMonomial", "invariant_monomial_basis", "check_iso_truncated",
+    "cycles_up_to_mass",
+    "two_edge_cuts", "three_edge_connectivization", "cyclically_equivalent",
+    "same_cographic_ring",
+    "CATALOG", "catalog_graph", "catalog_names",
+    "CapacityError", "GraphParseError",
+]
 __version__ = "0.1.0"

@@ -107,16 +107,13 @@ def _circuit_supports(g):
     return found
 
 
-def enumerate_oriented_circuits(g, max_edges=MAX_ORIENTATION_EDGES):
+def enumerate_oriented_circuits(g):
     """All oriented circuits of g in canonical order.
 
     Every support contributes its two coherent orientations, so the count
     is even; a loop contributes two single-edge circuits.  A table row's
     circuit runs its lowest edge forward, so it sorts before its reversal.
     """
-    m = len(g.edges)
-    if m > max_edges:
-        raise CapacityError("circuit enumeration edge cap", m, max_edges)
     return [c for _, _, gamma, reversal in _circuit_table(g)
             for c in (gamma, reversal)]
 
@@ -131,9 +128,13 @@ def _circuit_table(g):
     direction.  Rows are in canonical order (sorted edge-index tuple),
     which is the ``sort_key`` order of any selection holding at most one
     orientation per support.  Built on first use and kept on the graph.
+    Every circuit consumer comes here, so this caps the exponential walk.
     """
     table = g._circuit_table
     if table is None:
+        if len(g.edges) > MAX_ORIENTATION_EDGES:
+            raise CapacityError("circuit enumeration edge cap",
+                                len(g.edges), MAX_ORIENTATION_EDGES)
         rows = []
         for edges, dirs in _circuit_supports(g):
             order = tuple(sorted(g.edge_index(e) for e in edges))

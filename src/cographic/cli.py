@@ -56,7 +56,7 @@ def _graph_summary(g):
 
 def cmd_analyze(args):
     g = _load_graph(args.graph)
-    fan = build_fan(g, max_edges=args.max_poset_edges)
+    fan = build_fan(g)
     poset = fan.poset
     presentation = present_ring(fan, degree=args.degree)
     report = ring_report(presentation)
@@ -87,7 +87,7 @@ def cmd_analyze(args):
 
 def cmd_orientations(args):
     g = _load_graph(args.graph)
-    tcos = enumerate_tco(g, max_edges=args.max_orientation_edges)
+    tcos = enumerate_tco(g)
     _emit({"graph": _graph_summary(g),
            "totally_cyclic_orientations": [phi.to_json() for phi in tcos]},
           f"orientations: {len(tcos)} totally cyclic")
@@ -96,7 +96,7 @@ def cmd_orientations(args):
 
 def cmd_circuits(args):
     g = _load_graph(args.graph)
-    circuits = enumerate_oriented_circuits(g, max_edges=args.max_orientation_edges)
+    circuits = enumerate_oriented_circuits(g)
     _emit({"graph": _graph_summary(g),
            "oriented_circuits": [c.to_json(g) for c in circuits]},
           f"circuits: {len(circuits)} oriented")
@@ -105,7 +105,7 @@ def cmd_circuits(args):
 
 def cmd_fan(args):
     g = _load_graph(args.graph)
-    fan = build_fan(g, max_edges=args.max_poset_edges)
+    fan = build_fan(g)
     num_chambers = len(fan.chambers())
     _emit({"graph": _graph_summary(g),
            "num_cones": len(fan), "num_chambers": num_chambers,
@@ -116,8 +116,7 @@ def cmd_fan(args):
 
 def cmd_ring(args):
     g = _load_graph(args.graph)
-    presentation = present_ring(build_fan(g, max_edges=args.max_poset_edges),
-                                degree=args.degree)
+    presentation = present_ring(build_fan(g), degree=args.degree)
     report = ring_report(presentation)
     _emit({"graph": _graph_summary(g),
            "ring": report.to_json(g),
@@ -131,9 +130,9 @@ def cmd_ring(args):
 def cmd_compare(args):
     g = _load_graph(args.graph)
     h = _load_graph(args.other)
-    rep_g = three_edge_connectivization(g, max_edges=args.max_poset_edges)
-    rep_h = three_edge_connectivization(h, max_edges=args.max_poset_edges)
-    same = cyclically_equivalent(rep_g, rep_h, max_edges=args.max_poset_edges)
+    rep_g = three_edge_connectivization(g)
+    rep_h = three_edge_connectivization(h)
+    same = cyclically_equivalent(rep_g, rep_h)
     _emit({"same_ring": same,
            "g_class_size": len(rep_g.edges),
            "h_class_size": len(rep_h.edges)},
@@ -164,10 +163,6 @@ def build_parser():
                         help="degree bound for binomial ideals (default 3)")
     parser.add_argument("--hs-horizon", type=int, default=None,
                         help="Hilbert-Samuel horizon (default: dimension + 6)")
-    parser.add_argument("--max-poset-edges", type=int, default=14,
-                        help="edge cap for poset/fan enumeration (default 14)")
-    parser.add_argument("--max-orientation-edges", type=int, default=20,
-                        help="edge cap for orientation enumeration (default 20)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     for name, fn, help_text in [

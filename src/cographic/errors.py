@@ -15,7 +15,7 @@ class GraphParseError(ValueError):
 
 
 class CapacityError(RuntimeError):
-    """An exhaustive enumeration was asked to exceed its configured cap.
+    """An exhaustive enumeration was asked to exceed its stage's cap.
 
     Failing loudly is deliberate; silently truncating an enumeration would
     corrupt every downstream count.

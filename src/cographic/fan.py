@@ -14,8 +14,10 @@ from .circuits import circuit_class, compatible_circuits
 from .errors import CapacityError
 from .graph import FORWARD, delete_edges, betti1
 from .linalg import primitive_vector
-from .orientations import (MAX_POSET_EDGES, Orientation, OrientationPoset,
-                           TotCycPair, build_orientation_poset)
+from .orientations import (Orientation, OrientationPoset, TotCycPair,
+                           build_orientation_poset)
+
+MAX_ISOMORPHISM_SIZE = 5000
 
 
 @dataclass(frozen=True)
@@ -104,7 +106,8 @@ def facets(cone):
     Forcing one more edge functional to zero cuts a face; the faces of
     dimension one less are the facets.  Normals are reported in the
     coordinates of the fundamental cycle basis of the complement of the
-    support, deduplicated up to positive scaling.
+    support, deduplicated up to positive scaling.  Edge e cuts the face
+    covered by the cone's compatible circuits that avoid e.
 
     Returns a list of (facet_cone, normal) pairs in canonical label order.
     """
@@ -113,18 +116,20 @@ def facets(cone):
     phi = cone.label.phi
     d = cone_dimension(cone)
     basis = fundamental_cycle_basis(delete_edges(g, t))
+    circuits = compatible_circuits(g, cone.label)
     out = {}
     for e in g.edges:
         if e in t:
             continue
-        label = face_label(g, t | {e}, phi.restrict(set(phi.edges()) - {e}))
+        covered = set()
+        for gamma in circuits:
+            if e not in gamma.support:
+                covered |= gamma.support
+        label = TotCycPair(frozenset(g.edges) - covered, phi.restrict(covered))
         sub = Cone(g, label)
-        if cone_dimension(sub) != d - 1:
+        if label in out or cone_dimension(sub) != d - 1:
             continue
-        if label in out:
-            continue
-        normal = _edge_functional(basis, e, phi.direction(e))
-        out[label] = (sub, normal)
+        out[label] = (sub, _edge_functional(basis, e, phi.direction(e)))
     return [out[label] for label in
             sorted(out, key=lambda p: p.sort_key(g))]
 
@@ -170,9 +175,9 @@ class Fan:
         return report
 
 
-def build_fan(g, max_edges=MAX_POSET_EDGES):
+def build_fan(g):
     """One cone per orientation-poset element; inclusion mirrors the poset."""
-    poset = build_orientation_poset(g, max_edges=max_edges)
+    poset = build_orientation_poset(g)
     return Fan(g, poset, [Cone(g, p) for p in poset])
 
 
@@ -209,7 +214,7 @@ class FinitePoset:
         return covers_up
 
 
-def find_poset_isomorphism(p, q, max_size=5000):
+def find_poset_isomorphism(p, q):
     """An order isomorphism between two finite posets, or None.
 
     Backtracking over refinement classes: elements are first colored by an
@@ -219,8 +224,9 @@ def find_poset_isomorphism(p, q, max_size=5000):
     n = len(p)
     if n != len(q):
         return None
-    if n > max_size:
-        raise CapacityError("poset isomorphism size cap", n, max_size)
+    if n > MAX_ISOMORPHISM_SIZE:
+        raise CapacityError("poset isomorphism size cap", n,
+                            MAX_ISOMORPHISM_SIZE)
     if n == 0:
         return {}
 
@@ -285,6 +291,6 @@ def find_poset_isomorphism(p, q, max_size=5000):
     return {p.elements[i]: q.elements[mapping[i]] for i in range(n)}
 
 
-def poset_isomorphic(p, q, max_size=5000):
+def poset_isomorphic(p, q):
     """True iff an order isomorphism exists between the two posets."""
-    return find_poset_isomorphism(p, q, max_size=max_size) is not None
+    return find_poset_isomorphism(p, q) is not None

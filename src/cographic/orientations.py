@@ -125,7 +125,7 @@ def is_totally_cyclic(g, phi):
     return True
 
 
-def enumerate_tco(g, max_edges=MAX_ORIENTATION_EDGES):
+def enumerate_tco(g):
     """All totally cyclic orientations of g, in canonical order.
 
     Canonical order is lexicographic over edges in enumeration order with
@@ -133,8 +133,9 @@ def enumerate_tco(g, max_edges=MAX_ORIENTATION_EDGES):
     orientation; a graph with a separating edge yields nothing.
     """
     m = len(g.edges)
-    if m > max_edges:
-        raise CapacityError("orientation enumeration edge cap", m, max_edges)
+    if m > MAX_ORIENTATION_EDGES:
+        raise CapacityError("orientation enumeration edge cap", m,
+                            MAX_ORIENTATION_EDGES)
     if m == 0:
         return [EMPTY_ORIENTATION]
     if separating_edges(g):
@@ -231,26 +232,22 @@ class OrientationPoset:
         return [p for p in self.elements if p.support == sep]
 
 
-def build_orientation_poset(g, max_edges=MAX_POSET_EDGES):
+def build_orientation_poset(g):
     """Enumerate every (T, phi) pair of the graph.
 
     T runs over edge supersets of the separating edges by increasing size;
-    subgraphs with leftover bridges admit no totally cyclic orientation
-    and are pruned.
+    ``enumerate_tco`` yields nothing for a subgraph with a leftover bridge.
     """
     m = len(g.edges)
-    if m > max_edges:
-        raise CapacityError("orientation poset edge cap", m, max_edges)
+    if m > MAX_POSET_EDGES:
+        raise CapacityError("orientation poset edge cap", m, MAX_POSET_EDGES)
     sep = set(separating_edges(g))
     free = [e for e in g.edges if e not in sep]
     elements = []
     for k in range(len(free), -1, -1):
         for kept in itertools.combinations(free, k):
             t = frozenset(g.edges) - frozenset(kept)
-            rest = delete_edges(g, t)
-            if kept and separating_edges(rest):
-                continue
-            for phi in enumerate_tco(rest, max_edges=max_edges):
+            for phi in enumerate_tco(delete_edges(g, t)):
                 elements.append(TotCycPair(t, phi))
     elements.sort(key=lambda p: p.sort_key(g))
     return OrientationPoset(g, elements)

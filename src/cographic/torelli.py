@@ -30,7 +30,7 @@ def two_edge_cuts(g):
     return cuts
 
 
-def three_edge_connectivization(g, max_edges=MAX_POSET_EDGES):
+def three_edge_connectivization(g):
     """Contract all bridges, then one member of each separating pair.
 
     The lowest-id member of the lexicographically first pair goes each
@@ -38,8 +38,9 @@ def three_edge_connectivization(g, max_edges=MAX_POSET_EDGES):
     The result has no bridges and no separating pairs, and the first Betti
     number is preserved throughout.
     """
-    if len(g.edges) > max_edges:
-        raise CapacityError("connectivization edge cap", len(g.edges), max_edges)
+    if len(g.edges) > MAX_POSET_EDGES:
+        raise CapacityError("connectivization edge cap", len(g.edges),
+                            MAX_POSET_EDGES)
     while True:
         bridges = separating_edges(g)
         if not bridges:
@@ -60,7 +61,7 @@ def circuit_supports(g):
     return [gamma.support for _, _, gamma, _ in _circuit_table(g)]
 
 
-def cyclically_equivalent(g, h, max_edges=MAX_POSET_EDGES):
+def cyclically_equivalent(g, h):
     """Is there an edge bijection carrying circuits onto circuits?
 
     Backtracking over candidate bijections, pruned by circuit-size
@@ -68,9 +69,9 @@ def cyclically_equivalent(g, h, max_edges=MAX_POSET_EDGES):
     """
     if len(g.edges) != len(h.edges):
         return False
-    if len(g.edges) > max_edges:
+    if len(g.edges) > MAX_POSET_EDGES:
         raise CapacityError("cyclic equivalence edge cap",
-                            len(g.edges), max_edges)
+                            len(g.edges), MAX_POSET_EDGES)
     gc = circuit_supports(g)
     hc = circuit_supports(h)
     if sorted(map(len, gc)) != sorted(map(len, hc)):
@@ -122,9 +123,8 @@ def cyclically_equivalent(g, h, max_edges=MAX_POSET_EDGES):
     return extend(0)
 
 
-def same_cographic_ring(g, h, max_edges=MAX_POSET_EDGES):
+def same_cographic_ring(g, h):
     """Torelli-style decision: connectivize both graphs and compare the
     circuit hypergraphs up to bijection."""
-    return cyclically_equivalent(three_edge_connectivization(g, max_edges),
-                                 three_edge_connectivization(h, max_edges),
-                                 max_edges=max_edges)
+    return cyclically_equivalent(three_edge_connectivization(g),
+                                 three_edge_connectivization(h))

@@ -1,3 +1,4 @@
+import inspect
 import json
 import sys
 
@@ -145,6 +146,41 @@ def test_capacity_exit_code(tmp_path, capsys):
     code, _, err = run_cli(capsys, "analyze", str(path))
     assert code == 3
     assert "cap" in err
+
+
+@pytest.mark.parametrize("m, argv, message", [
+    (15, ("fan", "G"), "orientation poset edge cap: size 15 exceeds cap 14"),
+    (15, ("analyze", "G"),
+     "orientation poset edge cap: size 15 exceeds cap 14"),
+    (15, ("ring", "G"), "orientation poset edge cap: size 15 exceeds cap 14"),
+    (15, ("compare", "G", "G"),
+     "connectivization edge cap: size 15 exceeds cap 14"),
+    (21, ("circuits", "G"),
+     "circuit enumeration edge cap: size 21 exceeds cap 20"),
+    (21, ("orientations", "G"),
+     "orientation enumeration edge cap: size 21 exceeds cap 20"),
+])
+def test_capacity_error_on_graph_file(tmp_path, capsys, m, argv, message):
+    # G stands for a file holding the banana graph with m parallel edges
+    path = tmp_path / f"banana{m}.graph"
+    path.write_text("".join(f"edge e{i} v1 v2\n" for i in range(m)))
+    code, out, err = run_cli(capsys, *(str(path) if a == "G" else a
+                                       for a in argv))
+    assert code == 3
+    assert out == ""
+    assert err == f"capacity error: {message}\n"
+
+
+def test_global_options_are_degree_and_horizon():
+    from cographic.cli import build_parser
+    options = [a.option_strings for a in build_parser()._actions
+               if a.option_strings]
+    assert options == [["-h", "--help"], ["--degree"], ["--hs-horizon"]]
+
+
+def test_package_exports_names_not_modules():
+    for name in cographic.__all__:
+        assert not inspect.ismodule(getattr(cographic, name)), name
 
 
 def test_usage_exit_code(capsys):

@@ -1,12 +1,16 @@
 """Generality beyond the bundled catalog: disconnected graphs, isolated
-vertices, and mixtures of loops with bridges."""
+vertices, mixtures of loops with bridges, and graphs over the edge caps."""
 
-from cographic import (betti1, build_fan, build_orientation_poset,
-                       catalog_graph, check_iso_truncated,
-                       enumerate_oriented_circuits, enumerate_tco,
-                       from_edge_list, present_ring, ring_report,
-                       same_cographic_ring,
+import pytest
+
+from cographic import (BACKWARD, FORWARD, CapacityError, Orientation,
+                       TotCycPair, betti1, build_fan, build_orientation_poset,
+                       catalog_graph, check_iso_truncated, compatible_circuits,
+                       cyclically_equivalent, enumerate_oriented_circuits,
+                       enumerate_tco, from_edge_list, hilbert_basis,
+                       present_ring, ring_report, same_cographic_ring,
                        separating_edges, three_edge_connectivization)
+from cographic.torelli import circuit_supports
 
 
 def two_triangles():
@@ -69,3 +73,40 @@ def test_isolated_vertices_are_inert():
     assert len(enumerate_tco(padded)) == len(enumerate_tco(bare)) == 2
     assert len(build_fan(padded).cones) == len(build_fan(bare).cones)
     assert same_cographic_ring(bare, padded)
+
+
+def banana(m):
+    return from_edge_list([(f"e{i}", 1, 2) for i in range(m)])
+
+
+def banana_chamber(g):
+    """The chamber that runs e0 forward and every other edge backward."""
+    return TotCycPair(frozenset(), Orientation(
+        {e: FORWARD if e == "e0" else BACKWARD for e in g.edges}))
+
+
+# Every capped entry point, on a banana one edge over its stage's cap.  The
+# circuit consumers all reach the cap of the circuit walk itself.
+POSET_CAP = ("orientation poset edge cap", 15, 14)
+CIRCUIT_CAP = ("circuit enumeration edge cap", 21, 20)
+
+
+@pytest.mark.parametrize("m, call, expected", [
+    (15, build_orientation_poset, POSET_CAP),
+    (15, build_fan, POSET_CAP),
+    (15, three_edge_connectivization, ("connectivization edge cap", 15, 14)),
+    (15, lambda g: cyclically_equivalent(g, g),
+     ("cyclic equivalence edge cap", 15, 14)),
+    (15, lambda g: same_cographic_ring(g, g),
+     ("connectivization edge cap", 15, 14)),
+    (21, enumerate_tco, ("orientation enumeration edge cap", 21, 20)),
+    (21, enumerate_oriented_circuits, CIRCUIT_CAP),
+    (21, lambda g: compatible_circuits(g, banana_chamber(g)), CIRCUIT_CAP),
+    (21, lambda g: hilbert_basis(g, banana_chamber(g)), CIRCUIT_CAP),
+    (21, circuit_supports, CIRCUIT_CAP),
+], ids=["poset", "fan", "connectivize", "equivalent", "same_ring", "tco",
+        "circuits", "compatible", "hilbert_basis", "circuit_supports"])
+def test_capped_entry_points(m, call, expected):
+    with pytest.raises(CapacityError) as info:
+        call(banana(m))
+    assert (info.value.what, info.value.size, info.value.cap) == expected
