@@ -74,8 +74,12 @@ def _circuit_supports(g):
     reference direction, so every support is produced exactly once.  The
     walk direction also hands us one of the two coherent orientations.
     The visited set alone keeps a walk simple: stepping back along a path
-    edge reaches a visited vertex other than ``start``.
+    edge reaches a visited vertex other than ``start``.  Every circuit
+    consumer comes here, so this caps the exponential walk.
     """
+    if len(g.edges) > MAX_ORIENTATION_EDGES:
+        raise CapacityError("circuit enumeration edge cap",
+                            len(g.edges), MAX_ORIENTATION_EDGES)
     incidence = {v: [] for v in g.vertices}
     for e in g.edges:
         s, t = g.ends(e)
@@ -128,13 +132,9 @@ def _circuit_table(g):
     direction.  Rows are in canonical order (sorted edge-index tuple),
     which is the ``sort_key`` order of any selection holding at most one
     orientation per support.  Built on first use and kept on the graph.
-    Every circuit consumer comes here, so this caps the exponential walk.
     """
     table = g._circuit_table
     if table is None:
-        if len(g.edges) > MAX_ORIENTATION_EDGES:
-            raise CapacityError("circuit enumeration edge cap",
-                                len(g.edges), MAX_ORIENTATION_EDGES)
         rows = []
         for edges, dirs in _circuit_supports(g):
             order = tuple(sorted(g.edge_index(e) for e in edges))

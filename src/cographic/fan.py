@@ -185,11 +185,18 @@ def build_fan(g):
 
 
 class FinitePoset:
-    """A finite poset given by explicit elements and comparisons."""
+    """A finite poset given by explicit elements and comparisons.
+
+    Building it makes n^2 ``leq`` calls, and it exists for the isomorphism
+    search, so the size cap of that search is checked before any of them.
+    """
 
     def __init__(self, elements, leq):
         self.elements = list(elements)
         n = len(self.elements)
+        if n > MAX_ISOMORPHISM_SIZE:
+            raise CapacityError("poset isomorphism size cap", n,
+                                MAX_ISOMORPHISM_SIZE)
         self.up = [set() for _ in range(n)]    # j in up[i]  <=>  e_i <= e_j
         self.down = [set() for _ in range(n)]
         for i in range(n):
@@ -224,9 +231,6 @@ def find_poset_isomorphism(p, q):
     n = len(p)
     if n != len(q):
         return None
-    if n > MAX_ISOMORPHISM_SIZE:
-        raise CapacityError("poset isomorphism size cap", n,
-                            MAX_ISOMORPHISM_SIZE)
     if n == 0:
         return {}
 

@@ -9,14 +9,30 @@ cycles of bounded total mass.  Products of invariant monomials vanish
 exactly when some edge appears with both orientations, and that condition
 agrees with the cone sign test; both facts are checked degree by degree.
 The torus action itself is never evaluated on field elements.
+
+Cost model.  Write B(n, D) = sum_k 2^k C(n, k) C(D, k) for the number of
+points of Z^n with L1 norm at most D.  For a graph with m edges, first
+Betti number b and degree D, half (a) walks the B(m, D) ambient chains.
+The bounded cycles are found on the ball of radius D in their
+fundamental-basis coordinates, B(b, D) points: a cycle's coordinates are
+its coefficients on the non-forest edges, so their L1 norm is at most its
+mass.  Half (b) visits each pair of cycles of total mass at most D, and a
+pair's coordinates lie in the ball of Z^(2b), so there are at most
+B(2b, D) pairs.  Before any enumeration, ``check_iso_truncated`` raises
+``CapacityError`` when the larger of B(m, D) and B(2b, D) exceeds
+``MAX_INVARIANT_CHAINS``.
 """
 
-import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
+from math import comb
 
 from .chains import Chain1, boundary, fundamental_cycle_basis
-from .graph import FORWARD, BACKWARD
+from .errors import CapacityError
+from .graph import FORWARD, BACKWARD, betti1
 from .ring import multiply_monomials
+
+MAX_INVARIANT_CHAINS = 100_000
 
 
 @dataclass(frozen=True)
@@ -52,17 +68,49 @@ class OrientedMonomial:
         return f"OrientedMonomial({body or '1'})"
 
 
+def _l1_ball(n, radius):
+    """The points of Z^n with L1 norm at most ``radius``.
+
+    Each point is the tuple of its nonzero coordinates as (index, value)
+    pairs in increasing index order.  Every step extends a point by one
+    nonzero coordinate, so the work follows the points yielded and their
+    supports, not n.
+    """
+    stack = [((), 0, radius)] if radius >= 0 else []
+    while stack:
+        point, start, budget = stack.pop()
+        yield point
+        if budget:
+            for i in range(start, n):
+                for k in range(1, budget + 1):
+                    stack.append((point + ((i, k),), i + 1, budget - k))
+                    stack.append((point + ((i, -k),), i + 1, budget - k))
+
+
+def _l1_ball_size(n, radius):
+    """The number of points ``_l1_ball(n, radius)`` yields: choose k
+    nonzero coordinates, their signs, and their absolute values as k
+    positive parts of at most ``radius``."""
+    return sum(2 ** k * comb(n, k) * comb(radius, k)
+               for k in range(min(n, radius) + 1))
+
+
 def cycles_up_to_mass(g, bound):
     """All integer cycles with total absolute coefficient sum <= bound.
 
     Enumerated through the fundamental basis: a cycle's coordinates are
-    its coefficients on the non-forest edges, so they are bounded by its
-    mass and a box search is exhaustive.
+    its coefficients on the non-forest edges, so their L1 norm is at most
+    its mass and a search of the L1 ball of radius ``bound`` is
+    exhaustive.  Sorted by mass, then by coefficients.
     """
-    basis = fundamental_cycle_basis(g)
+    basis = fundamental_cycle_basis(g).basis
     found = []
-    for coords in itertools.product(range(-bound, bound + 1), repeat=len(basis)):
-        c = basis.chain(coords)
+    for point in _l1_ball(len(basis), bound):
+        acc = {}
+        for i, k in point:
+            for e, n in basis[i].items():
+                acc[e] = acc.get(e, 0) + k * n
+        c = Chain1(acc)
         if c.l1() <= bound:
             found.append(c)
     found.sort(key=lambda c: (c.l1(), sorted(c.items())))
@@ -82,21 +130,8 @@ def invariant_monomial_basis(g, degree):
 def _signed_chains_up_to_mass(g, bound):
     """All integer chains (not just cycles) with L1 norm <= bound."""
     edges = list(g.edges)
-    chains = []
-
-    def rec(idx, budget, coeffs):
-        if idx == len(edges):
-            chains.append(Chain1(coeffs))
-            return
-        e = edges[idx]
-        for k in range(-budget, budget + 1):
-            if k:
-                coeffs[e] = k
-            rec(idx + 1, budget - abs(k), coeffs)
-            coeffs.pop(e, None)
-
-    rec(0, bound, {})
-    return chains
+    for point in _l1_ball(len(edges), bound):
+        yield Chain1({edges[i]: k for i, k in point})
 
 
 def check_iso_truncated(g, degree):
@@ -108,10 +143,18 @@ def check_iso_truncated(g, degree):
     product in the ambient ring, computed on the exponents (zero exactly
     when an edge carries both orientations), agrees with the ring
     multiplication of the cycles (zero exactly when they share no cone,
-    else their sum).
+    else their sum).  The work is bounded as the module docstring says.
     """
-    cycles = set(cycles_up_to_mass(g, degree))
-    basis = invariant_monomial_basis(g, degree)
+    if degree < 0:
+        raise ValueError("degree must be nonnegative")
+    size = max(_l1_ball_size(len(g.edges), degree),
+               _l1_ball_size(2 * betti1(g), degree))
+    if size > MAX_INVARIANT_CHAINS:
+        raise CapacityError("invariant check chain cap", size,
+                            MAX_INVARIANT_CHAINS)
+    ordered = cycles_up_to_mass(g, degree)
+    cycles = set(ordered)
+    basis = [OrientedMonomial.from_weight(g, c) for c in ordered]
 
     # (a) weight map is a bijection onto the bounded cycles
     weights = [m.weight() for m in basis]
@@ -130,10 +173,10 @@ def check_iso_truncated(g, degree):
              for w, m in zip(weights, basis)}
     flipped = {w: frozenset((e, -d) for e, d in oes)
                for w, oes in sides.items()}
-    for c in cycles:
-        for d in cycles:
-            if c.l1() + d.l1() > degree:
-                continue
+    # ``ordered`` is sorted by mass, so each c pairs with a prefix.
+    masses = [c.l1() for c in ordered]
+    for c, mass in zip(ordered, masses):
+        for d in ordered[:bisect_right(masses, degree - mass)]:
             ambient_zero = not flipped[c].isdisjoint(sides[d])
             product = multiply_monomials(g, c, d)
             if ambient_zero != (product is None):

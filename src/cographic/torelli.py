@@ -10,7 +10,7 @@ the lowest-id member.
 
 import itertools
 
-from .circuits import _circuit_table
+from .circuits import _circuit_supports
 from .errors import CapacityError
 from .graph import (connected_components, contract_edge, delete_edges,
                     separating_edges)
@@ -57,8 +57,10 @@ def three_edge_connectivization(g):
 
 def circuit_supports(g):
     """The circuit hypergraph: all circuit edge sets, as frozensets, in
-    canonical order (one row of the circuit table each)."""
-    return [gamma.support for _, _, gamma, _ in _circuit_table(g)]
+    canonical order (sorted edge-index tuple).  Read off the circuit walk,
+    which yields each support once, without building oriented circuits."""
+    supports = [frozenset(edges) for edges, _ in _circuit_supports(g)]
+    return sorted(supports, key=lambda s: sorted(map(g.edge_index, s)))
 
 
 def cyclically_equivalent(g, h):

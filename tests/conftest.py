@@ -33,6 +33,17 @@ def multigraphs(draw, max_vertices=4, max_edges=5):
     return from_edge_list(spec, vertices=vertices)
 
 
+K4_EDGES = [("e1", "v1", "v2"), ("e2", "v1", "v3"), ("e3", "v1", "v4"),
+            ("e4", "v2", "v3"), ("e5", "v2", "v4"), ("e6", "v3", "v4")]
+
+
+def k4_plus(k):
+    """K4 plus a parallel copy of each of its first k edges; k4_plus(6) is
+    the doubled K4 (12 edges, first Betti number 9)."""
+    copies = [(f"e{7 + i}", s, t) for i, (_, s, t) in enumerate(K4_EDGES[:k])]
+    return from_edge_list(K4_EDGES + copies)
+
+
 @pytest.fixture
 def rng(request):
     return random.Random(request.config.getoption("--seed"))

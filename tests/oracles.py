@@ -13,7 +13,8 @@ from fractions import Fraction
 from math import gcd
 
 from cographic import (Chain1, Orientation, OrientedCircuit, TotCycPair,
-                       cone_contains, delete_edges, facets, is_cycle)
+                       cone_contains, delete_edges, facets,
+                       fundamental_cycle_basis, is_cycle)
 from cographic.circuits import _circuit_supports
 from cographic.graph import FORWARD
 from cographic.linalg import det_int, primitive_vector
@@ -331,6 +332,23 @@ def covered_by_compatible_circuits(g, phi):
     for gamma in compatible_circuits_reference(g, pair):
         covered |= gamma.support
     return covered == set(g.edges)
+
+
+def cycles_up_to_mass_reference(g, bound):
+    """All integer cycles with total absolute coefficient sum <= bound.
+
+    Enumerated through the fundamental basis: a cycle's coordinates are
+    its coefficients on the non-forest edges, so they are bounded by its
+    mass and a box search is exhaustive.
+    """
+    basis = fundamental_cycle_basis(g)
+    found = []
+    for coords in itertools.product(range(-bound, bound + 1), repeat=len(basis)):
+        c = basis.chain(coords)
+        if c.l1() <= bound:
+            found.append(c)
+    found.sort(key=lambda c: (c.l1(), sorted(c.items())))
+    return found
 
 
 def semigroup_points_up_to_degree(s, bound):

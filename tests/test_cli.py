@@ -7,6 +7,8 @@ import pytest
 import cographic
 from cographic.cli import main
 from cographic.catalog import CATALOG
+from cographic.graph import graph_to_text
+from conftest import k4_plus
 
 
 def run_cli(capsys, *argv):
@@ -126,6 +128,27 @@ def test_verify_invariant_ring(capsys):
     assert json.loads(out)["passed"] is True
 
 
+def test_verify_invariant_ring_rejects_negative_degree(capsys):
+    code, out, err = run_cli(capsys, "--degree", "-1",
+                             "verify-invariant-ring", "THETA2")
+    assert code == 1
+    assert out == ""
+    assert err == "error: degree must be nonnegative\n"
+    code, out, _ = run_cli(capsys, "--degree", "0",
+                           "verify-invariant-ring", "THETA2")
+    assert code == 0
+    assert json.loads(out)["passed"] is True
+
+
+def test_verify_invariant_ring_doubled_k4_file(tmp_path, capsys):
+    path = tmp_path / "k4x2.graph"
+    path.write_text(graph_to_text(k4_plus(6)))
+    code, out, _ = run_cli(capsys, "--degree", "4",
+                           "verify-invariant-ring", str(path))
+    assert code == 0
+    assert json.loads(out) == {"isomorphic_up_to_degree": 4, "passed": True}
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     path = tmp_path / "broken.graph"
     path.write_text("edge oops\n")
@@ -159,6 +182,8 @@ def test_capacity_exit_code(tmp_path, capsys):
      "circuit enumeration edge cap: size 21 exceeds cap 20"),
     (21, ("orientations", "G"),
      "orientation enumeration edge cap: size 21 exceeds cap 20"),
+    (10, ("--degree", "5", "verify-invariant-ring", "G"),
+     "invariant check chain cap: size 590557 exceeds cap 100000"),
 ])
 def test_capacity_error_on_graph_file(tmp_path, capsys, m, argv, message):
     # G stands for a file holding the banana graph with m parallel edges
@@ -202,10 +227,12 @@ def test_round_trip_catalog_reports(capsys):
 # Per-graph objects each command builds: a fan, the circuit list, and per
 # chamber a semigroup, a toric ideal and a volume; ``compare`` needs one
 # connectivization per graph.  ``semigroup_report`` (and with it the
-# Hilbert-Samuel oracle) belongs to ``analyze`` alone.
+# Hilbert-Samuel oracle) belongs to ``analyze`` alone, and the bounded-mass
+# cycles to ``verify-invariant-ring``, which lists them once.
 COUNTED = ("build_fan", "enumerate_oriented_circuits", "hilbert_basis",
            "subdiagram_volume", "toric_ideal_up_to_degree",
-           "three_edge_connectivization", "semigroup_report")
+           "three_edge_connectivization", "semigroup_report",
+           "cycles_up_to_mass")
 
 
 @pytest.fixture
@@ -243,6 +270,7 @@ def test_each_object_is_built_once(command, name, calls, capsys):
         "toric_ideal_up_to_degree": chambers,
         "three_edge_connectivization": 0,
         "semigroup_report": chambers if command == "analyze" else 0,
+        "cycles_up_to_mass": 0,
     }
 
 
@@ -252,3 +280,12 @@ def test_compare_connectivizes_each_graph_once(calls, capsys):
     assert json.loads(out)["same_ring"] is True
     assert calls == dict.fromkeys(COUNTED, 0) | {
         "three_edge_connectivization": 2}
+
+
+@pytest.mark.parametrize("name", ["B3", "THETA2", "FIG-NH"])
+def test_invariant_check_enumerates_cycles_once(name, calls, capsys):
+    code, out, _ = run_cli(capsys, "--degree", "4",
+                           "verify-invariant-ring", name)
+    assert code == 0
+    assert json.loads(out)["passed"] is True
+    assert calls == dict.fromkeys(COUNTED, 0) | {"cycles_up_to_mass": 1}

@@ -10,8 +10,9 @@ it; the reference validates the circuits and the label.  The hull's
 hyperplane is a vector of integer minors; the reference solves a
 rational kernel.  Lattice spanning is the gcd of the maximal minors and
 the Gorenstein point comes from Cramer's rule; the references take the
-Smith normal form and a rational Gauss-Jordan solve.  Outputs must agree
-exactly.
+Smith normal form and a rational Gauss-Jordan solve.  Bounded-mass
+cycles are enumerated on the L1 ball of their basis coordinates; the
+reference searches the coordinate box.  Outputs must agree exactly.
 """
 
 import pytest
@@ -20,7 +21,8 @@ from hypothesis import strategies as st
 
 from cographic import (TotCycPair, build_fan, build_orientation_poset,
                        catalog_names, compatible_circuits, cone_contains,
-                       enumerate_oriented_circuits, from_edge_list,
+                       cycles_up_to_mass, enumerate_oriented_circuits,
+                       from_edge_list,
                        hilbert_basis, hilbert_samuel_function, is_unimodular,
                        multiplicity_hs_oracle, q_gorenstein, spans_lattice,
                        subdiagram_volume, support_orientation_of)
@@ -28,6 +30,7 @@ from cographic.fan import face_label
 from cographic.linalg import hyperplane_through
 from conftest import multigraphs
 from oracles import (compatible_circuits_reference,
+                     cycles_up_to_mass_reference,
                      enumerate_oriented_circuits_reference,
                      hilbert_samuel_function_reference,
                      hyperplane_through_reference, is_unimodular_reference,
@@ -182,3 +185,20 @@ def test_lattice_tests_match_references(name, fan_of):
 @given(g=multigraphs())
 def test_lattice_tests_match_references_on_random_multigraphs(g):
     _assert_lattice_tests_match_references(g, build_fan(g).poset)
+
+
+def _assert_cycles_match_reference(g):
+    for bound in range(5):
+        assert cycles_up_to_mass(g, bound) == \
+            cycles_up_to_mass_reference(g, bound)
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_cycles_up_to_mass_matches_reference(name, graphs):
+    _assert_cycles_match_reference(graphs[name])
+
+
+# Four edges keep the reference's box, 9^b points at mass 4, small.
+@given(g=multigraphs(max_edges=4))
+def test_cycles_up_to_mass_matches_reference_on_random_multigraphs(g):
+    _assert_cycles_match_reference(g)

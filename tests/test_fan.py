@@ -2,7 +2,8 @@ import itertools
 
 import pytest
 
-from cographic import (Chain1, Cone, Orientation, TotCycPair, betti1,
+from cographic import (CapacityError, Chain1, Cone, Orientation, TotCycPair,
+                       betti1,
                        build_fan, build_orientation_poset, catalog_graph,
                        circuit_class, common_cone, compatible_circuits,
                        cone_contains, cone_dimension, cone_of,
@@ -293,6 +294,20 @@ def test_poset_isomorphic_basics():
     assert poset_isomorphic(chain2, chain2)
     assert not poset_isomorphic(chain2, antichain2)
     assert not poset_isomorphic(chain2, FinitePoset([1], lambda x, y: True))
+
+
+def test_poset_size_cap_before_any_comparison():
+    calls = []
+
+    def leq(x, y):
+        calls.append((x, y))
+        return x <= y
+
+    with pytest.raises(CapacityError) as info:
+        FinitePoset(range(5001), leq)
+    assert (info.value.what, info.value.size, info.value.cap) == (
+        "poset isomorphism size cap", 5001, 5000)
+    assert calls == []
 
 
 def test_fan_poset_isomorphic_to_orientation_poset():

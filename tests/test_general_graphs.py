@@ -86,7 +86,8 @@ def banana_chamber(g):
 
 
 # Every capped entry point, on a banana one edge over its stage's cap.  The
-# circuit consumers all reach the cap of the circuit walk itself.
+# circuit consumers all reach the cap of the circuit walk itself.  The
+# invariant check caps a count of chains: banana10 fits at degree 4, not 5.
 POSET_CAP = ("orientation poset edge cap", 15, 14)
 CIRCUIT_CAP = ("circuit enumeration edge cap", 21, 20)
 
@@ -104,8 +105,11 @@ CIRCUIT_CAP = ("circuit enumeration edge cap", 21, 20)
     (21, lambda g: compatible_circuits(g, banana_chamber(g)), CIRCUIT_CAP),
     (21, lambda g: hilbert_basis(g, banana_chamber(g)), CIRCUIT_CAP),
     (21, circuit_supports, CIRCUIT_CAP),
+    (10, lambda g: check_iso_truncated(g, 5),
+     ("invariant check chain cap", 590557, 100000)),
 ], ids=["poset", "fan", "connectivize", "equivalent", "same_ring", "tco",
-        "circuits", "compatible", "hilbert_basis", "circuit_supports"])
+        "circuits", "compatible", "hilbert_basis", "circuit_supports",
+        "invariant_check"])
 def test_capped_entry_points(m, call, expected):
     with pytest.raises(CapacityError) as info:
         call(banana(m))

@@ -1,8 +1,8 @@
 """Byte-identical CLI output on every catalog graph.
 
 ``golden/stdout_sha256.json`` holds the sha256 of the stdout of
-``cographic fan``, ``cographic analyze`` and ``cographic ring`` for each
-bundled graph.  A refactor or speed-up must leave these bytes unchanged.
+``cographic fan``, ``cographic analyze``, ``cographic ring`` and
+``cographic verify-invariant-ring`` (degree 3) for each bundled graph.  A refactor or speed-up must leave these bytes unchanged.
 To re-record after a deliberate output change, run from the repository
 root:
 
@@ -21,7 +21,7 @@ from cographic.catalog import catalog_names
 from cographic.cli import main
 
 GOLDEN = Path(__file__).parent / "golden" / "stdout_sha256.json"
-COMMANDS = ("fan", "analyze", "ring")
+COMMANDS = ("fan", "analyze", "ring", "verify-invariant-ring")
 
 
 def stdout_sha256(command, name):

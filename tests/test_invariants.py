@@ -4,7 +4,9 @@ from cographic import (Chain1, boundary, build_fan, catalog_graph,
                        invariant_monomial_basis, multiply_monomials)
 from cographic import ring
 from cographic.graph import FORWARD, BACKWARD
-from cographic.invariants import OrientedMonomial, _signed_chains_up_to_mass
+from cographic.invariants import (OrientedMonomial, _l1_ball, _l1_ball_size,
+                                  _signed_chains_up_to_mass)
+from conftest import k4_plus
 
 
 def test_degree_zero_is_unit():
@@ -59,6 +61,26 @@ def test_check_iso_trees_any_degree():
     tree = catalog_graph("TREE3")
     for degree in (0, 2, 4):
         assert check_iso_truncated(tree, degree)
+
+
+def test_l1_ball_counts_and_norms():
+    for n in range(6):
+        for radius in range(-1, 6):
+            points = list(_l1_ball(n, radius))
+            assert len(set(points)) == len(points)
+            assert len(points) == (_l1_ball_size(n, radius)
+                                   if radius >= 0 else 0)
+            for point in points:
+                assert sum(abs(k) for _, k in point) <= radius
+                assert all(k for _, k in point)
+                indices = [i for i, _ in point]
+                assert indices == sorted(set(indices))
+                assert all(0 <= i < n for i in indices)
+
+
+def test_check_iso_doubled_k4():
+    # 12 edges, first Betti number 9: a 7^9-point box search at degree 3
+    assert check_iso_truncated(k4_plus(6), 3)
 
 
 def test_check_iso_small_graphs():
