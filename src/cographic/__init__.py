@@ -32,7 +32,7 @@ from .semigroup import (AffineSemigroup, BinomialIdeal, hilbert_basis,
                         spans_lattice, is_unimodular, toric_ideal_up_to_degree,
                         is_homogeneous, q_gorenstein, subdiagram_volume,
                         multiplicity_hs_oracle, hilbert_samuel_function,
-                        semigroup_report)
+                        opposite_class, semigroup_report)
 from .ring import (RingPresentation, RingReport, present_ring,
                    multiply_monomials, graded_prime_of, ring_report,
                    StrataPoset, strata_poset, sum_of_primes)
@@ -60,7 +60,7 @@ __all__ = [
     "AffineSemigroup", "BinomialIdeal", "hilbert_basis", "spans_lattice",
     "is_unimodular", "toric_ideal_up_to_degree", "is_homogeneous",
     "q_gorenstein", "subdiagram_volume", "multiplicity_hs_oracle",
-    "hilbert_samuel_function", "semigroup_report",
+    "hilbert_samuel_function", "opposite_class", "semigroup_report",
     "RingPresentation", "RingReport", "present_ring", "multiply_monomials",
     "graded_prime_of", "ring_report", "StrataPoset", "strata_poset",
     "sum_of_primes",

@@ -19,7 +19,8 @@ from .invariants import check_iso_truncated
 from .orientations import enumerate_tco
 from .circuits import enumerate_oriented_circuits
 from .ring import present_ring, ring_report
-from .semigroup import semigroup_report
+from .semigroup import (multiplicity_hs_oracle, per_opposite_class,
+                        semigroup_report)
 from .torelli import cyclically_equivalent, three_edge_connectivization
 
 EXIT_OK = 0
@@ -60,9 +61,13 @@ def cmd_analyze(args):
     poset = fan.poset
     presentation = present_ring(fan, degree=args.degree)
     report = ring_report(presentation)
-    chambers = [semigroup_report(s, ideal, volume, horizon=args.hs_horizon)
-                for (_, s, ideal), volume in
-                zip(presentation.per_chamber_binomials, report.chamber_volumes)]
+    semigroups = [s for _, s, _ in presentation.per_chamber_binomials]
+    hs = per_opposite_class(
+        lambda s: multiplicity_hs_oracle(s, args.hs_horizon), semigroups)
+    chambers = [semigroup_report(s, ideal, volume, m)
+                for (_, s, ideal), volume, m in
+                zip(presentation.per_chamber_binomials,
+                    report.chamber_volumes, hs)]
     out = {
         "graph": _graph_summary(g),
         "orientation_poset": {

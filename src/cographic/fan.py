@@ -112,11 +112,16 @@ def facets(cone):
     Returns a list of (facet_cone, normal) pairs in canonical label order.
     """
     g = cone.graph
-    t = cone.label.support
-    phi = cone.label.phi
-    d = cone_dimension(cone)
-    basis = fundamental_cycle_basis(delete_edges(g, t))
-    circuits = compatible_circuits(g, cone.label)
+    basis = fundamental_cycle_basis(delete_edges(g, cone.label.support))
+    return _facets(g, cone.label, basis, compatible_circuits(g, cone.label))
+
+
+def _facets(g, pair, basis, circuits):
+    """``facets`` of the cone labeled ``pair``, from the cycle basis of
+    the complement of its support and its compatible circuits."""
+    t = pair.support
+    phi = pair.phi
+    d = len(basis)
     out = {}
     for e in g.edges:
         if e in t:

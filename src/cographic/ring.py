@@ -9,7 +9,10 @@ degree-bounded binomial ideal per maximal cone.
 
 Each object is built once and passed on: ``present_ring`` takes a built
 fan and makes each chamber's semigroup and ideal, and ``ring_report``
-reads the presentation, adding one subdiagram volume per chamber::
+reads the presentation, adding each chamber's subdiagram volume.  A
+chamber and its reversal have the same ideal and volume
+(``semigroup.opposite_class``), so each is computed once per pair of
+opposite chambers::
 
     fan = build_fan(g)
     presentation = present_ring(fan)
@@ -24,7 +27,7 @@ from .circuits import (circuit_class, compatible_circuits, concordant,
 from .fan import Cone, common_cone, cone_contains, face_label, FinitePoset
 from .graph import betti1
 from .orientations import Orientation
-from .semigroup import (hilbert_basis, subdiagram_volume,
+from .semigroup import (hilbert_basis, per_opposite_class, subdiagram_volume,
                         toric_ideal_up_to_degree, BinomialIdeal)
 
 DEFAULT_DEGREE_BOUND = 3
@@ -107,13 +110,13 @@ def present_ring(fan, degree=DEFAULT_DEGREE_BOUND):
                 for i, a in enumerate(circuits)
                 for b in circuits[i + 1:]
                 if not concordant(a, b)]
-    chambers = []
-    for cone in fan.chambers():
-        s = hilbert_basis(g, cone.label)
-        ideal = (toric_ideal_up_to_degree(s, degree) if s.hilbert_basis
-                 else BinomialIdeal([], degree))
-        chambers.append((cone.label, s, ideal))
-    return RingPresentation(g, circuits, quadrics, chambers, degree)
+    labels = [cone.label for cone in fan.chambers()]
+    semigroups = [hilbert_basis(g, pair) for pair in labels]
+    ideals = per_opposite_class(
+        lambda s: (toric_ideal_up_to_degree(s, degree) if s.hilbert_basis
+                   else BinomialIdeal([], degree)), semigroups)
+    return RingPresentation(g, circuits, quadrics,
+                            list(zip(labels, semigroups, ideals)), degree)
 
 
 def multiply_monomials(g, c, d):
@@ -164,7 +167,8 @@ def ring_report(presentation):
         dimension=betti1(presentation.graph),
         embedded_dimension=len(presentation.generators),
         minimal_prime_labels=[pair for pair, _, _ in chambers],
-        chamber_volumes=[subdiagram_volume(s) for _, s, _ in chambers],
+        chamber_volumes=per_opposite_class(
+            subdiagram_volume, [s for _, s, _ in chambers]),
     )
 
 

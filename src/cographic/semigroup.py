@@ -31,9 +31,15 @@ Cost model, for a cone of dimension d with n Hilbert basis elements:
   ``horizon`` parts, about multiplicity * horizon^d / d! of them.  A
   visit looks up its n parents by integer key; a parent never visited
   costs one membership test, one integer dot product per edge functional
-  of the cone.  This is the largest single cost of ``analyze``.
+  of the cone.  This is still the largest single cost of ``analyze``,
+  paid once per pair of opposite chambers (below).
 - Toric ideal: all exponent vectors of degree at most the bound, C(n +
   degree, n) of them, grouped by image.
+
+Chambers come in opposite pairs (B, phi) and (B, -phi) with negated
+generators, so callers pay the Hilbert-Samuel, hull and toric ideal
+costs once per pair (``per_opposite_class``).  Witness minors and the
+Gorenstein point change sign on the reversal and stay per chamber.
 """
 
 import heapq
@@ -47,7 +53,7 @@ from operator import mul
 from .chains import fundamental_cycle_basis
 from .circuits import circuit_class, compatible_circuits
 from .errors import CapacityError
-from .fan import Cone, facets
+from .fan import Cone, _facets
 from .graph import FORWARD, delete_edges
 from .linalg import det_int, hyperplane_through
 
@@ -248,7 +254,8 @@ def q_gorenstein(s):
     d = s.lattice_rank
     if d == 0:
         return True, True, {}
-    normals = [normal for _, normal in facets(s.cone)]
+    normals = [normal for _, normal in
+               _facets(s.graph, s.cone.label, s.cycle_basis, s.circuits)]
     for rows in itertools.combinations(normals, d):
         det = det_int(rows)
         if det:
@@ -469,11 +476,40 @@ def multiplicity_hs_oracle(s, horizon=None):
 # -- reporting ------------------------------------------------------------
 
 
-def semigroup_report(s, ideal, volume, horizon=None):
+def opposite_class(s):
+    """Key shared by a chamber and its reversal: the lattice rank and the
+    smaller of the generator coordinate list (canonical Hilbert basis
+    order, not sorted) and its negation.
+
+    The Hilbert-Samuel function, the subdiagram volume and the toric
+    ideal depend only on that list and the rank, and negating the list
+    leaves each unchanged.  A reversal listing its generators in another
+    order would only get a key of its own.
+    """
+    gens = [s.coordinates(c) for c in s.hilbert_basis]
+    negated = [tuple(-x for x in v) for v in gens]
+    return s.lattice_rank, tuple(min(gens, negated))
+
+
+def per_opposite_class(fn, semigroups):
+    """``[fn(s) for s in semigroups]``, calling ``fn`` once per
+    ``opposite_class`` and reusing its value on the rest of the class."""
+    done = {}
+    values = []
+    for s in semigroups:
+        key = opposite_class(s)
+        if key not in done:
+            done[key] = fn(s)
+        values.append(done[key])
+    return values
+
+
+def semigroup_report(s, ideal, volume, hs_multiplicity):
     """Everything the reports carry for one cone, JSON-ready.
 
-    ``ideal`` and ``volume`` are the cone's binomial ideal and subdiagram
-    volume, as the ring presentation and report already hold them.
+    ``ideal``, ``volume`` and ``hs_multiplicity`` are the cone's binomial
+    ideal, subdiagram volume and Hilbert-Samuel multiplicity, computed
+    once per pair of opposite chambers by the caller.
     """
     g = s.graph
     uni, witness = is_unimodular(s)
@@ -503,6 +539,6 @@ def semigroup_report(s, ideal, volume, horizon=None):
                               for e, x in sorted(m.items())}),
         "multiplicity": {
             "subdiagram_volume": volume,
-            "hilbert_samuel": multiplicity_hs_oracle(s, horizon),
+            "hilbert_samuel": hs_multiplicity,
         },
     }

@@ -224,15 +224,16 @@ def test_round_trip_catalog_reports(capsys):
         assert first == second
 
 
-# Per-graph objects each command builds: a fan, the circuit list, and per
-# chamber a semigroup, a toric ideal and a volume; ``compare`` needs one
-# connectivization per graph.  ``semigroup_report`` (and with it the
-# Hilbert-Samuel oracle) belongs to ``analyze`` alone, and the bounded-mass
-# cycles to ``verify-invariant-ring``, which lists them once.
+# Per-graph objects each command builds: a fan, the circuit list, a
+# semigroup per chamber, and a toric ideal and a volume per pair of
+# opposite chambers; ``compare`` needs one connectivization per graph.
+# ``semigroup_report`` (one per chamber) and the Hilbert-Samuel function
+# (one per pair) belong to ``analyze`` alone, and the bounded-mass cycles
+# to ``verify-invariant-ring``, which lists them once.
 COUNTED = ("build_fan", "enumerate_oriented_circuits", "hilbert_basis",
            "subdiagram_volume", "toric_ideal_up_to_degree",
            "three_edge_connectivization", "semigroup_report",
-           "cycles_up_to_mass")
+           "hilbert_samuel_function", "cycles_up_to_mass")
 
 
 @pytest.fixture
@@ -261,17 +262,29 @@ def test_each_object_is_built_once(command, name, calls, capsys):
     code, out, _ = run_cli(capsys, command, name)
     assert code == 0
     chambers = json.loads(out)["ring"]["num_minimal_primes"]
-    assert chambers > 1
+    assert chambers > 1 and chambers % 2 == 0
+    pairs = chambers // 2
     assert calls == {
         "build_fan": 1,
         "enumerate_oriented_circuits": 1,
         "hilbert_basis": chambers,
-        "subdiagram_volume": chambers,
-        "toric_ideal_up_to_degree": chambers,
+        "subdiagram_volume": pairs,
+        "toric_ideal_up_to_degree": pairs,
         "three_edge_connectivization": 0,
         "semigroup_report": chambers if command == "analyze" else 0,
+        "hilbert_samuel_function": pairs if command == "analyze" else 0,
         "cycles_up_to_mass": 0,
     }
+
+
+def test_short_hs_horizon_names_the_horizon_needed(capsys):
+    # THETA2's chambers have dimension 4: horizon 3 leaves fewer than two
+    # 4-th differences, so the error asks for d + 2 = 6.
+    code, out, err = run_cli(capsys, "--hs-horizon", "3", "analyze", "THETA2")
+    assert code == 3
+    assert out == ""
+    assert err == ("capacity error: Hilbert-Samuel horizon at dimension 4 "
+                   "(4-th differences not stable): size 6 exceeds cap 3\n")
 
 
 def test_compare_connectivizes_each_graph_once(calls, capsys):

@@ -1,8 +1,10 @@
+import pytest
+
 from cographic import (Chain1, boundary, build_fan, catalog_graph,
                        check_iso_truncated, common_cone, cone_contains,
                        cycles_up_to_mass, from_edge_list,
                        invariant_monomial_basis, multiply_monomials)
-from cographic import ring
+from cographic import invariants
 from cographic.graph import FORWARD, BACKWARD
 from cographic.invariants import (OrientedMonomial, _l1_ball, _l1_ball_size,
                                   _signed_chains_up_to_mass)
@@ -125,7 +127,22 @@ def test_check_iso_detects_corrupted_cone_test(monkeypatch):
     # wrong cone test must make half (b) fail against the ambient ring.
     b2 = catalog_graph("B2")
     assert check_iso_truncated(b2, 4)
-    monkeypatch.setattr(ring, "common_cone", lambda c, d: True)
+    monkeypatch.setattr(invariants, "common_cone", lambda c, d: True)
     assert not check_iso_truncated(b2, 4)
-    monkeypatch.setattr(ring, "common_cone", lambda c, d: False)
+    monkeypatch.setattr(invariants, "common_cone", lambda c, d: False)
     assert not check_iso_truncated(b2, 4)
+
+
+@pytest.mark.parametrize("name", ["B2", "THETA2"])
+def test_check_iso_detects_corrupted_from_weight(monkeypatch, name):
+    # A from_weight that builds the monomial of -c: every weight is then
+    # the negation of its cycle, and the bounded cycles are closed under
+    # negation, so half (a) still sees a bijection and the zero test still
+    # agrees.  Half (b) must catch it: the product of the monomials of c
+    # and d is not what from_weight now returns for c + d.
+    g = catalog_graph(name)
+    assert check_iso_truncated(g, 3)
+    correct = OrientedMonomial.from_weight.__func__
+    monkeypatch.setattr(OrientedMonomial, "from_weight",
+                        classmethod(lambda cls, g, c: correct(cls, g, -c)))
+    assert not check_iso_truncated(g, 3)

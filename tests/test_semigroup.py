@@ -1,18 +1,22 @@
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
 
 from cographic import (Chain1, Orientation, TotCycPair, catalog_graph,
-                       build_orientation_poset, hilbert_basis,
-                       hilbert_samuel_function, is_homogeneous, is_unimodular,
-                       multiplicity_hs_oracle, q_gorenstein, spans_lattice,
+                       build_fan, build_orientation_poset, catalog_names,
+                       from_edge_list, hilbert_basis, hilbert_samuel_function,
+                       is_homogeneous, is_unimodular, multiplicity_hs_oracle,
+                       opposite_class, q_gorenstein, spans_lattice,
                        subdiagram_volume, toric_ideal_up_to_degree)
 from cographic.fan import facets
 from cographic.graph import FORWARD, BACKWARD
 from cographic import linalg
 from cographic.linalg import det_int
 from cographic.semigroup import _triangulate
+from conftest import K4_EDGES, k4_plus, multigraphs
 from oracles import (irreducible_points_up_to_degree, rank,
                      semigroup_points_up_to_degree, spans_lattice_reference)
 
@@ -315,3 +319,42 @@ def test_hs_oracle_unstable_horizon_raises():
     assert (exc.size, exc.cap) == (6, 4)
     assert str(exc) == ("Hilbert-Samuel horizon at dimension 4 "
                         "(4-th differences not stable): size 6 exceeds cap 4")
+
+
+# -- opposite chambers ------------------------------------------------------
+
+
+@given(g=multigraphs())
+def test_opposite_chambers_share_hs_volume_and_ideal(g):
+    # The premise of computing these once per pair of opposite chambers:
+    # the reversal of a chamber is a chamber, its generators are the
+    # negated generators in the same order, and the three invariants agree.
+    chambers = {cone.label for cone in build_fan(g).chambers()}
+    for pair in chambers:
+        opposite = TotCycPair(pair.support, pair.phi.reversed())
+        assert opposite in chambers
+        s, t = hilbert_basis(g, pair), hilbert_basis(g, opposite)
+        assert [t.coordinates(c) for c in t.hilbert_basis] == \
+            [tuple(-x for x in s.coordinates(c)) for c in s.hilbert_basis]
+        assert opposite_class(s) == opposite_class(t)
+        horizon = s.lattice_rank + 2
+        assert hilbert_samuel_function(s, horizon) == \
+            hilbert_samuel_function(t, horizon)
+        assert subdiagram_volume(s) == subdiagram_volume(t)
+        assert toric_ideal_up_to_degree(s, 3) == toric_ideal_up_to_degree(t, 3)
+
+
+NON_CATALOG = {"K4": from_edge_list(K4_EDGES), "K4p2": k4_plus(2),
+               "banana6": from_edge_list([(f"e{i}", "v1", "v2")
+                                          for i in range(6)])}
+
+
+@pytest.mark.parametrize("name", catalog_names() + list(NON_CATALOG))
+def test_opposite_class_pairs_every_chamber(name, fan_of):
+    # Each key names one chamber and its reversal, except for a chamber of
+    # dimension 0, which is its own reversal.
+    fan = build_fan(NON_CATALOG[name]) if name in NON_CATALOG else fan_of(name)
+    sizes = Counter(opposite_class(hilbert_basis(fan.graph, cone.label))
+                    for cone in fan.chambers())
+    for (rank, _), size in sizes.items():
+        assert size == (1 if rank == 0 else 2)
