@@ -23,7 +23,8 @@ from .orientations import (Orientation, TotCycPair, OrientationPoset,
                            build_orientation_poset)
 from .circuits import (OrientedCircuit, enumerate_oriented_circuits,
                        circuit_class, concordant, compatible_circuits,
-                       decompose_cycle, support_orientation_of)
+                       decompose_cycle, support_orientation_of,
+                       hypergraph_bijection)
 from .fan import (Cone, Fan, build_fan, cone_contains, common_cone, cone_of,
                   cone_dimension, voronoi_face_dim, extremal_rays, facets,
                   FinitePoset, poset_isomorphic,
@@ -32,7 +33,7 @@ from .semigroup import (AffineSemigroup, BinomialIdeal, hilbert_basis,
                         spans_lattice, is_unimodular, toric_ideal_up_to_degree,
                         is_homogeneous, q_gorenstein, subdiagram_volume,
                         multiplicity_hs_oracle, hilbert_samuel_function,
-                        opposite_class, semigroup_report)
+                        chamber_classes, semigroup_report)
 from .ring import (RingPresentation, RingReport, present_ring,
                    multiply_monomials, graded_prime_of, ring_report,
                    StrataPoset, strata_poset, sum_of_primes)
@@ -53,14 +54,14 @@ __all__ = [
     "enumerate_tco", "build_orientation_poset",
     "OrientedCircuit", "enumerate_oriented_circuits", "circuit_class",
     "concordant", "compatible_circuits", "decompose_cycle",
-    "support_orientation_of",
+    "support_orientation_of", "hypergraph_bijection",
     "Cone", "Fan", "build_fan", "cone_contains", "common_cone", "cone_of",
     "cone_dimension", "voronoi_face_dim", "extremal_rays", "facets",
     "FinitePoset", "poset_isomorphic", "find_poset_isomorphism",
     "AffineSemigroup", "BinomialIdeal", "hilbert_basis", "spans_lattice",
     "is_unimodular", "toric_ideal_up_to_degree", "is_homogeneous",
     "q_gorenstein", "subdiagram_volume", "multiplicity_hs_oracle",
-    "hilbert_samuel_function", "opposite_class", "semigroup_report",
+    "hilbert_samuel_function", "chamber_classes", "semigroup_report",
     "RingPresentation", "RingReport", "present_ring", "multiply_monomials",
     "graded_prime_of", "ring_report", "StrataPoset", "strata_poset",
     "sum_of_primes",

@@ -20,6 +20,11 @@ its edge-index bitmask and the bitmask of the edges its walk traverses
 forward.  Each call then costs one pass over the pair's edges to build
 its masks plus a few integer operations per row, and allocates nothing
 but the result list.
+
+``hypergraph_bijection`` decides whether two families of edge sets agree
+up to an edge bijection.  It serves both the ring-equivalence decision
+(circuit supports of two graphs) and the chamber classes of
+``semigroup.chamber_classes`` (directed circuit supports of two chambers).
 """
 
 from dataclasses import dataclass
@@ -227,6 +232,65 @@ def _lowest_directed_cycle(g, c):
             return OrientedCircuit(frozenset(cycle_edges), Orientation(dirs))
         seen[w] = len(path)
         v = w
+
+
+def _edge_profiles(edges, sets):
+    """Each edge's profile: the sorted sizes of the sets through it."""
+    sizes = {e: [] for e in edges}
+    for s in sets:
+        for e in s:
+            sizes[e].append(len(s))
+    return {e: tuple(sorted(n)) for e, n in sizes.items()}
+
+
+def hypergraph_bijection(edges_a, sets_a, edges_b, sets_b):
+    """An edge bijection carrying every set of ``sets_a`` onto a set of
+    ``sets_b``, as a dict from ``edges_a`` to ``edges_b``, or None.
+
+    Backtracking, pruned by the multisets of set sizes and by each edge's
+    profile of set sizes through it.  Edges are mapped most constrained
+    first (rarest profile, then ``edges_a`` order), each to the first
+    unused edge of ``edges_b`` with its profile.  A set is checked once,
+    when the last of its edges in that order is mapped.
+    """
+    if len(edges_a) != len(edges_b) or \
+            sorted(map(len, sets_a)) != sorted(map(len, sets_b)):
+        return None
+    pa = _edge_profiles(edges_a, sets_a)
+    pb = _edge_profiles(edges_b, sets_b)
+    if sorted(pa.values()) != sorted(pb.values()):
+        return None
+    candidates = {}
+    for f in edges_b:
+        candidates.setdefault(pb[f], []).append(f)
+    order = sorted(edges_a, key=lambda e: len(candidates[pa[e]]))
+    position = {e: k for k, e in enumerate(order)}
+    completes = [[] for _ in order]
+    for s in sets_a:
+        if s:
+            completes[max(map(position.get, s))].append(s)
+    targets = set(map(frozenset, sets_b))
+    mapping = {}
+    used = set()
+
+    def extend(k):
+        if k == len(order):
+            return True
+        e = order[k]
+        for f in candidates[pa[e]]:
+            if f in used:
+                continue
+            mapping[e] = f
+            if all(frozenset(map(mapping.get, s)) in targets
+                   for s in completes[k]):
+                used.add(f)
+                if extend(k + 1):
+                    return True
+                used.discard(f)
+        mapping.pop(e, None)
+        return False
+
+    return mapping if extend(0) else None
 
 
 def support_orientation_of(g, circuits):

@@ -19,7 +19,7 @@ from .invariants import check_iso_truncated
 from .orientations import enumerate_tco
 from .circuits import enumerate_oriented_circuits
 from .ring import present_ring, ring_report
-from .semigroup import (multiplicity_hs_oracle, per_opposite_class,
+from .semigroup import (multiplicity_hs_oracle, per_chamber_class,
                         semigroup_report)
 from .torelli import cyclically_equivalent, three_edge_connectivization
 
@@ -62,8 +62,9 @@ def cmd_analyze(args):
     presentation = present_ring(fan, degree=args.degree)
     report = ring_report(presentation)
     semigroups = [s for _, s, _ in presentation.per_chamber_binomials]
-    hs = per_opposite_class(
-        lambda s: multiplicity_hs_oracle(s, args.hs_horizon), semigroups)
+    hs = per_chamber_class(
+        lambda s: multiplicity_hs_oracle(s, args.hs_horizon), semigroups,
+        presentation.chamber_classes)
     chambers = [semigroup_report(s, ideal, volume, m)
                 for (_, s, ideal), volume, m in
                 zip(presentation.per_chamber_binomials,

@@ -131,12 +131,31 @@ def _facets(g, pair, basis, circuits):
             if e not in gamma.support:
                 covered |= gamma.support
         label = TotCycPair(frozenset(g.edges) - covered, phi.restrict(covered))
-        sub = Cone(g, label)
-        if label in out or cone_dimension(sub) != d - 1:
+        if label in out or _betti1_of_edges(g, covered) != d - 1:
             continue
-        out[label] = (sub, _edge_functional(basis, e, phi.direction(e)))
+        out[label] = (Cone(g, label),
+                      _edge_functional(basis, e, phi.direction(e)))
     return [out[label] for label in
             sorted(out, key=lambda p: p.sort_key(g))]
+
+
+def _betti1_of_edges(g, edges):
+    """First Betti number of the spanning subgraph on ``edges``: one per
+    edge, less one per edge that joins two components (union-find)."""
+    parent = {}
+
+    def root(v):
+        while v in parent:
+            v = parent[v]
+        return v
+
+    merges = 0
+    for e in edges:
+        s, t = map(root, g.ends(e))
+        if s != t:
+            parent[s] = t
+            merges += 1
+    return len(edges) - merges
 
 
 def _edge_functional(basis, e, direction):

@@ -31,15 +31,19 @@ Cost model, for a cone of dimension d with n Hilbert basis elements:
   ``horizon`` parts, about multiplicity * horizon^d / d! of them.  A
   visit looks up its n parents by integer key; a parent never visited
   costs one membership test, one integer dot product per edge functional
-  of the cone.  This is still the largest single cost of ``analyze``,
-  paid once per pair of opposite chambers (below).
+  of the cone.  Paid once per class of chambers (below), it is still the
+  largest single cost of ``analyze``.
 - Toric ideal: all exponent vectors of degree at most the bound, C(n +
   degree, n) of them, grouped by image.
 
-Chambers come in opposite pairs (B, phi) and (B, -phi) with negated
-generators, so callers pay the Hilbert-Samuel, hull and toric ideal
-costs once per pair (``per_opposite_class``).  Witness minors and the
-Gorenstein point change sign on the reversal and stay per chamber.
+Chambers whose directed circuit supports agree up to an edge bijection
+have isomorphic semigroups (``chamber_classes``), so callers pay the
+Hilbert-Samuel, hull and toric ideal costs once per class
+(``per_chamber_class``).  A chamber and its reversal always share a
+class.  The class search costs one backtracking bijection search per
+chamber and representative with the same rank and edge profiles.
+Witness minors, lattice spanning and the Gorenstein point depend on
+generator order or sign and stay per chamber.
 """
 
 import heapq
@@ -51,7 +55,8 @@ from math import gcd
 from operator import mul
 
 from .chains import fundamental_cycle_basis
-from .circuits import circuit_class, compatible_circuits
+from .circuits import (_edge_profiles, circuit_class, compatible_circuits,
+                       hypergraph_bijection)
 from .errors import CapacityError
 from .fan import Cone, _facets
 from .graph import FORWARD, delete_edges
@@ -230,6 +235,19 @@ def _exponents_up_to(n, degree):
             yield from rec(prefix + [k], remaining - k, slots - 1)
 
     yield from rec([], degree, n)
+
+
+def permute_ideal(ideal, perm):
+    """The ideal over generators whose generator i is generator ``perm[i]``
+    of the generators ``ideal`` is over: u'[i] = u[perm[i]], each pair
+    oriented so that u' >= v', in sorted order."""
+    generators = []
+    for u, v in ideal.generators:
+        u = tuple(u[j] for j in perm)
+        v = tuple(v[j] for j in perm)
+        generators.append((u, v) if u >= v else (v, u))
+    generators.sort()
+    return BinomialIdeal(generators, ideal.degree_bound)
 
 
 def is_homogeneous(ideal):
@@ -476,31 +494,57 @@ def multiplicity_hs_oracle(s, horizon=None):
 # -- reporting ------------------------------------------------------------
 
 
-def opposite_class(s):
-    """Key shared by a chamber and its reversal: the lattice rank and the
-    smaller of the generator coordinate list (canonical Hilbert basis
-    order, not sorted) and its negation.
+def chamber_classes(semigroups):
+    """For each chamber, (index of its class representative, generator
+    permutation into the representative).
 
-    The Hilbert-Samuel function, the subdiagram volume and the toric
-    ideal depend only on that list and the rank, and negating the list
-    leaves each unchanged.  A reversal listing its generators in another
-    order would only get a key of its own.
+    A chamber (B, phi) is the totally cyclic digraph (G - B, phi), and its
+    generators are its directed circuits, 0/1 vectors in phi-signed edge
+    coordinates.  An edge bijection carrying one chamber's circuit
+    supports onto another's (``hypergraph_bijection``) is therefore an
+    isomorphism of their semigroups, and of their lattices where the
+    generators span them (``spans_lattice``).  The Hilbert-Samuel
+    function and the subdiagram volume agree, and the toric ideal agrees
+    up to ``permute_ideal``.  ``perm[i]`` is the representative's index of
+    the image of generator i; a representative is the first chamber of
+    its class and maps to itself.  Chambers are bucketed by lattice rank
+    and sorted edge profiles, and each is searched against the
+    representatives of its bucket only.
     """
-    gens = [s.coordinates(c) for c in s.hilbert_basis]
-    negated = [tuple(-x for x in v) for v in gens]
-    return s.lattice_rank, tuple(min(gens, negated))
+    buckets = {}
+    classes = []
+    for i, s in enumerate(semigroups):
+        edges = [e for e in s.graph.edges if e not in s.cone.label.support]
+        sets = [gamma.support for gamma in s.circuits]
+        profiles = sorted(_edge_profiles(edges, sets).values())
+        bucket = buckets.setdefault((s.lattice_rank, tuple(profiles)), [])
+        for j, rep_edges, rep_sets in bucket:
+            bijection = hypergraph_bijection(edges, sets, rep_edges, rep_sets)
+            if bijection is not None:
+                index = {supp: k for k, supp in enumerate(rep_sets)}
+                classes.append((j, tuple(
+                    index[frozenset(map(bijection.get, supp))]
+                    for supp in sets)))
+                break
+        else:
+            bucket.append((i, edges, sets))
+            classes.append((i, tuple(range(len(sets)))))
+    return classes
 
 
-def per_opposite_class(fn, semigroups):
-    """``[fn(s) for s in semigroups]``, calling ``fn`` once per
-    ``opposite_class`` and reusing its value on the rest of the class."""
-    done = {}
+def per_chamber_class(fn, semigroups, classes, transport=None):
+    """``[fn(s) for s in semigroups]``, calling ``fn`` only on the class
+    representatives of ``classes`` (from ``chamber_classes``).  The rest
+    of a class reuses its representative's value, passed through
+    ``transport(value, perm)`` when a transport is given."""
     values = []
-    for s in semigroups:
-        key = opposite_class(s)
-        if key not in done:
-            done[key] = fn(s)
-        values.append(done[key])
+    for i, (rep, perm) in enumerate(classes):
+        if rep == i:
+            values.append(fn(semigroups[i]))
+        elif transport is None:
+            values.append(values[rep])
+        else:
+            values.append(transport(values[rep], perm))
     return values
 
 
@@ -509,7 +553,7 @@ def semigroup_report(s, ideal, volume, hs_multiplicity):
 
     ``ideal``, ``volume`` and ``hs_multiplicity`` are the cone's binomial
     ideal, subdiagram volume and Hilbert-Samuel multiplicity, computed
-    once per pair of opposite chambers by the caller.
+    once per class of chambers by the caller (``per_chamber_class``).
     """
     g = s.graph
     uni, witness = is_unimodular(s)

@@ -10,7 +10,7 @@ the lowest-id member.
 
 import itertools
 
-from .circuits import _circuit_supports
+from .circuits import _circuit_supports, hypergraph_bijection
 from .errors import CapacityError
 from .graph import (connected_components, contract_edge, delete_edges,
                     separating_edges)
@@ -66,63 +66,15 @@ def circuit_supports(g):
 def cyclically_equivalent(g, h):
     """Is there an edge bijection carrying circuits onto circuits?
 
-    Backtracking over candidate bijections, pruned by circuit-size
-    multisets and by each edge's profile of circuit sizes through it.
+    ``hypergraph_bijection`` on the two circuit hypergraphs.
     """
     if len(g.edges) != len(h.edges):
         return False
     if len(g.edges) > MAX_POSET_EDGES:
         raise CapacityError("cyclic equivalence edge cap",
                             len(g.edges), MAX_POSET_EDGES)
-    gc = circuit_supports(g)
-    hc = circuit_supports(h)
-    if sorted(map(len, gc)) != sorted(map(len, hc)):
-        return False
-    hc_set = set(hc)
-
-    def profile(edges, circuits):
-        return {e: tuple(sorted(len(s) for s in circuits if e in s))
-                for e in edges}
-
-    gp = profile(g.edges, gc)
-    hp = profile(h.edges, hc)
-    if sorted(gp.values()) != sorted(hp.values()):
-        return False
-
-    # most-constrained-first: rarest profile, then canonical order
-    rarity = {}
-    for p in hp.values():
-        rarity[p] = rarity.get(p, 0) + 1
-    g_order = sorted(g.edges, key=lambda e: (rarity.get(gp[e], 0),
-                                             g.edge_index(e)))
-
-    mapping = {}
-    used = set()
-
-    def complete_circuits_ok():
-        domain = set(mapping)
-        for s in gc:
-            if s <= domain:
-                if frozenset(mapping[e] for e in s) not in hc_set:
-                    return False
-        return True
-
-    def extend(k):
-        if k == len(g_order):
-            return True
-        e = g_order[k]
-        for f in h.edges:
-            if f in used or hp[f] != gp[e]:
-                continue
-            mapping[e] = f
-            used.add(f)
-            if complete_circuits_ok() and extend(k + 1):
-                return True
-            del mapping[e]
-            used.discard(f)
-        return False
-
-    return extend(0)
+    return hypergraph_bijection(g.edges, circuit_supports(g),
+                                h.edges, circuit_supports(h)) is not None
 
 
 def same_cographic_ring(g, h):

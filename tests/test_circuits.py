@@ -1,15 +1,20 @@
 import itertools
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cographic import (Chain1, OrientedCircuit, Orientation, TotCycPair,
                        betti1, catalog_graph, circuit_class,
                        compatible_circuits, concordant, decompose_cycle,
                        enumerate_oriented_circuits,
                        enumerate_tco, from_edge_list,
-                       fundamental_cycle_basis, is_cycle, is_totally_cyclic,
-                       separating_edges, support_orientation_of)
+                       fundamental_cycle_basis, hypergraph_bijection,
+                       is_cycle, is_totally_cyclic, separating_edges,
+                       support_orientation_of)
 from cographic.graph import FORWARD, BACKWARD
+from cographic.torelli import circuit_supports
+from conftest import multigraphs
 from oracles import covered_by_compatible_circuits, smith_invariant_factors
 
 B2 = from_edge_list([("a", 1, 2), ("b", 1, 2)])
@@ -277,3 +282,59 @@ def test_result_contains_inputs_as_compatible(rng, graphs):
             pair = support_orientation_of(g, sample)
             comp = set(compatible_circuits(g, pair))
             assert set(sample) <= comp
+
+
+# -- hypergraph bijections ---------------------------------------------------
+
+
+def assert_carries_sets_onto_sets(bijection, edges_a, sets_a, edges_b, sets_b):
+    assert sorted(bijection) == sorted(edges_a)
+    assert sorted(bijection.values()) == sorted(edges_b)
+    assert {frozenset(map(bijection.get, s)) for s in sets_a} == \
+        set(map(frozenset, sets_b))
+
+
+def cycle_sets(labels):
+    """The edges of the cycle through ``labels`` in order, as 2-sets."""
+    return [frozenset((a, b)) for a, b in zip(labels, labels[1:] + labels[:1])]
+
+
+@given(g=multigraphs(), data=st.data())
+def test_hypergraph_bijection_finds_a_relabelling(g, data):
+    # h is g with its edges renamed and listed in another order
+    order = data.draw(st.permutations(g.edges))
+    name = {e: f"f{k}" for k, e in enumerate(order)}
+    h = from_edge_list([(name[e], *g.ends(e)) for e in order],
+                       vertices=g.vertices)
+    sets_g, sets_h = circuit_supports(g), circuit_supports(h)
+    bijection = hypergraph_bijection(g.edges, sets_g, h.edges, sets_h)
+    assert bijection is not None
+    assert_carries_sets_onto_sets(bijection, g.edges, sets_g, h.edges, sets_h)
+
+
+def test_hypergraph_bijection_b3_c3():
+    b3, c3 = catalog_graph("B3"), catalog_graph("C3")
+    assert hypergraph_bijection(b3.edges, circuit_supports(b3),
+                                c3.edges, circuit_supports(c3)) is None
+
+
+def test_hypergraph_bijection_same_profiles_not_isomorphic():
+    # A 6-cycle and two triangles: every point lies on two 2-sets, so the
+    # sizes and all edge profiles agree, but no bijection exists.
+    points = list(range(6))
+    hexagon = cycle_sets(points)
+    triangles = cycle_sets([0, 1, 2]) + cycle_sets([3, 4, 5])
+    assert hypergraph_bijection(points, hexagon, points, triangles) is None
+    assert hypergraph_bijection(points, triangles, points, hexagon) is None
+
+
+def test_hypergraph_bijection_backtracks():
+    # The first candidate of every point is the point of the same name,
+    # which maps no 2-set of the hexagon onto one of the scrambled hexagon.
+    points = list(range(6))
+    hexagon = cycle_sets(points)
+    scrambled = cycle_sets([0, 2, 4, 1, 5, 3])
+    bijection = hypergraph_bijection(points, hexagon, points, scrambled)
+    assert bijection is not None
+    assert_carries_sets_onto_sets(bijection, points, hexagon,
+                                  points, scrambled)

@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import json
 import sys
@@ -149,6 +150,17 @@ def test_verify_invariant_ring_doubled_k4_file(tmp_path, capsys):
     assert json.loads(out) == {"isomorphic_up_to_degree": 4, "passed": True}
 
 
+def test_ring_k4_plus_three_file(tmp_path, capsys):
+    # Its 340 chambers fall into 13 classes; the hash predates the sharing
+    # of ideals and volumes across a class.
+    path = tmp_path / "k4p3.graph"
+    path.write_text(graph_to_text(k4_plus(3)))
+    code, out, _ = run_cli(capsys, "ring", str(path))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "ba029286bcbada06fc3df36193663b7d0c3a0defa9e08e018cb6bc86544e9ffc"
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     path = tmp_path / "broken.graph"
     path.write_text("edge oops\n")
@@ -225,10 +237,10 @@ def test_round_trip_catalog_reports(capsys):
 
 
 # Per-graph objects each command builds: a fan, the circuit list, a
-# semigroup per chamber, and a toric ideal and a volume per pair of
-# opposite chambers; ``compare`` needs one connectivization per graph.
+# semigroup per chamber, and a toric ideal and a volume per class of
+# chambers; ``compare`` needs one connectivization per graph.
 # ``semigroup_report`` (one per chamber) and the Hilbert-Samuel function
-# (one per pair) belong to ``analyze`` alone, and the bounded-mass cycles
+# (one per class) belong to ``analyze`` alone, and the bounded-mass cycles
 # to ``verify-invariant-ring``, which lists them once.
 COUNTED = ("build_fan", "enumerate_oriented_circuits", "hilbert_basis",
            "subdiagram_volume", "toric_ideal_up_to_degree",
@@ -256,23 +268,27 @@ def calls(monkeypatch):
     return counts
 
 
+# Classes of chambers (``semigroup.chamber_classes``) of each graph below.
+CLASSES = {"THETA2": 4, "FIG-NH": 4, "FIG-NG": 2}
+
+
 @pytest.mark.parametrize("command, name", [
     ("analyze", "THETA2"), ("analyze", "FIG-NH"), ("ring", "FIG-NG")])
 def test_each_object_is_built_once(command, name, calls, capsys):
     code, out, _ = run_cli(capsys, command, name)
     assert code == 0
     chambers = json.loads(out)["ring"]["num_minimal_primes"]
-    assert chambers > 1 and chambers % 2 == 0
-    pairs = chambers // 2
+    classes = CLASSES[name]
+    assert chambers > classes
     assert calls == {
         "build_fan": 1,
         "enumerate_oriented_circuits": 1,
         "hilbert_basis": chambers,
-        "subdiagram_volume": pairs,
-        "toric_ideal_up_to_degree": pairs,
+        "subdiagram_volume": classes,
+        "toric_ideal_up_to_degree": classes,
         "three_edge_connectivization": 0,
         "semigroup_report": chambers if command == "analyze" else 0,
-        "hilbert_samuel_function": pairs if command == "analyze" else 0,
+        "hilbert_samuel_function": classes if command == "analyze" else 0,
         "cycles_up_to_mass": 0,
     }
 

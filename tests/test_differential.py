@@ -12,7 +12,9 @@ rational kernel.  Lattice spanning is the gcd of the maximal minors and
 the Gorenstein point comes from Cramer's rule; the references take the
 Smith normal form and a rational Gauss-Jordan solve.  Bounded-mass
 cycles are enumerated on the L1 ball of their basis coordinates; the
-reference searches the coordinate box.  Outputs must agree exactly.
+reference searches the coordinate box.  The HS function, volume and
+toric ideal are computed once per class of chambers; the reference is
+every chamber on its own.  Outputs must agree exactly.
 """
 
 import pytest
@@ -21,12 +23,15 @@ from hypothesis import strategies as st
 
 from cographic import (TotCycPair, build_fan, build_orientation_poset,
                        catalog_names, compatible_circuits, cone_contains,
-                       cycles_up_to_mass, enumerate_oriented_circuits,
+                       chamber_classes, cycles_up_to_mass,
+                       enumerate_oriented_circuits,
                        from_edge_list,
                        hilbert_basis, hilbert_samuel_function, is_unimodular,
                        multiplicity_hs_oracle, q_gorenstein, spans_lattice,
-                       subdiagram_volume, support_orientation_of)
+                       subdiagram_volume, support_orientation_of,
+                       toric_ideal_up_to_degree)
 from cographic.fan import face_label
+from cographic.semigroup import per_chamber_class, permute_ideal
 from cographic.linalg import hyperplane_through
 from conftest import multigraphs
 from oracles import (compatible_circuits_reference,
@@ -39,9 +44,11 @@ from oracles import (compatible_circuits_reference,
 
 K4 = [("e1", "v1", "v2"), ("e2", "v1", "v3"), ("e3", "v1", "v4"),
       ("e4", "v2", "v3"), ("e5", "v2", "v4"), ("e6", "v3", "v4")]
-# K4, and K4 plus a parallel copy of each of its first two edges
+# K4, K4 plus a parallel copy of each of its first two edges, and six
+# parallel edges
 NON_CATALOG = {"K4": K4,
-               "K4p2": K4 + [("e7", "v1", "v2"), ("e8", "v1", "v3")]}
+               "K4p2": K4 + [("e7", "v1", "v2"), ("e8", "v1", "v3")],
+               "banana6": [(f"e{i}", "v1", "v2") for i in range(6)]}
 
 
 def _fan(name, fan_of):
@@ -202,3 +209,23 @@ def test_cycles_up_to_mass_matches_reference(name, graphs):
 @given(g=multigraphs(max_edges=4))
 def test_cycles_up_to_mass_matches_reference_on_random_multigraphs(g):
     _assert_cycles_match_reference(g)
+
+
+@pytest.mark.parametrize("name", catalog_names() + ["K4p2", "banana6"])
+def test_per_chamber_class_matches_every_chamber(name, fan_of):
+    fan = _fan(name, fan_of)
+    semigroups = [hilbert_basis(fan.graph, cone.label)
+                  for cone in fan.chambers()]
+    classes = chamber_classes(semigroups)
+
+    def hs(s):
+        return hilbert_samuel_function(s, s.lattice_rank + 2)
+
+    def ideal(s):
+        return toric_ideal_up_to_degree(s, 3)
+
+    for fn in (hs, subdiagram_volume):
+        assert per_chamber_class(fn, semigroups, classes) == \
+            [fn(s) for s in semigroups]
+    assert per_chamber_class(ideal, semigroups, classes, permute_ideal) == \
+        [ideal(s) for s in semigroups]

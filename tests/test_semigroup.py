@@ -9,13 +9,14 @@ from cographic import (Chain1, Orientation, TotCycPair, catalog_graph,
                        build_fan, build_orientation_poset, catalog_names,
                        from_edge_list, hilbert_basis, hilbert_samuel_function,
                        is_homogeneous, is_unimodular, multiplicity_hs_oracle,
-                       opposite_class, q_gorenstein, spans_lattice,
-                       subdiagram_volume, toric_ideal_up_to_degree)
+                       chamber_classes, hypergraph_bijection, q_gorenstein,
+                       spans_lattice, subdiagram_volume,
+                       toric_ideal_up_to_degree)
 from cographic.fan import facets
 from cographic.graph import FORWARD, BACKWARD
 from cographic import linalg
 from cographic.linalg import det_int
-from cographic.semigroup import _triangulate
+from cographic.semigroup import _triangulate, permute_ideal
 from conftest import K4_EDGES, k4_plus, multigraphs
 from oracles import (irreducible_points_up_to_degree, rank,
                      semigroup_points_up_to_degree, spans_lattice_reference)
@@ -321,22 +322,58 @@ def test_hs_oracle_unstable_horizon_raises():
                         "(4-th differences not stable): size 6 exceeds cap 4")
 
 
-# -- opposite chambers ------------------------------------------------------
+# -- chamber classes -------------------------------------------------------
+
+
+def _supports(s):
+    edges = [e for e in s.graph.edges if e not in s.cone.label.support]
+    return edges, [gamma.support for gamma in s.circuits]
+
+
+def _generator_permutation(s, t, bijection):
+    index = {supp: k for k, supp in enumerate(_supports(t)[1])}
+    return [index[frozenset(map(bijection.get, supp))]
+            for supp in _supports(s)[1]]
+
+
+@given(g=multigraphs())
+def test_matched_chambers_share_hs_volume_and_ideal(g):
+    # The premise of computing these once per class of chambers: when an
+    # edge bijection carries one chamber's directed circuit supports onto
+    # another's, both generator sets span their lattices, and the second
+    # chamber's HS function, volume and (transported) ideal are the first's.
+    semigroups = [hilbert_basis(g, cone.label)
+                  for cone in build_fan(g).chambers()]
+    direct = [(spans_lattice(s),
+               hilbert_samuel_function(s, s.lattice_rank + 2),
+               subdiagram_volume(s),
+               toric_ideal_up_to_degree(s, 3))
+              for s in semigroups]
+    for i, s in enumerate(semigroups):
+        for j, t in enumerate(semigroups):
+            bijection = hypergraph_bijection(*_supports(s), *_supports(t))
+            if bijection is None:
+                continue
+            assert direct[i][0] and direct[j][0]
+            assert direct[i][1:3] == direct[j][1:3]
+            perm = _generator_permutation(s, t, bijection)
+            assert permute_ideal(direct[j][3], perm) == direct[i][3]
 
 
 @given(g=multigraphs())
 def test_opposite_chambers_share_hs_volume_and_ideal(g):
-    # The premise of computing these once per pair of opposite chambers:
-    # the reversal of a chamber is a chamber, its generators are the
-    # negated generators in the same order, and the three invariants agree.
-    chambers = {cone.label for cone in build_fan(g).chambers()}
-    for pair in chambers:
-        opposite = TotCycPair(pair.support, pair.phi.reversed())
-        assert opposite in chambers
-        s, t = hilbert_basis(g, pair), hilbert_basis(g, opposite)
+    # The reversal of a chamber is a chamber, its generators are the
+    # negated generators in the same order, it shares the chamber's class,
+    # and the three invariants agree without any transport.
+    labels = [cone.label for cone in build_fan(g).chambers()]
+    semigroups = [hilbert_basis(g, pair) for pair in labels]
+    classes = chamber_classes(semigroups)
+    for i, (pair, s) in enumerate(zip(labels, semigroups)):
+        j = labels.index(TotCycPair(pair.support, pair.phi.reversed()))
+        t = semigroups[j]
         assert [t.coordinates(c) for c in t.hilbert_basis] == \
             [tuple(-x for x in s.coordinates(c)) for c in s.hilbert_basis]
-        assert opposite_class(s) == opposite_class(t)
+        assert classes[i][0] == classes[j][0]
         horizon = s.lattice_rank + 2
         assert hilbert_samuel_function(s, horizon) == \
             hilbert_samuel_function(t, horizon)
@@ -347,14 +384,29 @@ def test_opposite_chambers_share_hs_volume_and_ideal(g):
 NON_CATALOG = {"K4": from_edge_list(K4_EDGES), "K4p2": k4_plus(2),
                "banana6": from_edge_list([(f"e{i}", "v1", "v2")
                                           for i in range(6)])}
+# Classes of chambers per graph; each catalog graph not named has one.
+CLASS_COUNTS = {"THETA2": 4, "FIG-NG": 2, "FIG-NH": 4, "K4": 1, "K4p2": 18,
+                "banana6": 3}
 
 
 @pytest.mark.parametrize("name", catalog_names() + list(NON_CATALOG))
 def test_opposite_class_pairs_every_chamber(name, fan_of):
-    # Each key names one chamber and its reversal, except for a chamber of
-    # dimension 0, which is its own reversal.
+    # A chamber and its reversal have the same circuit supports, so they
+    # share a class.  Each generator permutation is a permutation and
+    # carries the chamber's supports onto the representative's.
     fan = build_fan(NON_CATALOG[name]) if name in NON_CATALOG else fan_of(name)
-    sizes = Counter(opposite_class(hilbert_basis(fan.graph, cone.label))
-                    for cone in fan.chambers())
-    for (rank, _), size in sizes.items():
-        assert size == (1 if rank == 0 else 2)
+    labels = [cone.label for cone in fan.chambers()]
+    semigroups = [hilbert_basis(fan.graph, pair) for pair in labels]
+    classes = chamber_classes(semigroups)
+    for i, (rep, perm) in enumerate(classes):
+        assert classes[rep] == (rep, tuple(range(len(perm))))
+        assert sorted(perm) == list(range(len(perm)))
+        reverse = labels.index(TotCycPair(labels[i].support,
+                                          labels[i].phi.reversed()))
+        assert classes[reverse][0] == rep
+        bijection = hypergraph_bijection(*_supports(semigroups[i]),
+                                         *_supports(semigroups[rep]))
+        assert bijection is not None
+        assert _generator_permutation(semigroups[i], semigroups[rep],
+                                      bijection) == list(perm)
+    assert len({rep for rep, _ in classes}) == CLASS_COUNTS.get(name, 1)
