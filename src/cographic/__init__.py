@@ -23,8 +23,7 @@ from .orientations import (Orientation, TotCycPair, OrientationPoset,
                            build_orientation_poset)
 from .circuits import (OrientedCircuit, enumerate_oriented_circuits,
                        circuit_class, concordant, compatible_circuits,
-                       decompose_cycle, support_orientation_of,
-                       hypergraph_bijection)
+                       decompose_cycle, hypergraph_bijection)
 from .fan import (Cone, Fan, build_fan, cone_contains, common_cone, cone_of,
                   cone_dimension, voronoi_face_dim, extremal_rays, facets,
                   FinitePoset, poset_isomorphic,
@@ -54,7 +53,7 @@ __all__ = [
     "enumerate_tco", "build_orientation_poset",
     "OrientedCircuit", "enumerate_oriented_circuits", "circuit_class",
     "concordant", "compatible_circuits", "decompose_cycle",
-    "support_orientation_of", "hypergraph_bijection",
+    "hypergraph_bijection",
     "Cone", "Fan", "build_fan", "cone_contains", "common_cone", "cone_of",
     "cone_dimension", "voronoi_face_dim", "extremal_rays", "facets",
     "FinitePoset", "poset_isomorphic", "find_poset_isomorphism",

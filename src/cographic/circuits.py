@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from .chains import Chain1, canonical_form, is_cycle
 from .errors import CapacityError
 from .graph import FORWARD, BACKWARD
-from .orientations import MAX_ORIENTATION_EDGES, Orientation, TotCycPair
+from .orientations import MAX_ORIENTATION_EDGES, Orientation
 
 
 @dataclass(frozen=True)
@@ -292,22 +292,3 @@ def hypergraph_bijection(edges_a, sets_a, edges_b, sets_b):
 
     return mapping if extend(0) else None
 
-
-def support_orientation_of(g, circuits):
-    """The pair (T, phi) generated by pairwise-concordant circuits.
-
-    T is the set of edges on no circuit; phi orients each covered edge the
-    shared way.  Discordant input is rejected.  The result is a valid
-    poset element and every input circuit is compatible with it.
-    """
-    circuits = list(circuits)
-    for i, gamma in enumerate(circuits):
-        for delta in circuits[i + 1:]:
-            if not concordant(gamma, delta):
-                raise ValueError("circuits are not pairwise concordant")
-    dirs = {}
-    for gamma in circuits:
-        for e in gamma.support:
-            dirs[e] = gamma.orientation.direction(e)
-    t = frozenset(g.edges) - frozenset(dirs)
-    return TotCycPair.create(g, t, Orientation(dirs))

@@ -62,9 +62,8 @@ def cmd_analyze(args):
     presentation = present_ring(fan, degree=args.degree)
     report = ring_report(presentation)
     semigroups = [s for _, s, _ in presentation.per_chamber_binomials]
-    hs = per_chamber_class(
-        lambda s: multiplicity_hs_oracle(s, args.hs_horizon), semigroups,
-        presentation.chamber_classes)
+    hs = per_chamber_class(multiplicity_hs_oracle, semigroups,
+                           presentation.chamber_classes)
     chambers = [semigroup_report(s, ideal, volume, m)
                 for (_, s, ideal), volume, m in
                 zip(presentation.per_chamber_binomials,
@@ -167,8 +166,6 @@ def build_parser():
         description="Combinatorics of the cographic fan and its toric face ring.")
     parser.add_argument("--degree", type=int, default=3,
                         help="degree bound for binomial ideals (default 3)")
-    parser.add_argument("--hs-horizon", type=int, default=None,
-                        help="Hilbert-Samuel horizon (default: dimension + 6)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     for name, fn, help_text in [

@@ -69,7 +69,8 @@ def cone_of(g, c):
 
 def cone_dimension(cone):
     """Dimension of the cone's span, i.e. the Betti number off the support."""
-    return betti1(delete_edges(cone.graph, cone.label.support))
+    g, t = cone.graph, cone.label.support
+    return _betti1_of_edges(g, [e for e in g.edges if e not in t])
 
 
 def voronoi_face_dim(cone):
@@ -184,15 +185,21 @@ class Fan:
         return len(self.cones)
 
     def to_json(self):
+        """``cone_dimension``, ``voronoi_face_dim``, ``extremal_rays`` and
+        ``facets`` of each cone, from one cycle basis and circuit list."""
         g = self.graph
+        total = betti1(g)
         report = []
         for cone in self.cones:
-            facet_list = facets(cone)
+            label = cone.label
+            basis = fundamental_cycle_basis(delete_edges(g, label.support))
+            circuits = compatible_circuits(g, label)
+            facet_list = _facets(g, label, basis, circuits)
             report.append({
-                "label": cone.label.to_json(g),
-                "dimension": cone_dimension(cone),
-                "voronoi_face_dim": voronoi_face_dim(cone),
-                "rays": [c.to_json() for c in extremal_rays(cone)],
+                "label": label.to_json(g),
+                "dimension": len(basis),
+                "voronoi_face_dim": total - len(basis),
+                "rays": [circuit_class(c).to_json() for c in circuits],
                 "facets": [sub.label.to_json(g) for sub, _ in facet_list],
                 "facet_normals": [list(n) for _, n in facet_list],
             })
@@ -233,15 +240,13 @@ class FinitePoset:
         return len(self.elements)
 
     def covers(self):
-        """covers_up[i] = elements immediately above i."""
-        n = len(self.elements)
-        covers_up = [set() for _ in range(n)]
-        for i in range(n):
-            above = self.up[i] - {i}
-            for j in above:
-                if not any(k in above and j in self.up[k] and k != j
-                           for k in above):
-                    covers_up[i].add(j)
+        """covers_up[i] = elements immediately above i: those above i and
+        above nothing else above i."""
+        up = self.up
+        covers_up = []
+        for i, ups in enumerate(up):
+            above = ups - {i}
+            covers_up.append(above - set().union(*(up[k] - {k} for k in above)))
         return covers_up
 
 

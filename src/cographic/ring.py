@@ -27,14 +27,14 @@ banana6 have 352 chambers in 32 classes.
 from dataclasses import dataclass
 
 from .chains import is_cycle
-from .circuits import (circuit_class, compatible_circuits, concordant,
-                       enumerate_oriented_circuits)
-from .fan import Cone, common_cone, cone_contains, face_label, FinitePoset
+from .circuits import concordant, enumerate_oriented_circuits
+from .fan import (Cone, common_cone, cone_contains, extremal_rays,
+                  face_label, FinitePoset)
 from .graph import betti1
 from .orientations import Orientation
 from .semigroup import (chamber_classes, hilbert_basis, per_chamber_class,
                         permute_ideal, subdiagram_volume,
-                        toric_ideal_up_to_degree, BinomialIdeal)
+                        toric_ideal_up_to_degree)
 
 DEFAULT_DEGREE_BOUND = 3
 
@@ -121,8 +121,7 @@ def present_ring(fan, degree=DEFAULT_DEGREE_BOUND):
     semigroups = [hilbert_basis(g, pair) for pair in labels]
     classes = chamber_classes(semigroups)
     ideals = per_chamber_class(
-        lambda s: (toric_ideal_up_to_degree(s, degree) if s.hilbert_basis
-                   else BinomialIdeal([], degree)),
+        lambda s: toric_ideal_up_to_degree(s, degree),
         semigroups, classes, transport=permute_ideal)
     return RingPresentation(g, circuits, quadrics,
                             list(zip(labels, semigroups, ideals)), degree,
@@ -208,12 +207,9 @@ class StrataPoset:
         return GradedPrime(self.graph, pair)
 
     def rays(self, pair):
-        cached = self._rays.get(pair)
-        if cached is None:
-            cached = [circuit_class(gamma)
-                      for gamma in compatible_circuits(self.graph, pair)]
-            self._rays[pair] = cached
-        return cached
+        if pair not in self._rays:
+            self._rays[pair] = extremal_rays(Cone(self.graph, pair))
+        return self._rays[pair]
 
     def leq(self, p, q):
         """Stratum order: prime(p) >= prime(q) as ideals.

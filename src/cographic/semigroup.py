@@ -62,6 +62,10 @@ from .fan import Cone, _facets
 from .graph import FORWARD, delete_edges
 from .linalg import det_int, hyperplane_through
 
+# The Hilbert-Samuel horizon of a cone of dimension d is d plus this; it
+# suffices on every chamber of the catalog, K4 to K4p3, banana6 and banana7.
+HS_HORIZON_MARGIN = 6
+
 
 @dataclass
 class AffineSemigroup:
@@ -467,18 +471,17 @@ def hilbert_samuel_function(s, horizon):
             for n in range(1, horizon + 1)]
 
 
-def multiplicity_hs_oracle(s, horizon=None):
+def multiplicity_hs_oracle(s):
     """Multiplicity read off the Hilbert-Samuel function.
 
     Takes the d-th finite difference of n -> dim R/m^n and requires it to
-    have stabilized by the end of the horizon (default: dimension + 6);
-    raises a capacity error otherwise, whose size is the horizon needed
-    next: d + 2 when there are fewer than two differences, else one more.
+    have stabilized by the horizon d + HS_HORIZON_MARGIN; raises a
+    capacity error otherwise, whose size is the horizon needed next: d + 2
+    when there are fewer than two differences, else one more.
     Independent of the convex-hull route by construction.
     """
     d = s.lattice_rank
-    if horizon is None:
-        horizon = d + 6
+    horizon = d + HS_HORIZON_MARGIN
     values = hilbert_samuel_function(s, horizon)
     diffs = values
     for _ in range(d):

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import gcd
 
 from cographic import (Chain1, Orientation, OrientedCircuit, TotCycPair,
-                       cone_contains, delete_edges, facets,
+                       concordant, cone_contains, delete_edges, facets,
                        fundamental_cycle_basis, is_cycle)
 from cographic.circuits import _circuit_supports
 from cographic.graph import FORWARD
@@ -296,6 +296,20 @@ def maximal_elements_reference(poset):
             if not any(q is not p and poset.leq(p, q) for q in poset.elements)]
 
 
+def covers_reference(poset):
+    """``FinitePoset.covers`` by testing every element between each
+    comparable pair: about cubic in the size."""
+    n = len(poset)
+    covers_up = [set() for _ in range(n)]
+    for i in range(n):
+        above = poset.up[i] - {i}
+        for j in above:
+            if not any(k in above and j in poset.up[k] and k != j
+                       for k in above):
+                covers_up[i].add(j)
+    return covers_up
+
+
 def enumerate_oriented_circuits_reference(g):
     """Both orientations of every walked circuit, then sorted."""
     circuits = []
@@ -319,6 +333,27 @@ def compatible_circuits_reference(g, pair):
             out.append(OrientedCircuit(frozenset(edges), restricted))
     out.sort(key=lambda c: c.sort_key(g))
     return out
+
+
+def support_orientation_of(g, circuits):
+    """The pair (T, phi) generated by pairwise-concordant circuits: the
+    slow twin of ``fan.face_label``.
+
+    T is the set of edges on no circuit; phi orients each covered edge the
+    shared way.  Discordant input is rejected.  The result is a valid
+    poset element and every input circuit is compatible with it.
+    """
+    circuits = list(circuits)
+    for i, gamma in enumerate(circuits):
+        for delta in circuits[i + 1:]:
+            if not concordant(gamma, delta):
+                raise ValueError("circuits are not pairwise concordant")
+    dirs = {}
+    for gamma in circuits:
+        for e in gamma.support:
+            dirs[e] = gamma.orientation.direction(e)
+    t = frozenset(g.edges) - frozenset(dirs)
+    return TotCycPair.create(g, t, Orientation(dirs))
 
 
 def covered_by_compatible_circuits(g, phi):

@@ -10,12 +10,12 @@ from cographic import (Chain1, OrientedCircuit, Orientation, TotCycPair,
                        enumerate_oriented_circuits,
                        enumerate_tco, from_edge_list,
                        fundamental_cycle_basis, hypergraph_bijection,
-                       is_cycle, is_totally_cyclic, separating_edges,
-                       support_orientation_of)
+                       is_cycle, is_totally_cyclic, separating_edges)
 from cographic.graph import FORWARD, BACKWARD
 from cographic.torelli import circuit_supports
 from conftest import multigraphs
-from oracles import covered_by_compatible_circuits, smith_invariant_factors
+from oracles import (covered_by_compatible_circuits, smith_invariant_factors,
+                     support_orientation_of)
 
 B2 = from_edge_list([("a", 1, 2), ("b", 1, 2)])
 

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import cographic
+from cographic import semigroup
 from cographic.cli import main
 from cographic.catalog import CATALOG
 from cographic.graph import graph_to_text
@@ -150,6 +151,16 @@ def test_verify_invariant_ring_doubled_k4_file(tmp_path, capsys):
     assert json.loads(out) == {"isomorphic_up_to_degree": 4, "passed": True}
 
 
+def test_fan_k4_plus_two_file(tmp_path, capsys):
+    # The hash predates the one-pass ``Fan.to_json``.
+    path = tmp_path / "k4p2.graph"
+    path.write_text(graph_to_text(k4_plus(2)))
+    code, out, _ = run_cli(capsys, "fan", str(path))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "dff15b496f90aca343584457766b0ea292ea17bd56c5efcc7eb2ee977b726be3"
+
+
 def test_ring_k4_plus_three_file(tmp_path, capsys):
     # Its 340 chambers fall into 13 classes; the hash predates the sharing
     # of ideals and volumes across a class.
@@ -208,11 +219,34 @@ def test_capacity_error_on_graph_file(tmp_path, capsys, m, argv, message):
     assert err == f"capacity error: {message}\n"
 
 
-def test_global_options_are_degree_and_horizon():
+def test_global_option_is_degree():
     from cographic.cli import build_parser
     options = [a.option_strings for a in build_parser()._actions
                if a.option_strings]
-    assert options == [["-h", "--help"], ["--degree"], ["--hs-horizon"]]
+    assert options == [["-h", "--help"], ["--degree"]]
+
+
+def test_hs_horizon_is_not_an_option(capsys):
+    # argparse reads "3" as the command and rejects it as a usage error
+    code, out, err = run_cli(capsys, "--hs-horizon", "3", "analyze", "THETA2")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage: cographic")
+
+
+@pytest.mark.parametrize("command", ["ring", "analyze"])
+@pytest.mark.parametrize("name", ["TREE3", "LOOP1"])
+def test_degree_below_one_is_a_usage_error(capsys, command, name):
+    # TREE3's one chamber has an empty Hilbert basis; the check must not
+    # depend on the basis.
+    for degree in ("0", "-1"):
+        code, out, err = run_cli(capsys, "--degree", degree, command, name)
+        assert code == 1
+        assert out == ""
+        assert err == "error: degree bound must be at least 1\n"
+    code, out, _ = run_cli(capsys, "--degree", "1", command, name)
+    assert code == 0
+    assert json.loads(out)["presentation"]["degree_bound"] == 1
 
 
 def test_package_exports_names_not_modules():
@@ -248,14 +282,13 @@ COUNTED = ("build_fan", "enumerate_oriented_circuits", "hilbert_basis",
            "hilbert_samuel_function", "cycles_up_to_mass")
 
 
-@pytest.fixture
-def calls(monkeypatch):
-    """Call counts of the COUNTED functions, wrapped in every ``cographic``
-    module that binds them."""
-    counts = dict.fromkeys(COUNTED, 0)
+def count_calls(monkeypatch, names):
+    """Call counts of the named package functions, wrapped in every
+    ``cographic`` module that binds them."""
+    counts = dict.fromkeys(names, 0)
     modules = [m for name, m in sorted(sys.modules.items())
                if name == "cographic" or name.startswith("cographic.")]
-    for name in COUNTED:
+    for name in names:
         original = getattr(cographic, name)
 
         def wrapper(*args, _name=name, _fn=original, **kwargs):
@@ -266,6 +299,11 @@ def calls(monkeypatch):
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, wrapper)
     return counts
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    return count_calls(monkeypatch, COUNTED)
 
 
 # Classes of chambers (``semigroup.chamber_classes``) of each graph below.
@@ -293,14 +331,26 @@ def test_each_object_is_built_once(command, name, calls, capsys):
     }
 
 
-def test_short_hs_horizon_names_the_horizon_needed(capsys):
-    # THETA2's chambers have dimension 4: horizon 3 leaves fewer than two
-    # 4-th differences, so the error asks for d + 2 = 6.
-    code, out, err = run_cli(capsys, "--hs-horizon", "3", "analyze", "THETA2")
+def test_short_hs_horizon_names_the_horizon_needed(capsys, monkeypatch):
+    # THETA2's chambers have dimension 4: horizon 4 - 1 = 3 leaves fewer
+    # than two 4-th differences, so the error asks for d + 2 = 6.
+    monkeypatch.setattr(semigroup, "HS_HORIZON_MARGIN", -1)
+    code, out, err = run_cli(capsys, "analyze", "THETA2")
     assert code == 3
     assert out == ""
     assert err == ("capacity error: Hilbert-Samuel horizon at dimension 4 "
                    "(4-th differences not stable): size 6 exceeds cap 3\n")
+
+
+def test_fan_derives_each_cone_once(monkeypatch, capsys):
+    counts = count_calls(monkeypatch, ["compatible_circuits",
+                                       "fundamental_cycle_basis"])
+    code, out, _ = run_cli(capsys, "fan", "THETA2")
+    assert code == 0
+    cones = json.loads(out)["num_cones"]
+    assert cones == 261
+    assert counts == {"compatible_circuits": cones,
+                      "fundamental_cycle_basis": cones}
 
 
 def test_compare_connectivizes_each_graph_once(calls, capsys):

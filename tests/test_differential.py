@@ -14,33 +14,39 @@ Smith normal form and a rational Gauss-Jordan solve.  Bounded-mass
 cycles are enumerated on the L1 ball of their basis coordinates; the
 reference searches the coordinate box.  The HS function, volume and
 toric ideal are computed once per class of chambers; the reference is
-every chamber on its own.  Outputs must agree exactly.
+every chamber on its own.  ``Fan.to_json`` derives each cone's entry
+from one cycle basis and one circuit list; the references are the
+public per-cone functions, and the cone dimension's is the Betti number
+of the graph with the support deleted.  A finite poset's covers are one
+set difference per element; the reference tests every element between
+each comparable pair.  Outputs must agree exactly.
 """
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from cographic import (TotCycPair, build_fan, build_orientation_poset,
+from cographic import (FinitePoset, TotCycPair, betti1, build_fan,
+                       build_orientation_poset,
                        catalog_names, compatible_circuits, cone_contains,
-                       chamber_classes, cycles_up_to_mass,
-                       enumerate_oriented_circuits,
-                       from_edge_list,
+                       cone_dimension, chamber_classes, cycles_up_to_mass,
+                       delete_edges, enumerate_oriented_circuits,
+                       extremal_rays, facets, from_edge_list,
                        hilbert_basis, hilbert_samuel_function, is_unimodular,
                        multiplicity_hs_oracle, q_gorenstein, spans_lattice,
-                       subdiagram_volume, support_orientation_of,
-                       toric_ideal_up_to_degree)
+                       subdiagram_volume, toric_ideal_up_to_degree,
+                       voronoi_face_dim)
 from cographic.fan import face_label
 from cographic.semigroup import per_chamber_class, permute_ideal
 from cographic.linalg import hyperplane_through
 from conftest import multigraphs
-from oracles import (compatible_circuits_reference,
+from oracles import (compatible_circuits_reference, covers_reference,
                      cycles_up_to_mass_reference,
                      enumerate_oriented_circuits_reference,
                      hilbert_samuel_function_reference,
                      hyperplane_through_reference, is_unimodular_reference,
                      maximal_elements_reference, q_gorenstein_reference,
-                     spans_lattice_reference)
+                     spans_lattice_reference, support_orientation_of)
 
 K4 = [("e1", "v1", "v2"), ("e2", "v1", "v3"), ("e3", "v1", "v4"),
       ("e4", "v2", "v3"), ("e5", "v2", "v4"), ("e6", "v3", "v4")]
@@ -229,3 +235,46 @@ def test_per_chamber_class_matches_every_chamber(name, fan_of):
             [fn(s) for s in semigroups]
     assert per_chamber_class(ideal, semigroups, classes, permute_ideal) == \
         [ideal(s) for s in semigroups]
+
+
+def _assert_fan_json_matches_cone_functions(fan):
+    g = fan.graph
+    report = fan.to_json()
+    assert len(report) == len(fan)
+    for cone, entry in zip(fan.cones, report):
+        facet_list = facets(cone)
+        assert cone_dimension(cone) == \
+            betti1(delete_edges(g, cone.label.support))
+        assert entry == {
+            "label": cone.label.to_json(g),
+            "dimension": cone_dimension(cone),
+            "voronoi_face_dim": voronoi_face_dim(cone),
+            "rays": [c.to_json() for c in extremal_rays(cone)],
+            "facets": [sub.label.to_json(g) for sub, _ in facet_list],
+            "facet_normals": [list(n) for _, n in facet_list],
+        }
+
+
+@pytest.mark.parametrize("name", catalog_names() + ["K4p2", "banana6"])
+def test_fan_json_matches_cone_functions(name, fan_of):
+    _assert_fan_json_matches_cone_functions(_fan(name, fan_of))
+
+
+@given(g=multigraphs())
+def test_fan_json_matches_cone_functions_on_random_multigraphs(g):
+    _assert_fan_json_matches_cone_functions(build_fan(g))
+
+
+def _assert_covers_match_reference(poset):
+    finite = FinitePoset(list(poset), poset.leq)
+    assert finite.covers() == covers_reference(finite)
+
+
+@pytest.mark.parametrize("name", catalog_names() + ["K4"])
+def test_covers_match_reference(name, fan_of):
+    _assert_covers_match_reference(_fan(name, fan_of).poset)
+
+
+@given(g=multigraphs())
+def test_covers_match_reference_on_random_multigraphs(g):
+    _assert_covers_match_reference(build_orientation_poset(g))

@@ -13,6 +13,7 @@ from cographic import (CapacityError, Chain1, Cone, Orientation, TotCycPair,
                        voronoi_face_dim, FinitePoset)
 from cographic.orientations import OrientationPoset
 from cographic.graph import FORWARD, BACKWARD
+from oracles import support_orientation_of
 
 
 def b3_chamber_cone():
@@ -53,7 +54,6 @@ def test_cone_contains_rejects_non_cycles():
 
 
 def test_class_lies_in_its_own_support_cone(graphs):
-    from cographic import support_orientation_of
     for name in ("B3", "FIG-NG", "LOOP1"):
         g = graphs[name]
         for gamma in enumerate_oriented_circuits(g):

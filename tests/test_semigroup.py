@@ -310,11 +310,12 @@ def test_multiplicity_two_routes_agree_on_sample_chambers(fan_of):
             assert subdiagram_volume(s) == multiplicity_hs_oracle(s)
 
 
-def test_hs_oracle_unstable_horizon_raises():
-    from cographic import CapacityError
+def test_hs_oracle_unstable_horizon_raises(monkeypatch):
+    from cographic import CapacityError, semigroup
     g, s = chamber("THETA2")
+    monkeypatch.setattr(semigroup, "HS_HORIZON_MARGIN", 0)
     with pytest.raises(CapacityError) as info:
-        multiplicity_hs_oracle(s, horizon=4)  # not enough differences at d=4
+        multiplicity_hs_oracle(s)  # horizon 4: not enough differences at d=4
     exc = info.value
     assert exc.size > exc.cap
     assert (exc.size, exc.cap) == (6, 4)
