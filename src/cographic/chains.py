@@ -10,7 +10,7 @@ integer scalar product in reference-orientation coordinates, hence
 positive definite.
 """
 
-from .graph import FORWARD, BACKWARD
+from .graph import FORWARD, BACKWARD, spanning_forest
 
 
 class Chain1:
@@ -154,27 +154,12 @@ def fundamental_cycle_basis(g):
     A loop never enters the forest; its fundamental cycle is the loop
     itself with coefficient +1.
     """
-    parent = {v: v for v in g.vertices}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    forest = []
-    coforest = []
+    forest, coforest, _ = spanning_forest(g, g.edges)
     adj = {v: [] for v in g.vertices}  # forest adjacency: vertex -> (vertex, edge, dir)
-    for e in g.edges:
+    for e in forest:
         s, t = g.ends(e)
-        rs, rt = find(s), find(t)
-        if rs != rt:
-            parent[rs] = rt
-            forest.append(e)
-            adj[s].append((t, e, FORWARD))
-            adj[t].append((s, e, BACKWARD))
-        else:
-            coforest.append(e)
+        adj[s].append((t, e, FORWARD))
+        adj[t].append((s, e, BACKWARD))
 
     def forest_path(a, b):
         """Oriented forest edges from a to b (BFS, unique path)."""

@@ -32,8 +32,12 @@ EXIT_CAPACITY = 3
 def _load_graph(arg):
     """A path to a graph file, or the name of a bundled example."""
     if os.path.exists(arg):
-        with open(arg) as fh:
-            return parse_graph_text(fh.read())
+        try:
+            with open(arg) as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise GraphParseError(f"cannot read {arg}: {exc}") from exc
+        return parse_graph_text(text)
     if arg in catalog.CATALOG:
         return catalog.catalog_graph(arg)
     raise GraphParseError(f"no such file or bundled example: {arg}")

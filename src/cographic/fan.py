@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from .chains import canonical_form, fundamental_cycle_basis, is_cycle
 from .circuits import circuit_class, compatible_circuits
 from .errors import CapacityError
-from .graph import FORWARD, delete_edges, betti1
+from .graph import FORWARD, betti1, delete_edges, spanning_forest
 from .linalg import primitive_vector
 from .orientations import (Orientation, OrientationPoset, TotCycPair,
                            build_orientation_poset)
@@ -70,7 +70,7 @@ def cone_of(g, c):
 def cone_dimension(cone):
     """Dimension of the cone's span, i.e. the Betti number off the support."""
     g, t = cone.graph, cone.label.support
-    return _betti1_of_edges(g, [e for e in g.edges if e not in t])
+    return len(spanning_forest(g, [e for e in g.edges if e not in t])[1])
 
 
 def voronoi_face_dim(cone):
@@ -132,31 +132,12 @@ def _facets(g, pair, basis, circuits):
             if e not in gamma.support:
                 covered |= gamma.support
         label = TotCycPair(frozenset(g.edges) - covered, phi.restrict(covered))
-        if label in out or _betti1_of_edges(g, covered) != d - 1:
+        if label in out or len(spanning_forest(g, covered)[1]) != d - 1:
             continue
         out[label] = (Cone(g, label),
                       _edge_functional(basis, e, phi.direction(e)))
     return [out[label] for label in
             sorted(out, key=lambda p: p.sort_key(g))]
-
-
-def _betti1_of_edges(g, edges):
-    """First Betti number of the spanning subgraph on ``edges``: one per
-    edge, less one per edge that joins two components (union-find)."""
-    parent = {}
-
-    def root(v):
-        while v in parent:
-            v = parent[v]
-        return v
-
-    merges = 0
-    for e in edges:
-        s, t = map(root, g.ends(e))
-        if s != t:
-            parent[s] = t
-            merges += 1
-    return len(edges) - merges
 
 
 def _edge_functional(basis, e, direction):

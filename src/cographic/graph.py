@@ -12,6 +12,13 @@ re-parsing serialized output, which is what makes every downstream
 enumeration deterministic.
 
 Graphs are immutable after construction; all operations return new graphs.
+
+Every undirected connectivity question is read off one greedy spanning
+forest (``spanning_forest``, one union-find pass over the edges): the
+first Betti number is the size of the coforest and the components are
+the classes of its roots.  ``separating_edges`` costs one union-find per
+forest edge, at most |V| - 1 of them; ``torelli.two_edge_cuts`` costs one
+per candidate pair of non-bridge edges.
 """
 
 from .errors import GraphParseError
@@ -152,71 +159,62 @@ def contract_edge(g, e):
     return Graph([v for v in g.vertices if v != drop], kept, ends)
 
 
-def connected_components(g):
-    """Partition of the vertex set into components (list of frozensets)."""
-    parent = {v: v for v in g.vertices}
+def spanning_forest(g, edges):
+    """Greedy spanning forest of the spanning subgraph on ``edges``.
+
+    Edges are taken in the order given, so canonical order yields the
+    lowest-edge-index forest.  Returns ``(forest, coforest, root)``: the
+    edges that joined two components, the rest (loops included), and a
+    function from each vertex of g to a representative of its component.
+    """
+    parent = {}
 
     def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
+        while v in parent:
             v = parent[v]
         return v
 
-    for e in g.edges:
-        s, t = g.ends(e)
-        rs, rt = find(s), find(t)
-        if rs != rt:
-            parent[rs] = rt
+    forest = []
+    coforest = []
+    for e in edges:
+        s, t = map(find, g.ends(e))
+        if s != t:
+            parent[s] = t
+            forest.append(e)
+        else:
+            coforest.append(e)
+    return forest, coforest, find
+
+
+def connected_components(g):
+    """Partition of the vertex set into components (list of frozensets)."""
+    root = spanning_forest(g, g.edges)[2]
     groups = {}
     for v in g.vertices:
-        groups.setdefault(find(v), []).append(v)
+        groups.setdefault(root(v), []).append(v)
     return [frozenset(vs) for vs in groups.values()]
 
 
 def separating_edges(g):
     """All bridges of g, in canonical order.
 
-    Loops and members of parallel pairs are never bridges; the test is the
-    multigraph one (does removal disconnect the endpoints).
+    Only forest edges can separate, since a coforest edge closes a cycle;
+    a forest edge separates when its ends fall in different components
+    without it.  Loops and members of parallel pairs are never bridges.
     """
     bridges = []
-    for e in g.edges:
-        if g.is_loop(e):
-            continue
+    for e in spanning_forest(g, g.edges)[0]:
+        root = spanning_forest(g, [f for f in g.edges if f != e])[2]
         s, t = g.ends(e)
-        if any(g.ends(f) in ((s, t), (t, s)) for f in g.edges if f != e):
-            continue  # parallel copy keeps the endpoints joined
-        if not _connected_without(g, e):
+        if root(s) != root(t):
             bridges.append(e)
     return tuple(bridges)
 
 
-def _connected_without(g, e):
-    """Are the endpoints of e still joined after deleting e?"""
-    s, t = g.ends(e)
-    adj = {}
-    for f in g.edges:
-        if f == e:
-            continue
-        a, b = g.ends(f)
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
-    stack = [s]
-    seen = {s}
-    while stack:
-        v = stack.pop()
-        if v == t:
-            return True
-        for w in adj.get(v, ()):
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return False
-
-
 def betti1(g):
-    """First Betti number: |E| - |V| + number of components."""
-    return len(g.edges) - len(g.vertices) + len(connected_components(g))
+    """First Betti number: |E| - |V| + number of components, which is the
+    size of the coforest."""
+    return len(spanning_forest(g, g.edges)[1])
 
 
 # -- text format --------------------------------------------------------

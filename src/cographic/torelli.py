@@ -12,20 +12,26 @@ import itertools
 
 from .circuits import _circuit_supports, hypergraph_bijection
 from .errors import CapacityError
-from .graph import (connected_components, contract_edge, delete_edges,
-                    separating_edges)
+from .graph import betti1, contract_edge, separating_edges, spanning_forest
 from .orientations import MAX_POSET_EDGES
 
 
 def two_edge_cuts(g):
     """Unordered pairs of individually non-separating edges whose joint
-    removal disconnects the graph.  Loops never participate."""
+    removal disconnects the graph, in lexicographic edge-index order.
+    Loops never participate.
+
+    Deleting a non-bridge lowers the first Betti number by one, and
+    deleting a second one lowers it by one more unless the pair
+    separates; so a pair is a cut exactly when the two deletions lower it
+    by one in all."""
     bridges = set(separating_edges(g))
     candidates = [e for e in g.edges if not g.is_loop(e) and e not in bridges]
-    base = len(connected_components(g))
+    base = betti1(g)
     cuts = []
     for e, f in itertools.combinations(candidates, 2):
-        if len(connected_components(delete_edges(g, (e, f)))) > base:
+        rest = [h for h in g.edges if h != e and h != f]
+        if len(spanning_forest(g, rest)[1]) == base - 1:
             cuts.append((e, f))
     return cuts
 
@@ -33,25 +39,23 @@ def two_edge_cuts(g):
 def three_edge_connectivization(g):
     """Contract all bridges, then one member of each separating pair.
 
-    The lowest-id member of the lexicographically first pair goes each
-    round; pair members are never loops, so contraction is always legal.
-    The result has no bridges and no separating pairs, and the first Betti
+    Contracting a bridge keeps the other bridges and makes no new one, so
+    the bridges of g are contracted in one pass, in canonical order.  The
+    lowest-id member of the lexicographically first pair goes each round;
+    pair members are never loops, so contraction is always legal.  The
+    result has no bridges and no separating pairs, and the first Betti
     number is preserved throughout.
     """
     if len(g.edges) > MAX_POSET_EDGES:
         raise CapacityError("connectivization edge cap", len(g.edges),
                             MAX_POSET_EDGES)
-    while True:
-        bridges = separating_edges(g)
-        if not bridges:
-            break
-        g = contract_edge(g, bridges[0])
+    for e in separating_edges(g):
+        g = contract_edge(g, e)
     while True:
         cuts = two_edge_cuts(g)
         if not cuts:
             break
-        pair = min(cuts, key=lambda c: (g.edge_index(c[0]), g.edge_index(c[1])))
-        g = contract_edge(g, pair[0])
+        g = contract_edge(g, cuts[0][0])
     return g
 
 

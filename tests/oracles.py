@@ -1,7 +1,7 @@
 """Slow reference implementations that the fast paths are tested against.
 
 Each ``*_reference`` oracle keeps the straightforward formulation of a
-routine whose production version was rewritten for speed; differential
+routine whose production version was rewritten for speed or brevity; differential
 tests compare the two outputs exactly.  The rest are brute-force
 enumerations that only tests use, and the rational and Smith-form
 eliminations that the determinant-only product replaced.
@@ -13,8 +13,8 @@ from fractions import Fraction
 from math import gcd
 
 from cographic import (Chain1, Orientation, OrientedCircuit, TotCycPair,
-                       concordant, cone_contains, delete_edges, facets,
-                       fundamental_cycle_basis, is_cycle)
+                       concordant, cone_contains, contract_edge, delete_edges,
+                       facets, fundamental_cycle_basis, is_cycle)
 from cographic.circuits import _circuit_supports
 from cographic.graph import FORWARD
 from cographic.linalg import det_int, primitive_vector
@@ -308,6 +308,104 @@ def covers_reference(poset):
                        for k in above):
                 covers_up[i].add(j)
     return covers_up
+
+
+def connected_components_reference(g):
+    """Components by depth-first search from each unseen vertex, in
+    vertex order."""
+    adj = {v: [] for v in g.vertices}
+    for e in g.edges:
+        s, t = g.ends(e)
+        adj[s].append(t)
+        adj[t].append(s)
+    seen = set()
+    components = []
+    for v in g.vertices:
+        if v in seen:
+            continue
+        seen.add(v)
+        stack = [v]
+        component = []
+        while stack:
+            u = stack.pop()
+            component.append(u)
+            for w in adj[u]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        components.append(frozenset(component))
+    return components
+
+
+def separating_edges_reference(g):
+    """Bridges by a depth-first search per edge, in canonical order.
+
+    Loops and members of parallel pairs are never bridges; the test is the
+    multigraph one (does removal disconnect the endpoints).
+    """
+    bridges = []
+    for e in g.edges:
+        if g.is_loop(e):
+            continue
+        s, t = g.ends(e)
+        if any(g.ends(f) in ((s, t), (t, s)) for f in g.edges if f != e):
+            continue  # parallel copy keeps the endpoints joined
+        if not _connected_without(g, e):
+            bridges.append(e)
+    return tuple(bridges)
+
+
+def _connected_without(g, e):
+    """Are the endpoints of e still joined after deleting e?"""
+    s, t = g.ends(e)
+    adj = {}
+    for f in g.edges:
+        if f == e:
+            continue
+        a, b = g.ends(f)
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
+    stack = [s]
+    seen = {s}
+    while stack:
+        v = stack.pop()
+        if v == t:
+            return True
+        for w in adj.get(v, ()):
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return False
+
+
+def two_edge_cuts_reference(g):
+    """``two_edge_cuts`` by building the graph without each candidate pair
+    and counting its components."""
+    bridges = set(separating_edges_reference(g))
+    candidates = [e for e in g.edges if not g.is_loop(e) and e not in bridges]
+    base = len(connected_components_reference(g))
+    cuts = []
+    for e, f in itertools.combinations(candidates, 2):
+        if len(connected_components_reference(delete_edges(g, (e, f)))) > base:
+            cuts.append((e, f))
+    return cuts
+
+
+def three_edge_connectivization_reference(g):
+    """``three_edge_connectivization`` recomputing every bridge after each
+    contraction, with the reference cuts."""
+    while True:
+        bridges = separating_edges_reference(g)
+        if not bridges:
+            break
+        g = contract_edge(g, bridges[0])
+    while True:
+        cuts = two_edge_cuts_reference(g)
+        if not cuts:
+            break
+        pair = min(cuts, key=lambda c: (g.edge_index(c[0]), g.edge_index(c[1])))
+        g = contract_edge(g, pair[0])
+    return g
 
 
 def enumerate_oriented_circuits_reference(g):

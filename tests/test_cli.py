@@ -1,7 +1,9 @@
+import ast
 import hashlib
 import inspect
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -185,6 +187,19 @@ def test_missing_input_is_parse_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("make", [
+    lambda path: path.mkdir(),
+    lambda path: path.write_bytes(b"\xff\xfe"),
+], ids=["directory", "invalid-utf8"])
+def test_unreadable_graph_path_is_parse_error(tmp_path, capsys, make):
+    path = tmp_path / "input.graph"
+    make(path)
+    code, out, err = run_cli(capsys, "fan", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("parse error:")
+
+
 def test_capacity_exit_code(tmp_path, capsys):
     lines = [f"edge e{i} v1 v2" for i in range(16)]
     path = tmp_path / "big.graph"
@@ -249,9 +264,43 @@ def test_degree_below_one_is_a_usage_error(capsys, command, name):
     assert json.loads(out)["presentation"]["degree_bound"] == 1
 
 
+@pytest.mark.parametrize("command", ["ring", "analyze"])
+@pytest.mark.parametrize("degree, size", [("30", 48903491), ("8", 12869)])
+def test_toric_ideal_degree_is_capped(capsys, command, degree, size):
+    # THETA2's first chamber class has 8 Hilbert basis elements, so
+    # C(8 + degree, 8) - 1 exponent vectors; 6434 at degree 7
+    code, out, err = run_cli(capsys, "--degree", degree, command, "THETA2")
+    assert code == 3
+    assert out == ""
+    assert err == (f"capacity error: toric ideal exponent cap at degree "
+                   f"{degree}: size {size} exceeds cap 10000\n")
+    code, out, _ = run_cli(capsys, "--degree", "7", "ring", "THETA2")
+    assert code == 0
+
+
 def test_package_exports_names_not_modules():
     for name in cographic.__all__:
         assert not inspect.ismodule(getattr(cographic, name)), name
+
+
+def test_every_private_helper_has_a_caller():
+    # A module-level function named with a leading underscore that nothing
+    # in the package refers to, apart from its own definition, is dead.
+    trees = {path.name: ast.parse(path.read_text())
+             for path in Path(cographic.__file__).parent.glob("*.py")}
+    references = [(getattr(node, "id", None) or getattr(node, "attr", None)
+                   or node.name, id(node))
+                  for tree in trees.values() for node in ast.walk(tree)
+                  if isinstance(node, (ast.Name, ast.Attribute, ast.alias))]
+    for module, tree in trees.items():
+        for helper in tree.body:
+            if not (isinstance(helper, ast.FunctionDef)
+                    and helper.name.startswith("_")):
+                continue
+            inside = set(map(id, ast.walk(helper)))
+            assert any(name == helper.name and node not in inside
+                       for name, node in references), \
+                f"{module}: {helper.name} has no caller"
 
 
 def test_usage_exit_code(capsys):

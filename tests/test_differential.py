@@ -19,7 +19,11 @@ from one cycle basis and one circuit list; the references are the
 public per-cone functions, and the cone dimension's is the Betti number
 of the graph with the support deleted.  A finite poset's covers are one
 set difference per element; the reference tests every element between
-each comparable pair.  Outputs must agree exactly.
+each comparable pair.  Components, the Betti number, bridges and
+two-edge cuts are read off one spanning forest; the references search
+depth-first per question and build a graph per candidate pair, and the
+reference connectivization recomputes every bridge after each
+contraction.  Outputs must agree exactly.
 """
 
 import pytest
@@ -27,26 +31,32 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cographic import (FinitePoset, TotCycPair, betti1, build_fan,
-                       build_orientation_poset,
+                       build_orientation_poset, catalog_graph,
                        catalog_names, compatible_circuits, cone_contains,
-                       cone_dimension, chamber_classes, cycles_up_to_mass,
-                       delete_edges, enumerate_oriented_circuits,
+                       cone_dimension, chamber_classes, connected_components,
+                       cycles_up_to_mass, delete_edges,
+                       enumerate_oriented_circuits,
                        extremal_rays, facets, from_edge_list,
                        hilbert_basis, hilbert_samuel_function, is_unimodular,
-                       multiplicity_hs_oracle, q_gorenstein, spans_lattice,
-                       subdiagram_volume, toric_ideal_up_to_degree,
-                       voronoi_face_dim)
+                       multiplicity_hs_oracle, q_gorenstein, separating_edges,
+                       spans_lattice, subdiagram_volume,
+                       three_edge_connectivization, toric_ideal_up_to_degree,
+                       two_edge_cuts, voronoi_face_dim)
 from cographic.fan import face_label
 from cographic.semigroup import per_chamber_class, permute_ideal
 from cographic.linalg import hyperplane_through
-from conftest import multigraphs
-from oracles import (compatible_circuits_reference, covers_reference,
+from conftest import k4_plus, multigraphs
+from oracles import (compatible_circuits_reference,
+                     connected_components_reference, covers_reference,
                      cycles_up_to_mass_reference,
                      enumerate_oriented_circuits_reference,
                      hilbert_samuel_function_reference,
                      hyperplane_through_reference, is_unimodular_reference,
                      maximal_elements_reference, q_gorenstein_reference,
-                     spans_lattice_reference, support_orientation_of)
+                     separating_edges_reference, spans_lattice_reference,
+                     support_orientation_of,
+                     three_edge_connectivization_reference,
+                     two_edge_cuts_reference)
 
 K4 = [("e1", "v1", "v2"), ("e2", "v1", "v3"), ("e3", "v1", "v4"),
       ("e4", "v2", "v3"), ("e5", "v2", "v4"), ("e6", "v3", "v4")]
@@ -278,3 +288,31 @@ def test_covers_match_reference(name, fan_of):
 @given(g=multigraphs())
 def test_covers_match_reference_on_random_multigraphs(g):
     _assert_covers_match_reference(build_orientation_poset(g))
+
+
+CONNECTIVITY_GRAPHS = {
+    **{name: catalog_graph(name) for name in catalog_names()},
+    **{f"K4p{k}": k4_plus(k) for k in range(7)},
+    **{f"banana{m}": from_edge_list([(f"e{i}", "v1", "v2") for i in range(m)])
+       for m in (6, 7, 8)},
+}
+
+
+def _assert_connectivity_matches_references(g):
+    components = connected_components_reference(g)
+    assert connected_components(g) == components
+    assert betti1(g) == len(g.edges) - len(g.vertices) + len(components)
+    assert separating_edges(g) == separating_edges_reference(g)
+    assert two_edge_cuts(g) == two_edge_cuts_reference(g)
+    assert three_edge_connectivization(g) == \
+        three_edge_connectivization_reference(g)
+
+
+@pytest.mark.parametrize("name", CONNECTIVITY_GRAPHS)
+def test_connectivity_matches_references(name):
+    _assert_connectivity_matches_references(CONNECTIVITY_GRAPHS[name])
+
+
+@given(g=multigraphs(max_vertices=6, max_edges=9))
+def test_connectivity_matches_references_on_random_multigraphs(g):
+    _assert_connectivity_matches_references(g)
