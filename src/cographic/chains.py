@@ -20,8 +20,14 @@ class Chain1:
 
     def __init__(self, coeffs=()):
         items = coeffs.items() if isinstance(coeffs, dict) else coeffs
-        self._c = {e: int(n) for e, n in items if n != 0}
-        self._hash = hash(frozenset(self._c.items()))
+        self._c = c = {}
+        for e, n in items:
+            if n:
+                if int(n) != n:
+                    raise ValueError(
+                        f"non-integral coefficient {n!r} on edge {e!r}")
+                c[e] = int(n)
+        self._hash = hash(frozenset(c.items()))
 
     @classmethod
     def from_oriented_edges(cls, oriented_edges):

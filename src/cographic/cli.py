@@ -18,7 +18,7 @@ from .graph import betti1, parse_graph_text, separating_edges
 from .invariants import check_iso_truncated
 from .orientations import enumerate_tco
 from .circuits import enumerate_oriented_circuits
-from .ring import present_ring, ring_report
+from .ring import DEFAULT_DEGREE_BOUND, present_ring, ring_report
 from .semigroup import (multiplicity_hs_oracle, per_chamber_class,
                         semigroup_report)
 from .torelli import cyclically_equivalent, three_edge_connectivization
@@ -168,8 +168,9 @@ def build_parser():
     parser = argparse.ArgumentParser(
         prog="cographic",
         description="Combinatorics of the cographic fan and its toric face ring.")
-    parser.add_argument("--degree", type=int, default=3,
-                        help="degree bound for binomial ideals (default 3)")
+    parser.add_argument("--degree", type=int, default=DEFAULT_DEGREE_BOUND,
+                        help="degree bound for binomial ideals "
+                             f"(default {DEFAULT_DEGREE_BOUND})")
     sub = parser.add_subparsers(dest="command", required=True)
 
     for name, fn, help_text in [

@@ -75,6 +75,10 @@ class Orientation:
 
     @classmethod
     def from_json(cls, obj):
+        for e, s in obj.items():
+            if s not in ("+", "-"):
+                raise ValueError(f"edge {e!r} has direction {s!r}, "
+                                 "not '+' or '-'")
         return cls({e: (FORWARD if s == "+" else BACKWARD)
                     for e, s in obj.items()})
 

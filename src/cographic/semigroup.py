@@ -23,10 +23,10 @@ Cost model, for a cone of dimension d with n Hilbert basis elements:
 - Gorenstein test: d x d determinants over d-subsets of the facet
   normals until one is nonzero, then d more for Cramer's rule and one
   integer dot product per normal.
-- Hull volume: every d-subset of the generators is tested for a
-  supporting hyperplane, C(n, d) planes of d + 1 integer d x d
-  determinants each, and each bounded facet, with one coordinate
-  dropped, is fan-triangulated the same way one dimension down.
+- Hull volume: C(n, d) candidate planes, one per d-subset of the
+  generators, of d + 1 integer d x d determinants each.  Each bounded
+  facet that is not a simplex is projected one dimension down and cut
+  into pyramids the same way; a simplex costs one determinant.
 - Hilbert-Samuel oracle: one visit per lattice point with fewer than
   ``horizon`` parts, about multiplicity * horizon^d / d! of them.  A
   visit looks up its n parents by integer key; a parent never visited
@@ -53,7 +53,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import comb, gcd
-from operator import mul
+from operator import mul, sub
 
 from .chains import fundamental_cycle_basis
 from .circuits import (_edge_profiles, circuit_class, compatible_circuits,
@@ -92,6 +92,11 @@ class AffineSemigroup:
 
     def chain(self, coords):
         return self.cycle_basis.chain(coords)
+
+    @cached_property
+    def coords(self):
+        """Lattice coordinates of the Hilbert basis elements, in order."""
+        return [self.coordinates(c) for c in self.hilbert_basis]
 
     @cached_property
     def _sign_rows(self):
@@ -150,9 +155,8 @@ def spans_lattice(s):
     the one minor is the empty determinant, 1.  Expected to hold for
     every cone; exposed as a checkable assertion.
     """
-    rows = [s.coordinates(c) for c in s.hilbert_basis]
     index = 0
-    for minor in itertools.combinations(rows, s.lattice_rank):
+    for minor in itertools.combinations(s.coords, s.lattice_rank):
         index = gcd(index, det_int(minor))
         if index == 1:
             return True
@@ -169,7 +173,7 @@ def is_unimodular(s):
     witnesses ((columns, minor), (columns, minor)) with different absolute
     values; column indices refer to the canonical Hilbert basis order.
     """
-    rows = [s.coordinates(c) for c in s.hilbert_basis]
+    rows = s.coords
     first = None
     for cols in itertools.combinations(range(len(rows)), s.lattice_rank):
         minor = det_int([rows[j] for j in cols])
@@ -201,10 +205,12 @@ class BinomialIdeal:
 def toric_ideal_up_to_degree(s, degree):
     """All primitive disjoint-support binomials of total degree <= degree.
 
-    Exponent vectors are grouped by their weighted sum over the Hilbert
-    basis; within a group, every unordered pair with disjoint supports and
-    coprime joint entries yields one generator.  Raises ``CapacityError``
-    when there are more than ``MAX_TORIC_EXPONENTS`` exponent vectors.
+    Exponent vectors are walked as multisets of k generators for k = 1 ..
+    degree, and grouped by their image, the sum of the chosen generators'
+    coordinates; within a group, every unordered pair with disjoint
+    supports and coprime joint entries yields one generator.  Raises
+    ``CapacityError`` when there are more than ``MAX_TORIC_EXPONENTS``
+    exponent vectors.
     """
     if degree < 1:
         raise ValueError("degree bound must be at least 1")
@@ -213,43 +219,25 @@ def toric_ideal_up_to_degree(s, degree):
     if count > MAX_TORIC_EXPONENTS:
         raise CapacityError(f"toric ideal exponent cap at degree {degree}",
                             count, MAX_TORIC_EXPONENTS)
-    if n == 0:
-        return BinomialIdeal([], degree)
-    coords = [s.coordinates(c) for c in s.hilbert_basis]
-    d = s.lattice_rank
+    coords = s.coords
 
     by_image = {}
-    for u in _exponents_up_to(n, degree):
-        image = tuple(sum(ui * coords[i][k] for i, ui in enumerate(u))
-                      for k in range(d))
-        by_image.setdefault(image, []).append(u)
+    for k in range(1, degree + 1):
+        for chosen in itertools.combinations_with_replacement(range(n), k):
+            image = tuple(map(sum, zip(*(coords[i] for i in chosen))))
+            u = tuple(map(chosen.count, range(n)))
+            by_image.setdefault(image, []).append(u)
 
     generators = []
     for group in by_image.values():
         for u, v in itertools.combinations(group, 2):
             if any(ui and vi for ui, vi in zip(u, v)):
                 continue  # supports overlap
-            joint = 0
-            for x in itertools.chain(u, v):
-                joint = gcd(joint, x)
-            if joint != 1:
+            if gcd(*u, *v) != 1:
                 continue
             generators.append((u, v) if u >= v else (v, u))
     generators.sort()
     return BinomialIdeal(generators, degree)
-
-
-def _exponents_up_to(n, degree):
-    """All vectors in N^n with coordinate sum between 1 and degree."""
-    def rec(prefix, remaining, slots):
-        if slots == 0:
-            if sum(prefix) >= 1:
-                yield tuple(prefix)
-            return
-        for k in range(remaining + 1):
-            yield from rec(prefix + [k], remaining - k, slots - 1)
-
-    yield from rec([], degree, n)
 
 
 def permute_ideal(ideal, perm):
@@ -315,28 +303,19 @@ def subdiagram_volume(s):
     semigroup elements.
 
     The region is the union of the pyramids from the origin over the
-    bounded facets of hull(Hilbert basis) + cone; its normalized volume
-    (unimodular simplex = 1) is the sum over those facets of the absolute
-    determinants of a fan triangulation.  A supporting plane with
+    bounded facets of hull(Hilbert basis) + cone, so its normalized volume
+    (unimodular simplex = 1) is the sum over those facets of the origin's
+    lattice height c times ``_facet_volume``.  A supporting plane with
     normal . p >= c for all generators is a bounded facet exactly when
     c > 0: the recession cone is spanned by the generators themselves, so
     a positive offset forces the normal to be strictly positive along
     every ray.  Exact integer output.
     """
-    d = s.lattice_rank
-    if d == 0:
+    if s.lattice_rank == 0:
         return 1
-    points = [s.coordinates(c) for c in s.hilbert_basis]
-    total = 0
-    for normal, c, facet in _supporting_planes(points):
-        if c <= 0:
-            continue
-        facet_pts = [points[i] for i in facet]
-        axis = next(j for j, a in enumerate(normal) if a)
-        for simplex in _triangulate([p[:axis] + p[axis + 1:]
-                                     for p in facet_pts]):
-            total += abs(det_int([facet_pts[i] for i in simplex]))
-    return total
+    points = s.coords
+    return sum(c * _facet_volume(points, normal, facet)
+               for normal, c, facet in _supporting_planes(points) if c > 0)
 
 
 def _supporting_planes(points):
@@ -369,37 +348,32 @@ def _supporting_planes(points):
     return [(normal, c, on) for (normal, c), on in planes.items()]
 
 
-def _triangulate(points):
-    """Fan triangulation of the full-dimensional polytope spanned by the
-    given points of Z^k.
-
-    The points must all be vertices, which holds for the facets met here
-    because every Hilbert basis element spans its own extremal ray.
-    Returns simplices as index tuples into ``points``; the fan is anchored
-    at index 0, the lowest point in canonical order.  Each facet that
-    misses index 0 is triangulated in Z^(k-1), by deleting one coordinate
-    where its normal is nonzero: on the facet's plane that projection is
-    a linear isomorphism, so affine dependence, every facet and the
-    triangulation are unchanged.
+def _volume(points):
+    """Normalized volume of the hull of distinct points of Z^k, which must
+    be full-dimensional: one determinant for a simplex, else the sum, over
+    the facets that miss ``points[0]``, of its lattice height above the
+    facet times ``_facet_volume``.
     """
-    k = len(points[0])
-    n = len(points)
-    if n == 1:
-        return [(0,)]
-    if k == 0:
-        raise ValueError("repeated points passed to triangulation")
-    if n == k + 1:
-        return [tuple(range(n))]
-    simplices = []
-    for normal, _, facet in _supporting_planes(points):
-        if 0 in facet:
-            continue  # fan from the lowest vertex: skip facets through it
-        axis = next(j for j, a in enumerate(normal) if a)
-        sub = _triangulate([points[i][:axis] + points[i][axis + 1:]
-                            for i in facet])
-        simplices += [(0,) + tuple(facet[i] for i in simplex)
-                      for simplex in sub]
-    return simplices
+    apex = points[0]
+    if len(points) == len(apex) + 1:
+        return abs(det_int([tuple(map(sub, p, apex)) for p in points[1:]]))
+    return sum((sum(map(mul, normal, apex)) - c)
+               * _facet_volume(points, normal, facet)
+               for normal, c, facet in _supporting_planes(points)
+               if 0 not in facet)
+
+
+def _facet_volume(points, normal, facet):
+    """Normalized volume of the facet through ``points[i]``, i in
+    ``facet``, in the lattice of its plane, whose normal is primitive.
+
+    Deleting a coordinate where the normal is nonzero maps that lattice
+    one to one onto a coset of a sublattice of Z^(k-1) of index
+    |normal[axis]|, so the projection's volume is that multiple.
+    """
+    axis = next(j for j, a in enumerate(normal) if a)
+    projected = [points[i][:axis] + points[i][axis + 1:] for i in facet]
+    return _volume(projected) // abs(normal[axis])
 
 
 # -- multiplicity, route two: Hilbert-Samuel finite differences ----------
@@ -430,7 +404,7 @@ def hilbert_samuel_function(s, horizon):
     d = s.lattice_rank
     if d == 0:
         return [1] * horizon
-    gens = [s.coordinates(c) for c in s.hilbert_basis]
+    gens = s.coords
     degrees = [c.l1() for c in s.hilbert_basis]
     cutoff = horizon - 1
 
@@ -577,7 +551,7 @@ def semigroup_report(s, ideal, volume, hs_multiplicity):
         "label": s.cone.label.to_json(g),
         "lattice_rank": s.lattice_rank,
         "hilbert_basis_edges": [c.to_json() for c in s.hilbert_basis],
-        "hilbert_basis_coords": [list(s.coordinates(c)) for c in s.hilbert_basis],
+        "hilbert_basis_coords": [list(x) for x in s.coords],
         "spans_lattice": spans_lattice(s),
         "unimodular": uni,
         "unimodular_witness": (None if witness is None else

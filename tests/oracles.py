@@ -12,9 +12,10 @@ import itertools
 from fractions import Fraction
 from math import gcd
 
-from cographic import (Chain1, Orientation, OrientedCircuit, TotCycPair,
-                       concordant, cone_contains, contract_edge, delete_edges,
-                       facets, fundamental_cycle_basis, is_cycle)
+from cographic import (BinomialIdeal, Chain1, Orientation, OrientedCircuit,
+                       TotCycPair, concordant, cone_contains, contract_edge,
+                       delete_edges, facets, fundamental_cycle_basis,
+                       is_cycle)
 from cographic.circuits import _circuit_supports
 from cographic.graph import FORWARD
 from cographic.linalg import det_int, primitive_vector
@@ -288,6 +289,38 @@ def q_gorenstein_reference(s):
             m[e] = m.get(e, Fraction(0)) + coeff * n
     m = {e: x for e, x in m.items() if x != 0}
     return True, integral, m
+
+
+def toric_ideal_reference(s, degree):
+    """``toric_ideal_up_to_degree`` by brute force.
+
+    The exponent vectors of degree k are the letter counts of the words of
+    length k over the generators (``itertools.product``), deduplicated;
+    each image is the exponent vector times the generator matrix, one dot
+    product per coordinate.  Every pair of vectors is tested for a common
+    image, disjoint supports and coprime joint entries.
+    """
+    gens = [s.coordinates(c) for c in s.hilbert_basis]
+    n = len(gens)
+    vectors = set()
+    for k in range(1, degree + 1):
+        for word in itertools.product(range(n), repeat=k):
+            vectors.add(tuple(word.count(i) for i in range(n)))
+    images = {u: tuple(sum(u[i] * gens[i][j] for i in range(n))
+                       for j in range(s.lattice_rank))
+              for u in vectors}
+    generators = []
+    for u, v in itertools.combinations(sorted(vectors, reverse=True), 2):
+        if images[u] != images[v]:
+            continue
+        if any(a and b for a, b in zip(u, v)):
+            continue
+        joint = 0
+        for x in u + v:
+            joint = gcd(joint, x)
+        if joint == 1:
+            generators.append((u, v))
+    return BinomialIdeal(sorted(generators), degree)
 
 
 def maximal_elements_reference(poset):

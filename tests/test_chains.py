@@ -144,3 +144,13 @@ def test_canonical_form_reconstruction(rng, graphs):
 def test_chain_json_round_trip():
     c = Chain1({"a": 2, "b": -1})
     assert Chain1.from_json(c.to_json()) == c
+
+
+def test_non_integral_coefficient_raises():
+    # int() would truncate 0.5 to a stored zero and 1.9 to 1
+    with pytest.raises(ValueError):
+        Chain1({"a": 0.5})
+    with pytest.raises(ValueError):
+        Chain1.from_json({"a": 1.9})
+    assert Chain1({"a": 2, "b": 0, "c": -1}).to_json() == {"a": 2, "c": -1}
+    assert Chain1([("a", 0)]) == Chain1()

@@ -174,6 +174,17 @@ def test_ring_k4_plus_three_file(tmp_path, capsys):
         "ba029286bcbada06fc3df36193663b7d0c3a0defa9e08e018cb6bc86544e9ffc"
 
 
+def test_ring_k4_plus_two_file_at_degree_five(tmp_path, capsys):
+    # Binomials of degree 4 and 5 run the toric stage on exponent vectors
+    # no degree-3 report reaches; the hash predates the multiset walk.
+    path = tmp_path / "k4p2.graph"
+    path.write_text(graph_to_text(k4_plus(2)))
+    code, out, _ = run_cli(capsys, "--degree", "5", "ring", str(path))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "1b86af070067594abf4318f64f93c62a2ab47f1e6b183a789bc7a80450c11c94"
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     path = tmp_path / "broken.graph"
     path.write_text("edge oops\n")
@@ -241,6 +252,13 @@ def test_global_option_is_degree():
     assert options == [["-h", "--help"], ["--degree"]]
 
 
+def test_degree_default_is_the_ring_constant():
+    from cographic.cli import build_parser
+    from cographic.ring import DEFAULT_DEGREE_BOUND
+    assert build_parser().parse_args(["ring", "B3"]).degree == \
+        DEFAULT_DEGREE_BOUND
+
+
 def test_hs_horizon_is_not_an_option(capsys):
     # argparse reads "3" as the command and rejects it as a usage error
     code, out, err = run_cli(capsys, "--hs-horizon", "3", "analyze", "THETA2")
@@ -301,6 +319,22 @@ def test_every_private_helper_has_a_caller():
             assert any(name == helper.name and node not in inside
                        for name, node in references), \
                 f"{module}: {helper.name} has no caller"
+
+
+def test_every_oracle_has_a_test():
+    # A public function of ``oracles.py`` that no test module refers to is
+    # a reference nothing is compared with.
+    tests = Path(__file__).parent
+    referenced = {getattr(node, "id", None) or getattr(node, "attr", None)
+                  or node.name
+                  for path in tests.glob("test_*.py")
+                  for node in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(node, (ast.Name, ast.Attribute, ast.alias))}
+    for oracle in ast.parse((tests / "oracles.py").read_text()).body:
+        if (isinstance(oracle, ast.FunctionDef)
+                and not oracle.name.startswith("_")):
+            assert oracle.name in referenced, \
+                f"oracles.py: {oracle.name} has no test"
 
 
 def test_usage_exit_code(capsys):

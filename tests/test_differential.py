@@ -23,7 +23,9 @@ each comparable pair.  Components, the Betti number, bridges and
 two-edge cuts are read off one spanning forest; the references search
 depth-first per question and build a graph per candidate pair, and the
 reference connectivization recomputes every bridge after each
-contraction.  Outputs must agree exactly.
+contraction.  The toric ideal walks multisets of generators and sums
+their coordinates; the reference deduplicates the words over the
+generators and takes dot products.  Outputs must agree exactly.
 """
 
 import pytest
@@ -56,7 +58,7 @@ from oracles import (compatible_circuits_reference,
                      separating_edges_reference, spans_lattice_reference,
                      support_orientation_of,
                      three_edge_connectivization_reference,
-                     two_edge_cuts_reference)
+                     toric_ideal_reference, two_edge_cuts_reference)
 
 K4 = [("e1", "v1", "v2"), ("e2", "v1", "v3"), ("e3", "v1", "v4"),
       ("e4", "v2", "v3"), ("e5", "v2", "v4"), ("e6", "v3", "v4")]
@@ -245,6 +247,28 @@ def test_per_chamber_class_matches_every_chamber(name, fan_of):
             [fn(s) for s in semigroups]
     assert per_chamber_class(ideal, semigroups, classes, permute_ideal) == \
         [ideal(s) for s in semigroups]
+
+
+def _assert_toric_ideals_match_reference(semigroups):
+    classes = chamber_classes(semigroups)
+    for rep in sorted({rep for rep, _ in classes}):
+        for degree in range(1, 5):
+            assert toric_ideal_up_to_degree(semigroups[rep], degree) == \
+                toric_ideal_reference(semigroups[rep], degree)
+
+
+@pytest.mark.parametrize("name", catalog_names() + list(NON_CATALOG))
+def test_toric_ideal_matches_reference(name, fan_of):
+    """Degrees 1 to 4 on one chamber of each class."""
+    fan = _fan(name, fan_of)
+    _assert_toric_ideals_match_reference(
+        [hilbert_basis(fan.graph, cone.label) for cone in fan.chambers()])
+
+
+@given(g=multigraphs())
+def test_toric_ideal_matches_reference_on_random_multigraphs(g):
+    _assert_toric_ideals_match_reference(
+        [hilbert_basis(g, cone.label) for cone in build_fan(g).chambers()])
 
 
 def _assert_fan_json_matches_cone_functions(fan):

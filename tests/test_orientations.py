@@ -203,3 +203,8 @@ def test_totcycpair_create_validates():
 def test_orientation_json_round_trip():
     phi = Orientation({"a": FORWARD, "b": BACKWARD})
     assert Orientation.from_json(phi.to_json()) == phi
+
+
+def test_orientation_json_rejects_unknown_direction():
+    with pytest.raises(ValueError):
+        Orientation.from_json({"a": "+", "b": "x"})

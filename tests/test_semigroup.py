@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from cographic import (Chain1, Orientation, TotCycPair, catalog_graph,
                        build_fan, build_orientation_poset, catalog_names,
@@ -16,7 +17,7 @@ from cographic.fan import facets
 from cographic.graph import FORWARD, BACKWARD
 from cographic import linalg
 from cographic.linalg import det_int
-from cographic.semigroup import _triangulate, permute_ideal
+from cographic.semigroup import _volume, permute_ideal
 from conftest import K4_EDGES, k4_plus, multigraphs
 from oracles import (irreducible_points_up_to_degree, rank,
                      semigroup_points_up_to_degree, spans_lattice_reference)
@@ -262,15 +263,34 @@ def test_subdiagram_volume_origin_cone():
     assert subdiagram_volume(minimum_semigroup("B3")) == 1
 
 
-def test_triangulate_unit_cube():
-    # the three facets missing the origin, two triangles each: six
-    # unimodular tetrahedra from vertex 0, none of them degenerate
+def test_volume_unit_cube():
+    # three facets miss the origin, each a unit square of volume 2 at
+    # height 1: six unimodular tetrahedra
     cube = [(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)]
-    simplices = _triangulate(cube)
-    assert len(simplices) == 6
-    for simplex in simplices:
-        assert simplex[0] == 0
-        assert abs(det_int([cube[i] for i in simplex[1:]])) == 1
+    assert _volume(cube) == 6
+
+
+def test_volume_divides_by_projection_index():
+    # A triangle with (1, 1) on its edge x = 1.  The facet through (0, 0)
+    # and (1, 2) has primitive normal (2, -1); dropping x maps its lattice
+    # onto 2Z, so without the division by |normal[0]| = 2 it reads 3.
+    assert _volume([(1, 1), (0, 0), (1, 0), (1, 2)]) == 2
+
+
+@given(data=st.data())
+def test_volume_does_not_depend_on_the_apex(data):
+    # Shuffling the points moves the apex of the pyramids, not the polytope.
+    polytopes = [
+        [(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)],
+        [(1, 1), (0, 0), (1, 0), (1, 2)],
+        [(0, 0), (3, 0), (0, 2), (2, 3), (4, 1)],
+        [(0, 0, 0), (2, 0, 0), (0, 3, 0), (0, 0, 1), (1, 1, 2)],
+        [(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
+         (0, 0, 0, 1), (1, 1, 1, 1), (2, 1, 0, 1)],
+    ]
+    for points in polytopes:
+        shuffled = data.draw(st.permutations(points))
+        assert _volume(shuffled) == _volume(points)
 
 
 def test_subdiagram_volume_builds_no_fraction(fan_of, monkeypatch):
