@@ -6,6 +6,30 @@ strongly connected; a component without edges counts vacuously.  The
 elements of the orientation poset are pairs of an edge set T and a totally
 cyclic orientation of the complementary spanning subgraph, ordered by
 restriction.
+
+An orientation is totally cyclic exactly when it directs no bond: no
+minimal edge cut of the graph has all its edges crossing the same way
+(Bjorner, Las Vergnas, Sturmfels, White and Ziegler, *Oriented Matroids*,
+ch. 3).  Both enumerators work on that rule, over edge-index bitmasks.
+
+Cost model.  ``bond_table`` lists the bonds once per enumeration, one row
+per bond with its cut mask and the mask of its edges whose reference
+direction leaves the side X that holds the component's first vertex.  It
+grows the connected sets X one neighbour at a time and keeps those whose
+rest of the component is connected, so it costs a few integer operations
+per connected set: C(n, 2) rows for an n-cycle, one for a banana.  A
+support mask is skipped with one AND per bond when a bond meets it in a
+single edge, a bridge of the subgraph.  Otherwise its edges are fixed one
+at a time, forward before backward, and each bond is checked with an XOR
+and an AND as soon as its last edge in the support is fixed, so a prefix
+that directs a bond is never extended.  Labels, one ``Orientation`` and
+for the poset one ``TotCycPair``, are built once per accepted sign vector,
+already in canonical order; no graph is built per edge subset and no
+strong-connectivity search runs.  ``enumerate_tco`` returns at once on a
+graph with a bridge, before the table, so a tree costs one bridge search;
+the poset builds its table over the non-bridge edges, since every
+support avoids the bridges.  ``is_totally_cyclic`` is the linear check of one given label
+(``TotCycPair.create``, ``fan.cone_of``).
 """
 
 import itertools
@@ -129,6 +153,108 @@ def is_totally_cyclic(g, phi):
     return True
 
 
+def bond_table(g, edges):
+    """One row ``(cut, out)`` per bond of the spanning subgraph on ``edges``.
+
+    Bits are edge indices of g.  A bond is the cut between a connected
+    vertex set X and the connected rest of its component; X runs over the
+    sets that contain the component's first vertex, so each bond appears
+    once.  ``cut`` has the non-loop edges with one end in X and ``out``
+    those of them whose reference direction leaves X.  The connected sets
+    are grown one neighbour at a time, never scanned among all subsets.
+    """
+    n = len(g.vertices)
+    nbr = [0] * n      # vertex bitmask of neighbours
+    inc = [0] * n      # edge bitmask of incident non-loop edges
+    leave = [0] * n    # edge bitmask of non-loop edges starting here
+    for e in edges:
+        a, b = (g.vertex_index(v) for v in g.ends(e))
+        if a != b:
+            bit = 1 << g.edge_index(e)
+            nbr[a] |= 1 << b
+            nbr[b] |= 1 << a
+            inc[a] |= bit
+            inc[b] |= bit
+            leave[a] |= bit
+
+    def reach(start, within):
+        seen = frontier = start
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            new = nbr[low.bit_length() - 1] & within & ~seen
+            seen |= new
+            frontier |= new
+        return seen
+
+    rows = []
+
+    def grow(x, ext, excl, cut, out):
+        # Every connected set that contains x and misses excl, where ext
+        # is the neighbourhood of x off x and excl.
+        rest = component & ~x
+        if rest and reach(rest & -rest, rest) == rest:
+            rows.append((cut, out & cut))
+        while ext:
+            low = ext & -ext
+            ext ^= low
+            v = low.bit_length() - 1
+            grow(x | low, (ext | nbr[v]) & ~(x | low | excl), excl,
+                 cut ^ inc[v], out | leave[v])
+            excl |= low
+
+    done = 0
+    for v in range(n):
+        if not done >> v & 1:
+            component = reach(1 << v, ~0)
+            done |= component
+            grow(1 << v, nbr[v], 0, inc[v], leave[v])
+    return rows
+
+
+def _forward_masks(bonds, support):
+    """Forward-edge bitmasks of the totally cyclic orientations of the
+    spanning subgraph on the edge bitmask ``support``, in canonical order.
+
+    Such an orientation directs no bond: every bond meeting the support
+    meets it in edges crossing both ways.  So a bond meeting the support
+    in one edge (a bridge of the subgraph) rules it out, and otherwise the
+    edges are fixed one at a time, forward before backward, each bond
+    being checked as soon as its last edge in the support is fixed.
+    """
+    checks = {}
+    for cut, out in bonds:
+        c = cut & support
+        if c:
+            if not c & (c - 1):
+                return []
+            checks.setdefault(c.bit_length() - 1, []).append((c, out & c))
+    level = [0]
+    bit = 1
+    while bit <= support:
+        if support & bit:
+            rows = checks.get(bit.bit_length() - 1, ())
+            grown = []
+            for f in level:
+                for h in (f | bit, f):
+                    for c, o in rows:
+                        x = (h ^ o) & c
+                        if not x or x == c:
+                            break
+                    else:
+                        grown.append(h)
+            level = grown
+        bit <<= 1
+    return level
+
+
+def _orientation(edges, forward):
+    """The orientation of ``edges`` (g's edge ids with their bits) whose
+    forward edges are the bitmask ``forward``."""
+    return Orientation([(e, FORWARD if forward & bit else BACKWARD)
+                        for e, bit in edges])
+
+
 def enumerate_tco(g):
     """All totally cyclic orientations of g, in canonical order.
 
@@ -140,16 +266,11 @@ def enumerate_tco(g):
     if m > MAX_ORIENTATION_EDGES:
         raise CapacityError("orientation enumeration edge cap", m,
                             MAX_ORIENTATION_EDGES)
-    if m == 0:
-        return [EMPTY_ORIENTATION]
     if separating_edges(g):
         return []
-    found = []
-    for signs in itertools.product((FORWARD, BACKWARD), repeat=m):
-        phi = Orientation(zip(g.edges, signs))
-        if is_totally_cyclic(g, phi):
-            found.append(phi)
-    return found
+    edges = [(e, 1 << i) for i, e in enumerate(g.edges)]
+    return [_orientation(edges, f)
+            for f in _forward_masks(bond_table(g, g.edges), (1 << m) - 1)]
 
 
 @dataclass(frozen=True)
@@ -237,21 +358,28 @@ class OrientationPoset:
 
 
 def build_orientation_poset(g):
-    """Enumerate every (T, phi) pair of the graph.
+    """Enumerate every (T, phi) pair of the graph, in ``sort_key`` order.
 
-    T runs over edge supersets of the separating edges by increasing size;
-    ``enumerate_tco`` yields nothing for a subgraph with a leftover bridge.
+    T runs over edge supersets of the separating edges by increasing size
+    and then lexicographically, which is ``sort_key`` order because every
+    T holds the same separating edges; ``_forward_masks`` yields each
+    complement's orientations in canonical order, or none when the
+    complement has a bridge.
     """
     m = len(g.edges)
     if m > MAX_POSET_EDGES:
         raise CapacityError("orientation poset edge cap", m, MAX_POSET_EDGES)
     sep = set(separating_edges(g))
     free = [e for e in g.edges if e not in sep]
+    bonds = bond_table(g, free)
     elements = []
-    for k in range(len(free), -1, -1):
-        for kept in itertools.combinations(free, k):
-            t = frozenset(g.edges) - frozenset(kept)
-            for phi in enumerate_tco(delete_edges(g, t)):
-                elements.append(TotCycPair(t, phi))
-    elements.sort(key=lambda p: p.sort_key(g))
+    for k in range(len(free) + 1):
+        for t in itertools.combinations(free, k):
+            t = sep.union(t)
+            kept = [(e, 1 << i) for i, e in enumerate(g.edges) if e not in t]
+            masks = _forward_masks(bonds, sum(bit for _, bit in kept))
+            if masks:
+                support = frozenset(t)
+                elements += [TotCycPair(support, _orientation(kept, f))
+                             for f in masks]
     return OrientationPoset(g, elements)

@@ -12,12 +12,15 @@ import itertools
 from fractions import Fraction
 from math import gcd
 
-from cographic import (BinomialIdeal, Chain1, Orientation, OrientedCircuit,
-                       TotCycPair, concordant, cone_contains, contract_edge,
+from cographic import (BinomialIdeal, CapacityError, Chain1, Orientation,
+                       OrientationPoset, OrientedCircuit, TotCycPair,
+                       concordant, cone_contains, contract_edge,
                        delete_edges, facets, fundamental_cycle_basis,
-                       is_cycle)
+                       is_cycle, is_totally_cyclic, separating_edges)
 from cographic.circuits import _circuit_supports
-from cographic.graph import FORWARD
+from cographic.graph import FORWARD, BACKWARD
+from cographic.orientations import (EMPTY_ORIENTATION, MAX_ORIENTATION_EDGES,
+                                    MAX_POSET_EDGES)
 from cographic.linalg import det_int, primitive_vector
 
 
@@ -321,6 +324,50 @@ def toric_ideal_reference(s, degree):
         if joint == 1:
             generators.append((u, v))
     return BinomialIdeal(sorted(generators), degree)
+
+
+def enumerate_tco_reference(g):
+    """All totally cyclic orientations of g, in canonical order.
+
+    Canonical order is lexicographic over edges in enumeration order with
+    forward before backward.  The edgeless graph yields exactly the empty
+    orientation; a graph with a separating edge yields nothing.
+    """
+    m = len(g.edges)
+    if m > MAX_ORIENTATION_EDGES:
+        raise CapacityError("orientation enumeration edge cap", m,
+                            MAX_ORIENTATION_EDGES)
+    if m == 0:
+        return [EMPTY_ORIENTATION]
+    if separating_edges(g):
+        return []
+    found = []
+    for signs in itertools.product((FORWARD, BACKWARD), repeat=m):
+        phi = Orientation(zip(g.edges, signs))
+        if is_totally_cyclic(g, phi):
+            found.append(phi)
+    return found
+
+
+def build_orientation_poset_reference(g):
+    """Enumerate every (T, phi) pair of the graph.
+
+    T runs over edge supersets of the separating edges by increasing size;
+    ``enumerate_tco`` yields nothing for a subgraph with a leftover bridge.
+    """
+    m = len(g.edges)
+    if m > MAX_POSET_EDGES:
+        raise CapacityError("orientation poset edge cap", m, MAX_POSET_EDGES)
+    sep = set(separating_edges(g))
+    free = [e for e in g.edges if e not in sep]
+    elements = []
+    for k in range(len(free), -1, -1):
+        for kept in itertools.combinations(free, k):
+            t = frozenset(g.edges) - frozenset(kept)
+            for phi in enumerate_tco_reference(delete_edges(g, t)):
+                elements.append(TotCycPair(t, phi))
+    elements.sort(key=lambda p: p.sort_key(g))
+    return OrientationPoset(g, elements)
 
 
 def maximal_elements_reference(poset):

@@ -25,7 +25,10 @@ depth-first per question and build a graph per candidate pair, and the
 reference connectivization recomputes every bridge after each
 contraction.  The toric ideal walks multisets of generators and sums
 their coordinates; the reference deduplicates the words over the
-generators and takes dot products.  Outputs must agree exactly.
+generators and takes dot products.  The orientation poset and the totally
+cyclic orientations are read off the bond table of the graph as bitmask
+sign vectors; the references build a graph per edge subset and test every
+sign vector by strong connectivity.  Outputs must agree exactly.
 """
 
 import pytest
@@ -37,7 +40,7 @@ from cographic import (FinitePoset, TotCycPair, betti1, build_fan,
                        catalog_names, compatible_circuits, cone_contains,
                        cone_dimension, chamber_classes, connected_components,
                        cycles_up_to_mass, delete_edges,
-                       enumerate_oriented_circuits,
+                       enumerate_oriented_circuits, enumerate_tco,
                        extremal_rays, facets, from_edge_list,
                        hilbert_basis, hilbert_samuel_function, is_unimodular,
                        multiplicity_hs_oracle, q_gorenstein, separating_edges,
@@ -48,10 +51,12 @@ from cographic.fan import face_label
 from cographic.semigroup import per_chamber_class, permute_ideal
 from cographic.linalg import hyperplane_through
 from conftest import k4_plus, multigraphs
-from oracles import (compatible_circuits_reference,
+from oracles import (build_orientation_poset_reference,
+                     compatible_circuits_reference,
                      connected_components_reference, covers_reference,
                      cycles_up_to_mass_reference,
                      enumerate_oriented_circuits_reference,
+                     enumerate_tco_reference,
                      hilbert_samuel_function_reference,
                      hyperplane_through_reference, is_unimodular_reference,
                      maximal_elements_reference, q_gorenstein_reference,
@@ -340,3 +345,38 @@ def test_connectivity_matches_references(name):
 @given(g=multigraphs(max_vertices=6, max_edges=9))
 def test_connectivity_matches_references_on_random_multigraphs(g):
     _assert_connectivity_matches_references(g)
+
+
+POSET_GRAPHS = {
+    **{name: catalog_graph(name) for name in catalog_names()},
+    **{f"K4p{k}": k4_plus(k) for k in range(5)},
+    **{f"banana{m}": from_edge_list([(f"e{i}", "v1", "v2") for i in range(m)])
+       for m in (6, 7, 8)},
+}
+
+
+def _assert_orientations_match_references(g):
+    elements = build_orientation_poset(g).elements
+    assert elements == build_orientation_poset_reference(g).elements
+    assert elements == sorted(elements, key=lambda p: p.sort_key(g))
+    assert enumerate_tco(g) == enumerate_tco_reference(g)
+
+
+@pytest.mark.parametrize("name", POSET_GRAPHS)
+def test_orientations_match_references(name):
+    """The element lists and the orientation lists, order included."""
+    _assert_orientations_match_references(POSET_GRAPHS[name])
+
+
+def test_enumerate_tco_matches_reference_on_doubled_k4():
+    g = k4_plus(6)
+    assert enumerate_tco(g) == enumerate_tco_reference(g)
+
+
+# Loops, parallel edges, an isolated vertex and three components.
+@given(g=multigraphs(max_vertices=6, max_edges=6))
+@example(g=from_edge_list([("a", "u", "v"), ("b", "v", "u"), ("c", "w", "w"),
+                           ("d", "x", "y"), ("e", "y", "x"), ("f", "x", "y")],
+                          vertices=["u", "v", "w", "x", "y", "z"]))
+def test_orientations_match_references_on_random_multigraphs(g):
+    _assert_orientations_match_references(g)

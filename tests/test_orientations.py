@@ -1,12 +1,16 @@
 import itertools
 
 import pytest
+from hypothesis import given
 
 from cographic import (Orientation, TotCycPair, build_orientation_poset,
                        catalog_graph, delete_edges, enumerate_tco,
                        from_edge_list, is_totally_cyclic,
                        separating_edges, CapacityError)
 from cographic.graph import FORWARD, BACKWARD
+from cographic import orientations
+from cographic.orientations import _forward_masks, bond_table
+from conftest import K4_EDGES, multigraphs
 from oracles import maximal_elements_reference
 
 B2 = from_edge_list([("a", 1, 2), ("b", 1, 2)])
@@ -76,6 +80,85 @@ def test_strong_connectivity_matches_cut_definition(graphs):
         for signs in itertools.product((FORWARD, BACKWARD), repeat=len(g.edges)):
             phi = Orientation(zip(g.edges, signs))
             assert is_totally_cyclic(g, phi) == no_directed_cut(g, phi)
+
+
+def _assert_bond_rule_matches_cut_definition(g):
+    """For every support and every sign vector on it, the bond table
+    accepts exactly the vectors with no directed cut."""
+    bonds = bond_table(g, g.edges)
+    for r in range(len(g.edges) + 1):
+        for kept in itertools.combinations(range(len(g.edges)), r):
+            support = sum(1 << i for i in kept)
+            accepted = set(_forward_masks(bonds, support))
+            rest = delete_edges(g, [e for i, e in enumerate(g.edges)
+                                    if i not in kept])
+            for signs in itertools.product((FORWARD, BACKWARD), repeat=r):
+                forward = sum(1 << i for i, d in zip(kept, signs)
+                              if d == FORWARD)
+                phi = Orientation(zip(rest.edges, signs))
+                assert (forward in accepted) == no_directed_cut(rest, phi)
+
+
+def test_bond_rule_matches_cut_definition(graphs):
+    for g in graphs.values():
+        if len(g.edges) <= 6:
+            _assert_bond_rule_matches_cut_definition(g)
+
+
+@given(g=multigraphs())
+def test_bond_rule_matches_cut_definition_on_random_multigraphs(g):
+    _assert_bond_rule_matches_cut_definition(g)
+
+
+def _cycle(n):
+    return from_edge_list([(f"e{i}", f"v{i}", f"v{(i + 1) % n}")
+                           for i in range(n)])
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 20])
+def test_bond_table_of_a_cycle_pairs_its_edges(n):
+    g = _cycle(n)
+    rows = bond_table(g, g.edges)
+    assert len(rows) == n * (n - 1) // 2
+    assert sorted(cut for cut, _ in rows) == sorted(
+        (1 << i) | (1 << j) for i, j in itertools.combinations(range(n), 2))
+
+
+def test_bond_table_sizes():
+    banana = from_edge_list([(f"e{i}", 1, 2) for i in range(14)])
+    assert bond_table(banana, banana.edges) == [((1 << 14) - 1, (1 << 14) - 1)]
+    k4 = from_edge_list(K4_EDGES)
+    assert len(bond_table(k4, k4.edges)) == 7
+    # loops and isolated vertices add no bond; each component adds its own
+    two = from_edge_list([("l", 1, 1), ("a", 1, 2), ("b", 2, 1),
+                          ("c", 3, 4), ("d", 4, 3)], vertices=[0])
+    assert bond_table(two, two.edges) == [(0b110, 0b010), (0b11000, 0b01000)]
+    # two triangles sharing v: the cut around {r, v} is the union of two
+    # bonds, since the rest of the graph falls apart without v
+    bowtie = from_edge_list([("a", "r", "x"), ("b", "x", "v"), ("c", "v", "r"),
+                             ("d", "v", "y"), ("e", "y", "z"), ("f", "z", "v")])
+    assert sorted(cut for cut, _ in bond_table(bowtie, bowtie.edges)) == \
+        sorted((1 << i) | (1 << j) for block in ((0, 1, 2), (3, 4, 5))
+               for i, j in itertools.combinations(block, 2))
+
+
+def test_enumerate_tco_with_a_bridge_builds_no_bond_table(monkeypatch):
+    # the centre of a 20-edge star lies in 2^20 connected vertex sets, so
+    # growing its bond table would take seconds for an answer of []
+    def unreachable(g, edges):
+        raise AssertionError("bond table built for a graph with a bridge")
+
+    monkeypatch.setattr(orientations, "bond_table", unreachable)
+    star = from_edge_list([(f"e{i}", 0, i + 1) for i in range(20)])
+    assert enumerate_tco(star) == []
+
+
+def test_enumerate_tco_near_the_cap():
+    # a 16-edge cycle: 2^16 sign vectors, of which only the two coherent
+    # ones survive the bond of each pair of edges
+    g = _cycle(16)
+    assert enumerate_tco(g) == [Orientation({e: d for e in g.edges})
+                                for d in (FORWARD, BACKWARD)]
 
 
 def test_enumerate_tco_counts():
