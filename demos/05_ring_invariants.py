@@ -7,8 +7,8 @@ they share a cone, otherwise to zero.  Dimension, embedded dimension,
 minimal primes, and multiplicity all read off the combinatorics.
 """
 
-from cographic import (Chain1, build_fan, catalog_graph, check_iso_truncated,
-                       graded_prime_of, multiply_monomials, present_ring,
+from cographic import (Chain1, GradedPrime, build_fan, catalog_graph,
+                       check_iso_truncated, multiply_monomials, present_ring,
                        ring_report, strata_poset, sum_of_primes)
 
 g = catalog_graph("B3")
@@ -40,7 +40,7 @@ fanposet = strata_poset(fan).poset
 chambers = fanposet.maximal_elements()
 shared = sum_of_primes(g, chambers[:2])
 print("\nsum of two chamber primes lives on T =", sorted(shared.support))
-prime = graded_prime_of(g, chambers[0])
+prime = GradedPrime(g, chambers[0])
 print("that chamber's prime contains X^(e3-e1):",
       prime.contains(Chain1({"e3": 1, "e1": -1})))
 

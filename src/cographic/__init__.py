@@ -26,18 +26,17 @@ from .circuits import (OrientedCircuit, enumerate_oriented_circuits,
                        decompose_cycle, hypergraph_bijection)
 from .fan import (Cone, Fan, build_fan, cone_contains, common_cone, cone_of,
                   cone_dimension, voronoi_face_dim, extremal_rays, facets,
-                  FinitePoset, poset_isomorphic,
-                  find_poset_isomorphism)
+                  FinitePoset, find_poset_isomorphism)
 from .semigroup import (AffineSemigroup, BinomialIdeal, hilbert_basis,
                         spans_lattice, is_unimodular, toric_ideal_up_to_degree,
                         is_homogeneous, q_gorenstein, subdiagram_volume,
                         multiplicity_hs_oracle, hilbert_samuel_function,
                         chamber_classes, semigroup_report)
-from .ring import (RingPresentation, RingReport, present_ring,
-                   multiply_monomials, graded_prime_of, ring_report,
+from .ring import (RingPresentation, RingReport, GradedPrime, present_ring,
+                   multiply_monomials, ring_report,
                    StrataPoset, strata_poset, sum_of_primes)
-from .invariants import (OrientedMonomial, invariant_monomial_basis,
-                         check_iso_truncated, cycles_up_to_mass)
+from .invariants import (OrientedMonomial, check_iso_truncated,
+                         cycles_up_to_mass)
 from .torelli import (two_edge_cuts, three_edge_connectivization,
                       cyclically_equivalent, same_cographic_ring)
 from .catalog import CATALOG, catalog_graph, catalog_names
@@ -56,15 +55,15 @@ __all__ = [
     "hypergraph_bijection",
     "Cone", "Fan", "build_fan", "cone_contains", "common_cone", "cone_of",
     "cone_dimension", "voronoi_face_dim", "extremal_rays", "facets",
-    "FinitePoset", "poset_isomorphic", "find_poset_isomorphism",
+    "FinitePoset", "find_poset_isomorphism",
     "AffineSemigroup", "BinomialIdeal", "hilbert_basis", "spans_lattice",
     "is_unimodular", "toric_ideal_up_to_degree", "is_homogeneous",
     "q_gorenstein", "subdiagram_volume", "multiplicity_hs_oracle",
     "hilbert_samuel_function", "chamber_classes", "semigroup_report",
-    "RingPresentation", "RingReport", "present_ring", "multiply_monomials",
-    "graded_prime_of", "ring_report", "StrataPoset", "strata_poset",
+    "RingPresentation", "RingReport", "GradedPrime", "present_ring",
+    "multiply_monomials", "ring_report", "StrataPoset", "strata_poset",
     "sum_of_primes",
-    "OrientedMonomial", "invariant_monomial_basis", "check_iso_truncated",
+    "OrientedMonomial", "check_iso_truncated",
     "cycles_up_to_mass",
     "two_edge_cuts", "three_edge_connectivization", "cyclically_equivalent",
     "same_cographic_ring",

@@ -157,8 +157,11 @@ class CycleBasis:
 def fundamental_cycle_basis(g):
     """Cycle basis from the greedy lowest-edge-id spanning forest.
 
-    A loop never enters the forest; its fundamental cycle is the loop
-    itself with coefficient +1.
+    The forest is rooted once, at the first vertex of each component.  A
+    coforest edge's cycle is the edge itself and then the forest path
+    from its target to its source, read by stepping the deeper end up
+    towards the common ancestor.  A loop never enters the forest; its
+    fundamental cycle is the loop itself with coefficient +1.
     """
     forest, coforest, _ = spanning_forest(g, g.edges)
     adj = {v: [] for v in g.vertices}  # forest adjacency: vertex -> (vertex, edge, dir)
@@ -166,36 +169,34 @@ def fundamental_cycle_basis(g):
         s, t = g.ends(e)
         adj[s].append((t, e, FORWARD))
         adj[t].append((s, e, BACKWARD))
-
-    def forest_path(a, b):
-        """Oriented forest edges from a to b (BFS, unique path)."""
-        if a == b:
-            return []
-        prev = {a: None}
-        queue = [a]
-        while queue:
-            v = queue.pop(0)
+    depth = {}
+    parent = {}  # vertex -> (parent, edge, direction from vertex to parent)
+    for root in g.vertices:
+        if root in depth:
+            continue
+        depth[root] = 0
+        stack = [root]
+        while stack:
+            v = stack.pop()
             for w, e, d in adj[v]:
-                if w not in prev:
-                    prev[w] = (v, e, d)
-                    if w == b:
-                        queue = []
-                        break
-                    queue.append(w)
-        path = []
-        v = b
-        while prev[v] is not None:
-            u, e, d = prev[v]
-            path.append((e, d))
-            v = u
-        path.reverse()
-        return path
+                if w not in depth:
+                    depth[w] = depth[v] + 1
+                    parent[w] = (v, e, -d)
+                    stack.append(w)
 
     basis = []
     for f in coforest:
-        s, t = g.ends(f)
-        oriented = [(f, FORWARD)] + forest_path(t, s)
-        basis.append(Chain1.from_oriented_edges(oriented))
+        a, b = g.ends(f)[::-1]
+        up, down = [], []   # oriented edges from the target, into the source
+        while a != b:
+            if depth[a] >= depth[b]:
+                a, e, d = parent[a]
+                up.append((e, d))
+            else:
+                b, e, d = parent[b]
+                down.append((e, -d))
+        down.reverse()
+        basis.append(Chain1.from_oriented_edges([(f, FORWARD)] + up + down))
     return CycleBasis(g, tuple(forest), tuple(coforest), basis)
 
 

@@ -162,13 +162,7 @@ def compatible_circuits(g, pair):
     the walk's forward edges (the walk) or the rest of the support (its
     reversal).
     """
-    blocked = 0
-    for e in pair.support:
-        blocked |= 1 << g.edge_index(e)
-    forward = 0
-    for e, d in pair.phi.items():
-        if d == FORWARD:
-            forward |= 1 << g.edge_index(e)
+    blocked, forward = pair.masks(g)
     out = []
     for supp, fwd, gamma, reversal in _circuit_table(g):
         if supp & blocked:

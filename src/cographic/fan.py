@@ -5,15 +5,30 @@ off T agree with phi.  All geometry here is symbolic: membership is a
 sign check, dimension is a Betti number, extremal rays are compatible
 circuit classes, and facets come from forcing one more functional to
 vanish.  No floating point and no half-space solver anywhere.
+
+Cost model.  A cone is handled as the edge-index bitmasks of its label,
+the support T and the forward edges of phi (``TotCycPair.masks``), and
+the support masks of its compatible circuits.  ``_facets`` cuts the face
+of each edge e off T as the OR of the circuits that miss e, a few integer
+operations per circuit; the face's label is (all ^ covered, forward &
+covered), and faces are deduplicated by that pair.  A face's dimension,
+the Betti number of its covered edges, comes from one memo keyed by the
+covered mask, so ``Fan.to_json`` runs one ``spanning_forest`` per
+distinct face rather than one per edge per cone.  Every face label is a
+poset element and the poset is in ``sort_key`` order, so ``to_json``
+orders each cone's facets by poset index; standalone ``facets`` sorts by
+the same key read off the masks.  Edge names appear only at emit:
+``to_json`` builds each label's JSON once per poset element, shared by
+the facet entries that name it, and each circuit's ray JSON once per
+orientation, not once per cone.
 """
 
 from dataclasses import dataclass, field
 
 from .chains import canonical_form, fundamental_cycle_basis, is_cycle
-from .circuits import circuit_class, compatible_circuits
+from .circuits import _circuit_table, circuit_class, compatible_circuits
 from .errors import CapacityError
-from .graph import FORWARD, betti1, delete_edges, spanning_forest
-from .linalg import primitive_vector
+from .graph import BACKWARD, FORWARD, betti1, delete_edges, spanning_forest
 from .orientations import (Orientation, OrientationPoset, TotCycPair,
                            build_orientation_poset)
 
@@ -114,37 +129,57 @@ def facets(cone):
     """
     g = cone.graph
     basis = fundamental_cycle_basis(delete_edges(g, cone.label.support))
-    return _facets(g, cone.label, basis, compatible_circuits(g, cone.label))
+    supports = [g.edge_mask(c.support)
+                for c in compatible_circuits(g, cone.label)]
+    found = [(TotCycPair.from_masks(g, *masks), normal) for masks, normal
+             in _facets(g, basis, *cone.label.masks(g), supports, {}).items()]
+    found.sort(key=lambda item: item[0].sort_key(g))
+    return [(Cone(g, label), normal) for label, normal in found]
 
 
-def _facets(g, pair, basis, circuits):
-    """``facets`` of the cone labeled ``pair``, from the cycle basis of
-    the complement of its support and its compatible circuits."""
-    t = pair.support
-    phi = pair.phi
+def _facets(g, basis, support, forward, supports, dims):
+    """The facets of the cone whose label has the masks ``(support,
+    forward)``, as a dict from each facet label's masks to its normal.
+
+    ``basis`` is the cycle basis of the complement of the support and
+    ``supports`` are the support masks of the cone's compatible circuits.
+    ``dims`` maps a covered mask to the Betti number of its edges and is
+    filled as faces are met.  The first edge in g's order that cuts a
+    facet gives its normal.
+    """
+    full = (1 << len(g.edges)) - 1
     d = len(basis)
     out = {}
-    for e in g.edges:
-        if e in t:
+    for i, e in enumerate(g.edges):
+        bit = 1 << i
+        if support & bit:
             continue
-        covered = set()
-        for gamma in circuits:
-            if e not in gamma.support:
-                covered |= gamma.support
-        label = TotCycPair(frozenset(g.edges) - covered, phi.restrict(covered))
-        if label in out or len(spanning_forest(g, covered)[1]) != d - 1:
+        covered = 0
+        for s in supports:
+            if not s & bit:
+                covered |= s
+        face = (full ^ covered, forward & covered)
+        if face in out:
             continue
-        out[label] = (Cone(g, label),
-                      _edge_functional(basis, e, phi.direction(e)))
-    return [out[label] for label in
-            sorted(out, key=lambda p: p.sort_key(g))]
+        dim = dims.get(covered)
+        if dim is None:
+            edges = [f for j, f in enumerate(g.edges) if covered >> j & 1]
+            dim = dims[covered] = len(spanning_forest(g, edges)[1])
+        if dim == d - 1:
+            out[face] = _edge_functional(
+                basis, e, FORWARD if forward & bit else BACKWARD)
+    return out
 
 
 def _edge_functional(basis, e, direction):
     """The pairing against the oriented edge, as a primitive integer vector
-    in the given cycle-basis coordinates."""
-    vec = [direction * b.coeff(e) for b in basis.basis]
-    return primitive_vector(vec)
+    in the given cycle-basis coordinates.
+
+    Fundamental cycles have coefficients 0 and +-1, so the vector is
+    primitive as soon as it is nonzero, which it is for an edge that
+    cuts a facet.
+    """
+    return tuple([direction * b.coeff(e) for b in basis.basis])
 
 
 @dataclass
@@ -170,19 +205,27 @@ class Fan:
         ``facets`` of each cone, from one cycle basis and circuit list."""
         g = self.graph
         total = betti1(g)
+        masks = [p.masks(g) for p in self.poset]
+        index = {k: i for i, k in enumerate(masks)}
+        labels = [p.to_json(g) for p in self.poset]
+        rays = {c: (supp, circuit_class(c).to_json())
+                for supp, _, gamma, reversal in _circuit_table(g)
+                for c in (gamma, reversal)}
+        dims = {}
         report = []
-        for cone in self.cones:
-            label = cone.label
-            basis = fundamental_cycle_basis(delete_edges(g, label.support))
-            circuits = compatible_circuits(g, label)
-            facet_list = _facets(g, label, basis, circuits)
+        for cone, (support, forward), label in zip(self.cones, masks, labels):
+            basis = fundamental_cycle_basis(delete_edges(g, cone.label.support))
+            circuits = [rays[c] for c in compatible_circuits(g, cone.label)]
+            found = sorted((index[k], normal) for k, normal in _facets(
+                g, basis, support, forward, [s for s, _ in circuits],
+                dims).items())
             report.append({
-                "label": label.to_json(g),
+                "label": label,
                 "dimension": len(basis),
                 "voronoi_face_dim": total - len(basis),
-                "rays": [circuit_class(c).to_json() for c in circuits],
-                "facets": [sub.label.to_json(g) for sub, _ in facet_list],
-                "facet_normals": [list(n) for _, n in facet_list],
+                "rays": [ray for _, ray in circuits],
+                "facets": [labels[i] for i, _ in found],
+                "facet_normals": [list(n) for _, n in found],
             })
         return report
 
@@ -304,7 +347,3 @@ def find_poset_isomorphism(p, q):
         return None
     return {p.elements[i]: q.elements[mapping[i]] for i in range(n)}
 
-
-def poset_isomorphic(p, q):
-    """True iff an order isomorphism exists between the two posets."""
-    return find_poset_isomorphism(p, q) is not None

@@ -90,6 +90,13 @@ class Graph:
         """The given edge ids in canonical (enumeration) order."""
         return tuple(sorted(subset, key=self.edge_index))
 
+    def edge_mask(self, subset):
+        """The given edge ids as a bitmask: bit i for the edge of index i."""
+        mask = 0
+        for e in subset:
+            mask |= 1 << self.edge_index(e)
+        return mask
+
     def __eq__(self, other):
         if not isinstance(other, Graph):
             return NotImplemented

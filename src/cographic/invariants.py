@@ -117,16 +117,6 @@ def cycles_up_to_mass(g, bound):
     return found
 
 
-def invariant_monomial_basis(g, degree):
-    """All invariant monomials of total degree at most ``degree``.
-
-    One monomial per integer cycle of mass at most the degree; the
-    one-sided exponent constraint makes the weight map a bijection.
-    """
-    return [OrientedMonomial.from_weight(g, c)
-            for c in cycles_up_to_mass(g, degree)]
-
-
 def _signed_chains_up_to_mass(g, bound):
     """All integer chains (not just cycles) with L1 norm <= bound."""
     edges = list(g.edges)

@@ -291,11 +291,30 @@ class TotCycPair:
             raise ValueError("orientation is not totally cyclic off the support")
         return cls(support, phi)
 
+    @classmethod
+    def from_masks(cls, g, support, forward):
+        """The pair whose ``masks`` are ``(support, forward)``."""
+        kept = [(e, 1 << i) for i, e in enumerate(g.edges)
+                if not support >> i & 1]
+        return cls(frozenset(e for i, e in enumerate(g.edges)
+                             if support >> i & 1),
+                   _orientation(kept, forward))
+
+    def masks(self, g):
+        """``(support, forward)``: the edge bitmasks of T and of the edges
+        phi runs in their reference direction."""
+        return (g.edge_mask(self.support),
+                g.edge_mask(e for e, d in self.phi.items() if d == FORWARD))
+
     def sort_key(self, g):
-        t = tuple(sorted(g.edge_index(e) for e in self.support))
-        signs = tuple(0 if self.phi.direction(e) == FORWARD else 1
-                      for e in g.edges if e not in self.support)
-        return (len(self.support), t, signs)
+        """The size of T, its edge indices, then one sign per edge off T in
+        index order, 0 for forward and 1 for backward; read off the masks."""
+        support, forward = self.masks(g)
+        m = len(g.edges)
+        return (support.bit_count(),
+                tuple(i for i in range(m) if support >> i & 1),
+                tuple(0 if forward >> i & 1 else 1
+                      for i in range(m) if not support >> i & 1))
 
     def to_json(self, g):
         return {"T": list(g.sort_edges(self.support)),

@@ -139,7 +139,12 @@ def multiply_monomials(g, c, d):
 
 
 class GradedPrime:
-    """The graded prime of a cone: monomials of cycles outside it."""
+    """The graded prime of a cone: monomials of cycles outside it.
+
+    The minimum poset element yields the graded maximal ideal (every
+    nonzero cycle's monomial is a member); membership is antitone in the
+    poset.
+    """
 
     def __init__(self, g, pair):
         self.graph = g
@@ -152,15 +157,6 @@ class GradedPrime:
 
     def __repr__(self):
         return f"GradedPrime({self.label!r})"
-
-
-def graded_prime_of(g, pair):
-    """Symbolic descriptor of the graded prime attached to a poset element.
-
-    The minimum element yields the graded maximal ideal (every nonzero
-    cycle's monomial is a member); membership is antitone in the poset.
-    """
-    return GradedPrime(g, pair)
 
 
 def ring_report(presentation):

@@ -275,8 +275,10 @@ def q_gorenstein(s):
     d = s.lattice_rank
     if d == 0:
         return True, True, {}
-    normals = [normal for _, normal in
-               _facets(s.graph, s.cone.label, s.cycle_basis, s.circuits)]
+    g = s.graph
+    normals = list(_facets(g, s.cycle_basis, *s.cone.label.masks(g),
+                           [g.edge_mask(c.support) for c in s.circuits],
+                           {}).values())
     for rows in itertools.combinations(normals, d):
         det = det_int(rows)
         if det:

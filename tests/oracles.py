@@ -12,13 +12,14 @@ import itertools
 from fractions import Fraction
 from math import gcd
 
-from cographic import (BinomialIdeal, CapacityError, Chain1, Orientation,
-                       OrientationPoset, OrientedCircuit, TotCycPair,
+from cographic import (BinomialIdeal, CapacityError, Chain1, Cone,
+                       CycleBasis, Orientation, OrientationPoset,
+                       OrientedCircuit, TotCycPair, compatible_circuits,
                        concordant, cone_contains, contract_edge,
-                       delete_edges, facets, fundamental_cycle_basis,
+                       delete_edges, fundamental_cycle_basis,
                        is_cycle, is_totally_cyclic, separating_edges)
 from cographic.circuits import _circuit_supports
-from cographic.graph import FORWARD, BACKWARD
+from cographic.graph import FORWARD, BACKWARD, spanning_forest
 from cographic.orientations import (EMPTY_ORIENTATION, MAX_ORIENTATION_EDGES,
                                     MAX_POSET_EDGES)
 from cographic.linalg import det_int, primitive_vector
@@ -281,7 +282,7 @@ def q_gorenstein_reference(s):
     d = s.lattice_rank
     if d == 0:
         return True, True, {}
-    normals = [normal for _, normal in facets(s.cone)]
+    normals = [normal for _, normal in facets_reference(s.cone)]
     solution = solve_rational(normals, [1] * len(normals))
     if solution is None:
         return False, False, None
@@ -611,3 +612,78 @@ def irreducible_points_up_to_degree(s, bound):
         if not reducible:
             out.append(c)
     return out
+
+
+def facets_reference(cone):
+    """``fan.facets`` with a set of covered edges, a ``TotCycPair`` with
+    ``Orientation.restrict`` and a ``spanning_forest`` per edge off the
+    support, the labels sorted by ``sort_key``, in the coordinates of
+    ``fundamental_cycle_basis_reference``."""
+    g = cone.graph
+    basis = fundamental_cycle_basis_reference(
+        delete_edges(g, cone.label.support))
+    circuits = compatible_circuits(g, cone.label)
+    t = cone.label.support
+    phi = cone.label.phi
+    d = len(basis)
+    out = {}
+    for e in g.edges:
+        if e in t:
+            continue
+        covered = set()
+        for gamma in circuits:
+            if e not in gamma.support:
+                covered |= gamma.support
+        label = TotCycPair(frozenset(g.edges) - covered, phi.restrict(covered))
+        if label in out or len(spanning_forest(g, covered)[1]) != d - 1:
+            continue
+        out[label] = (Cone(g, label), primitive_vector(
+            [phi.direction(e) * b.coeff(e) for b in basis.basis]))
+    return [out[label] for label in
+            sorted(out, key=lambda p: p.sort_key(g))]
+
+
+def fundamental_cycle_basis_reference(g):
+    """Cycle basis from the greedy lowest-edge-id spanning forest, each
+    fundamental cycle closed by a breadth-first search of the forest.
+
+    A loop never enters the forest; its fundamental cycle is the loop
+    itself with coefficient +1.
+    """
+    forest, coforest, _ = spanning_forest(g, g.edges)
+    adj = {v: [] for v in g.vertices}  # forest adjacency: vertex -> (vertex, edge, dir)
+    for e in forest:
+        s, t = g.ends(e)
+        adj[s].append((t, e, FORWARD))
+        adj[t].append((s, e, BACKWARD))
+
+    def forest_path(a, b):
+        """Oriented forest edges from a to b (BFS, unique path)."""
+        if a == b:
+            return []
+        prev = {a: None}
+        queue = [a]
+        while queue:
+            v = queue.pop(0)
+            for w, e, d in adj[v]:
+                if w not in prev:
+                    prev[w] = (v, e, d)
+                    if w == b:
+                        queue = []
+                        break
+                    queue.append(w)
+        path = []
+        v = b
+        while prev[v] is not None:
+            u, e, d = prev[v]
+            path.append((e, d))
+            v = u
+        path.reverse()
+        return path
+
+    basis = []
+    for f in coforest:
+        s, t = g.ends(f)
+        oriented = [(f, FORWARD)] + forest_path(t, s)
+        basis.append(Chain1.from_oriented_edges(oriented))
+    return CycleBasis(g, tuple(forest), tuple(coforest), basis)

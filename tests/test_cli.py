@@ -163,6 +163,16 @@ def test_fan_k4_plus_two_file(tmp_path, capsys):
         "dff15b496f90aca343584457766b0ea292ea17bd56c5efcc7eb2ee977b726be3"
 
 
+def test_fan_k4_plus_four_file(tmp_path, capsys):
+    # 19,963 cones; the hash predates the edge-bitmask facets.
+    path = tmp_path / "k4p4.graph"
+    path.write_text(graph_to_text(k4_plus(4)))
+    code, out, _ = run_cli(capsys, "fan", str(path))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "3639ff9b7b6c769bf50d570d2b3fd53ad64b715e7962b448d0dc6523accd1a39"
+
+
 def test_ring_k4_plus_three_file(tmp_path, capsys):
     # Its 340 chambers fall into 13 classes; the hash predates the sharing
     # of ideals and volumes across a class.

@@ -17,7 +17,11 @@ toric ideal are computed once per class of chambers; the reference is
 every chamber on its own.  ``Fan.to_json`` derives each cone's entry
 from one cycle basis and one circuit list; the references are the
 public per-cone functions, and the cone dimension's is the Betti number
-of the graph with the support deleted.  A finite poset's covers are one
+of the graph with the support deleted.  Facets are read off edge
+bitmasks with one dimension per distinct face; the reference builds a
+label and a spanning forest per edge off the support.  A fundamental
+cycle is read off one rooted forest by depth; the reference runs a
+breadth-first search per cycle.  A finite poset's covers are one
 set difference per element; the reference tests every element between
 each comparable pair.  Components, the Betti number, bridges and
 two-edge cuts are read off one spanning forest; the references search
@@ -42,7 +46,7 @@ from cographic import (FinitePoset, TotCycPair, betti1, build_fan,
                        cycles_up_to_mass, delete_edges,
                        enumerate_oriented_circuits, enumerate_tco,
                        extremal_rays, facets, from_edge_list,
-                       hilbert_basis, hilbert_samuel_function, is_unimodular,
+                       fundamental_cycle_basis, hilbert_basis, hilbert_samuel_function, is_unimodular,
                        multiplicity_hs_oracle, q_gorenstein, separating_edges,
                        spans_lattice, subdiagram_volume,
                        three_edge_connectivization, toric_ideal_up_to_degree,
@@ -56,7 +60,8 @@ from oracles import (build_orientation_poset_reference,
                      connected_components_reference, covers_reference,
                      cycles_up_to_mass_reference,
                      enumerate_oriented_circuits_reference,
-                     enumerate_tco_reference,
+                     enumerate_tco_reference, facets_reference,
+                     fundamental_cycle_basis_reference,
                      hilbert_samuel_function_reference,
                      hyperplane_through_reference, is_unimodular_reference,
                      maximal_elements_reference, q_gorenstein_reference,
@@ -302,6 +307,38 @@ def test_fan_json_matches_cone_functions(name, fan_of):
 @given(g=multigraphs())
 def test_fan_json_matches_cone_functions_on_random_multigraphs(g):
     _assert_fan_json_matches_cone_functions(build_fan(g))
+
+
+def _assert_same_basis(g):
+    basis = fundamental_cycle_basis(g)
+    reference = fundamental_cycle_basis_reference(g)
+    assert (basis.graph, basis.forest, basis.coforest) == \
+        (reference.graph, reference.forest, reference.coforest)
+    assert [list(c.items()) for c in basis.basis] == \
+        [list(c.items()) for c in reference.basis]
+
+
+def _assert_facets_match_reference(fan):
+    """Labels, order and normals of every cone's facets, standalone and in
+    ``Fan.to_json``, and the cycle basis of every cone's complement."""
+    g = fan.graph
+    _assert_same_basis(g)
+    for cone, entry in zip(fan.cones, fan.to_json()):
+        _assert_same_basis(delete_edges(g, cone.label.support))
+        expected = facets_reference(cone)
+        assert facets(cone) == expected
+        assert entry["facets"] == [sub.label.to_json(g) for sub, _ in expected]
+        assert entry["facet_normals"] == [list(n) for _, n in expected]
+
+
+@pytest.mark.parametrize("name", catalog_names() + ["K4p2", "banana6"])
+def test_facets_and_cycle_bases_match_references(name, fan_of):
+    _assert_facets_match_reference(_fan(name, fan_of))
+
+
+@given(g=multigraphs())
+def test_facets_and_cycle_bases_match_references_on_random_multigraphs(g):
+    _assert_facets_match_reference(build_fan(g))
 
 
 def _assert_covers_match_reference(poset):

@@ -2,11 +2,11 @@ import itertools
 
 import pytest
 
-from cographic import (Chain1, Cone, Orientation, TotCycPair, betti1,
-                       build_fan, catalog_graph, circuit_class, cone_contains,
-                       delete_edges, enumerate_oriented_circuits,
+from cographic import (Chain1, Cone, GradedPrime, Orientation, TotCycPair,
+                       betti1, build_fan, catalog_graph, circuit_class,
+                       cone_contains, delete_edges, enumerate_oriented_circuits,
                        enumerate_tco, find_poset_isomorphism,
-                       fundamental_cycle_basis, graded_prime_of,
+                       fundamental_cycle_basis,
                        multiply_monomials, present_ring, ring_report,
                        separating_edges, strata_poset, sum_of_primes,
                        FinitePoset)
@@ -93,7 +93,7 @@ def test_multiplication_laws_sampled(rng, graphs):
 
 def test_graded_prime_minimum_is_maximal_ideal():
     g = catalog_graph("B3")
-    prime = graded_prime_of(g, TotCycPair(frozenset(g.edges), Orientation()))
+    prime = GradedPrime(g, TotCycPair(frozenset(g.edges), Orientation()))
     assert not prime.contains(Chain1())
     for c in box_cycles(g):
         if not c.is_zero():
@@ -105,7 +105,7 @@ def test_graded_prime_chamber_membership():
     chamber = TotCycPair.create(
         g, frozenset(), Orientation({"e1": FORWARD, "e2": FORWARD,
                                      "e3": -1}))
-    prime = graded_prime_of(g, chamber)
+    prime = GradedPrime(g, chamber)
     assert prime.contains(Chain1({"e3": 1, "e1": -1}))
     assert not prime.contains(Chain1({"e1": 1, "e3": -1}))
 
@@ -118,8 +118,8 @@ def test_graded_prime_membership_antitone(fan_of):
         for q in poset:
             if not OrientationPoset.leq(p, q):
                 continue
-            pp = graded_prime_of(fan.graph, p)
-            pq = graded_prime_of(fan.graph, q)
+            pp = GradedPrime(fan.graph, p)
+            pq = GradedPrime(fan.graph, q)
             for c in cycles:
                 if pq.contains(c):
                     assert pp.contains(c)
