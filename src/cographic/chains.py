@@ -196,7 +196,7 @@ def fundamental_cycle_basis(g):
                 b, e, d = parent[b]
                 down.append((e, -d))
         down.reverse()
-        basis.append(Chain1.from_oriented_edges([(f, FORWARD)] + up + down))
+        basis.append(Chain1([(f, FORWARD)] + up + down))
     return CycleBasis(g, tuple(forest), tuple(coforest), basis)
 
 
