@@ -8,29 +8,35 @@ vanish.  No floating point and no half-space solver anywhere.
 
 Cost model.  A cone is handled as the edge-index bitmasks of its label,
 the support T and the forward edges of phi (``TotCycPair.masks``), and
-the support masks of its compatible circuits.  ``_facets`` cuts the face
-of each edge e off T as the OR of the circuits that miss e, a few integer
-operations per circuit; the face's label is (all ^ covered, forward &
-covered), and faces are deduplicated by that pair.  A face's dimension,
-the Betti number of its covered edges, comes from one memo keyed by the
-covered mask, so ``Fan.to_json`` runs one ``spanning_forest`` per
-distinct face rather than one per edge per cone.  Every face label is a
-poset element and the poset is in ``sort_key`` order, so ``to_json``
-orders each cone's facets by poset index; standalone ``facets`` sorts by
-the same key read off the masks.  Edge names appear only at emit:
-``to_json`` builds each label's JSON once per poset element, shared by
-the facet entries that name it, and each circuit's ray JSON once per
-orientation, not once per cone.
+the support masks of its compatible circuits.  A ``Fan`` holds the
+orientation poset, which stores those label masks; ``build_fan`` is the
+poset's mask walk and nothing more.  Labels and ``Cone`` objects are made
+on demand: ``chambers`` builds the chamber labels only, ``len`` reads the
+mask list, and ``cones`` builds every cone on first access and keeps it.
+``_facets`` cuts the face of each edge e off T as the OR of the circuits
+that miss e, a few integer operations per circuit; the face's label is
+(all ^ covered, forward & covered), and faces are deduplicated by that
+pair.  A face's dimension, the Betti number of its covered edges, comes
+from one memo keyed by the covered mask, so ``Fan.to_json`` runs one
+``spanning_forest`` per distinct face rather than one per edge per cone.
+Every face label is a poset element and the poset is in ``sort_key``
+order, so ``to_json``, which reads the masks straight off the poset,
+orders each cone's facets by poset index; standalone ``facets`` builds
+its facets' labels with the poset's ``_pairs`` and sorts them by that
+key.  ``to_json`` builds each label and its JSON once per poset element,
+the JSON shared by the facet entries that name it, and each circuit's
+ray JSON once per orientation, not once per cone.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from .chains import canonical_form, fundamental_cycle_basis, is_cycle
 from .circuits import _circuit_table, circuit_class, compatible_circuits
 from .errors import CapacityError
 from .graph import BACKWARD, FORWARD, betti1, delete_edges, spanning_forest
 from .orientations import (Orientation, OrientationPoset, TotCycPair,
-                           build_orientation_poset)
+                           _pairs, build_orientation_poset)
 
 MAX_ISOMORPHISM_SIZE = 5000
 
@@ -131,9 +137,9 @@ def facets(cone):
     basis = fundamental_cycle_basis(delete_edges(g, cone.label.support))
     supports = [g.edge_mask(c.support)
                 for c in compatible_circuits(g, cone.label)]
-    found = [(TotCycPair.from_masks(g, *masks), normal) for masks, normal
-             in _facets(g, basis, *cone.label.masks(g), supports, {}).items()]
-    found.sort(key=lambda item: item[0].sort_key(g))
+    out = _facets(g, basis, *cone.label.masks(g), supports, {})
+    found = sorted(zip(_pairs(g, out), out.values()),
+                   key=lambda item: item[0].sort_key(g))
     return [(Cone(g, label), normal) for label, normal in found]
 
 
@@ -184,28 +190,35 @@ def _edge_functional(basis, e, direction):
 
 @dataclass
 class Fan:
-    """All cones of a graph, indexed by the orientation poset."""
+    """All cones of a graph, indexed by the orientation poset.
+
+    The poset holds the cones' labels as masks; ``cones`` is built from its
+    labels on first access and kept.
+    """
 
     graph: object
     poset: OrientationPoset
-    cones: list = field(default_factory=list)
+
+    @cached_property
+    def cones(self):
+        return [Cone(self.graph, p) for p in self.poset]
 
     def cone(self, label):
         return self.cones[self.poset.index(label)]
 
     def chambers(self):
         """Maximal cones (labels with support exactly the bridges)."""
-        return [self.cone(p) for p in self.poset.maximal_elements()]
+        return [Cone(self.graph, p) for p in self.poset.maximal_elements()]
 
     def __len__(self):
-        return len(self.cones)
+        return len(self.poset)
 
     def to_json(self):
         """``cone_dimension``, ``voronoi_face_dim``, ``extremal_rays`` and
         ``facets`` of each cone, from one cycle basis and circuit list."""
         g = self.graph
         total = betti1(g)
-        masks = [p.masks(g) for p in self.poset]
+        masks = self.poset.masks
         index = {k: i for i, k in enumerate(masks)}
         labels = [p.to_json(g) for p in self.poset]
         rays = {c: (supp, circuit_class(c).to_json())
@@ -213,9 +226,9 @@ class Fan:
                 for c in (gamma, reversal)}
         dims = {}
         report = []
-        for cone, (support, forward), label in zip(self.cones, masks, labels):
-            basis = fundamental_cycle_basis(delete_edges(g, cone.label.support))
-            circuits = [rays[c] for c in compatible_circuits(g, cone.label)]
+        for pair, (support, forward), label in zip(self.poset, masks, labels):
+            basis = fundamental_cycle_basis(delete_edges(g, pair.support))
+            circuits = [rays[c] for c in compatible_circuits(g, pair)]
             found = sorted((index[k], normal) for k, normal in _facets(
                 g, basis, support, forward, [s for s, _ in circuits],
                 dims).items())
@@ -231,9 +244,12 @@ class Fan:
 
 
 def build_fan(g):
-    """One cone per orientation-poset element; inclusion mirrors the poset."""
-    poset = build_orientation_poset(g)
-    return Fan(g, poset, [Cone(g, p) for p in poset])
+    """One cone per orientation-poset element; inclusion mirrors the poset.
+
+    Only the poset's mask walk runs here: labels and cones are built when
+    a caller asks for them.
+    """
+    return Fan(g, build_orientation_poset(g))
 
 
 # -- generic finite posets and isomorphism testing ----------------------

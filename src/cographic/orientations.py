@@ -22,18 +22,24 @@ support mask is skipped with one AND per bond when a bond meets it in a
 single edge, a bridge of the subgraph.  Otherwise its edges are fixed one
 at a time, forward before backward, and each bond is checked with an XOR
 and an AND as soon as its last edge in the support is fixed, so a prefix
-that directs a bond is never extended.  Labels, one ``Orientation`` and
-for the poset one ``TotCycPair``, are built once per accepted sign vector,
-already in canonical order; no graph is built per edge subset and no
-strong-connectivity search runs.  ``enumerate_tco`` returns at once on a
-graph with a bridge, before the table, so a tree costs one bridge search;
-the poset builds its table over the non-bridge edges, since every
-support avoids the bridges.  ``is_totally_cyclic`` is the linear check of one given label
+that directs a bond is never extended; no graph is built per edge subset
+and no strong-connectivity search runs.  ``enumerate_tco`` builds one
+``Orientation`` per accepted sign vector; it returns at once on a graph
+with a bridge, before the table, so a tree costs one bridge search.  The
+poset builds its table over the non-bridge edges, since every support
+avoids the bridges, and stores only the ``TotCycPair.masks`` pair of each
+element: T's mask and the forward mask, already in ``sort_key`` order.
+Its labels, one ``Orientation`` and one ``TotCycPair`` each, are built
+from the masks when first asked for (``elements``, iteration, ``index``)
+by ``_pairs``, which makes one support set per run of equal supports;
+``maximal_elements`` builds them for the chambers only.
+``is_totally_cyclic`` is the linear check of one given label
 (``TotCycPair.create``, ``fan.cone_of``).
 """
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import CapacityError
 from .graph import FORWARD, BACKWARD, delete_edges, separating_edges
@@ -250,9 +256,15 @@ def _forward_masks(bonds, support):
 
 def _orientation(edges, forward):
     """The orientation of ``edges`` (g's edge ids with their bits) whose
-    forward edges are the bitmask ``forward``."""
-    return Orientation([(e, FORWARD if forward & bit else BACKWARD)
-                        for e, bit in edges])
+    forward edges are the bitmask ``forward``.
+
+    Every direction is FORWARD or BACKWARD by construction, so the checks
+    of ``Orientation.__init__`` are skipped.
+    """
+    phi = Orientation.__new__(Orientation)
+    phi._d = {e: FORWARD if forward & bit else BACKWARD for e, bit in edges}
+    phi._hash = hash(frozenset(phi._d.items()))
+    return phi
 
 
 def enumerate_tco(g):
@@ -291,15 +303,6 @@ class TotCycPair:
             raise ValueError("orientation is not totally cyclic off the support")
         return cls(support, phi)
 
-    @classmethod
-    def from_masks(cls, g, support, forward):
-        """The pair whose ``masks`` are ``(support, forward)``."""
-        kept = [(e, 1 << i) for i, e in enumerate(g.edges)
-                if not support >> i & 1]
-        return cls(frozenset(e for i, e in enumerate(g.edges)
-                             if support >> i & 1),
-                   _orientation(kept, forward))
-
     def masks(self, g):
         """``(support, forward)``: the edge bitmasks of T and of the edges
         phi runs in their reference direction."""
@@ -325,23 +328,55 @@ class TotCycPair:
         return f"TotCycPair(T={{{t}}}, {self.phi!r})"
 
 
+def _pairs(g, masks):
+    """The labels whose ``masks`` are the given ``(support, forward)``
+    pairs, in their order.
+
+    The support set and the list of kept edges are built once per run of
+    equal supports, so a list in ``sort_key`` order pays them once per
+    support and one ``_orientation`` per pair.
+    """
+    edges = list(enumerate(g.edges))
+    out = []
+    last = None
+    for support, forward in masks:
+        if support != last:
+            last = support
+            t = frozenset(e for i, e in edges if support >> i & 1)
+            kept = [(e, 1 << i) for i, e in edges if not support >> i & 1]
+        out.append(TotCycPair(t, _orientation(kept, forward)))
+    return out
+
+
 class OrientationPoset:
     """All pairs (T, phi), ordered by restriction of orientations.
 
     (T', phi') <= (T, phi) iff T' contains T and phi' is phi restricted.
     The unique minimum is (E, empty); the maximal elements are exactly the
     pairs whose support is the set of separating edges.  That rule makes
-    ``maximal_elements`` one pass over the elements, O(n) support
+    ``maximal_elements`` one pass over the masks, O(n) integer
     comparisons, with no pairwise ``leq`` tests.
+
+    ``masks`` lists the elements as ``TotCycPair.masks`` pairs in
+    ``sort_key`` order and is all the poset stores.  The labels
+    (``elements``, iteration, ``index``, membership) are built from it on
+    first use and kept.
     """
 
-    def __init__(self, graph, elements):
+    def __init__(self, graph, masks):
         self.graph = graph
-        self.elements = elements
-        self._index = {p: i for i, p in enumerate(elements)}
+        self.masks = masks
+
+    @cached_property
+    def elements(self):
+        return _pairs(self.graph, self.masks)
+
+    @cached_property
+    def _index(self):
+        return {p: i for i, p in enumerate(self.elements)}
 
     def __len__(self):
-        return len(self.elements)
+        return len(self.masks)
 
     def __iter__(self):
         return iter(self.elements)
@@ -366,14 +401,15 @@ class OrientationPoset:
         return TotCycPair(full, EMPTY_ORIENTATION)
 
     def maximal_elements(self):
-        """The chambers, in element order.
+        """The chambers, in element order; labels are built for them only.
 
         Every element's support contains the bridges, since no totally
         cyclic orientation uses one, and every element lies below one whose
         support is exactly the bridges.  So those are the maximal ones.
         """
-        sep = frozenset(separating_edges(self.graph))
-        return [p for p in self.elements if p.support == sep]
+        g = self.graph
+        bridges = g.edge_mask(separating_edges(g))
+        return _pairs(g, [k for k in self.masks if k[0] == bridges])
 
 
 def build_orientation_poset(g):
@@ -383,22 +419,19 @@ def build_orientation_poset(g):
     and then lexicographically, which is ``sort_key`` order because every
     T holds the same separating edges; ``_forward_masks`` yields each
     complement's orientations in canonical order, or none when the
-    complement has a bridge.
+    complement has a bridge.  The poset keeps the pairs as masks.
     """
     m = len(g.edges)
     if m > MAX_POSET_EDGES:
         raise CapacityError("orientation poset edge cap", m, MAX_POSET_EDGES)
-    sep = set(separating_edges(g))
-    free = [e for e in g.edges if e not in sep]
+    bridges = g.edge_mask(separating_edges(g))
+    free = [e for i, e in enumerate(g.edges) if not bridges >> i & 1]
     bonds = bond_table(g, free)
-    elements = []
+    full = (1 << m) - 1
+    masks = []
     for k in range(len(free) + 1):
         for t in itertools.combinations(free, k):
-            t = sep.union(t)
-            kept = [(e, 1 << i) for i, e in enumerate(g.edges) if e not in t]
-            masks = _forward_masks(bonds, sum(bit for _, bit in kept))
-            if masks:
-                support = frozenset(t)
-                elements += [TotCycPair(support, _orientation(kept, f))
-                             for f in masks]
-    return OrientationPoset(g, elements)
+            support = bridges | g.edge_mask(t)
+            masks += [(support, f)
+                      for f in _forward_masks(bonds, full ^ support)]
+    return OrientationPoset(g, masks)

@@ -368,13 +368,36 @@ def build_orientation_poset_reference(g):
             for phi in enumerate_tco_reference(delete_edges(g, t)):
                 elements.append(TotCycPair(t, phi))
     elements.sort(key=lambda p: p.sort_key(g))
-    return OrientationPoset(g, elements)
+    poset = OrientationPoset(g, [p.masks(g) for p in elements])
+    poset.elements = elements    # these labels, not ones rebuilt from masks
+    return poset
 
 
 def maximal_elements_reference(poset):
-    """Elements below no other element, by comparing every pair: O(n^2)."""
+    """Elements below no other element, by pairwise ``leq`` tests.
+
+    p <= q needs T(p) to contain T(q).  Each p is first compared with the
+    pairs one support edge up that extend it, looked up by label, and then
+    with every element whose support T(p) contains.
+    """
+    labels = set(poset.elements)
+    by_support = {}
+    for q in poset.elements:
+        by_support.setdefault(q.support, []).append(q)
+
+    def candidates(p):
+        for e in p.support:
+            for d in (FORWARD, BACKWARD):
+                q = TotCycPair(p.support - {e},
+                               Orientation({**dict(p.phi.items()), e: d}))
+                if q in labels:
+                    yield q
+        for t, group in by_support.items():
+            if t <= p.support:
+                yield from group
+
     return [p for p in poset.elements
-            if not any(q is not p and poset.leq(p, q) for q in poset.elements)]
+            if not any(q is not p and poset.leq(p, q) for q in candidates(p))]
 
 
 def covers_reference(poset):

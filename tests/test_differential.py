@@ -393,15 +393,19 @@ POSET_GRAPHS = {
 
 
 def _assert_orientations_match_references(g):
-    elements = build_orientation_poset(g).elements
-    assert elements == build_orientation_poset_reference(g).elements
-    assert elements == sorted(elements, key=lambda p: p.sort_key(g))
+    poset = build_orientation_poset(g)
+    reference = build_orientation_poset_reference(g)
+    assert poset.masks == reference.masks
+    assert poset.elements == reference.elements
+    assert poset.elements == sorted(poset.elements,
+                                    key=lambda p: p.sort_key(g))
+    assert poset.maximal_elements() == maximal_elements_reference(reference)
     assert enumerate_tco(g) == enumerate_tco_reference(g)
 
 
 @pytest.mark.parametrize("name", POSET_GRAPHS)
 def test_orientations_match_references(name):
-    """The element lists and the orientation lists, order included."""
+    """The mask, element, chamber and orientation lists, order included."""
     _assert_orientations_match_references(POSET_GRAPHS[name])
 
 

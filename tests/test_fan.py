@@ -11,8 +11,10 @@ from cographic import (CapacityError, Chain1, Cone, Orientation, TotCycPair,
                        find_poset_isomorphism,
                        fundamental_cycle_basis,
                        voronoi_face_dim, FinitePoset)
+from cographic import orientations
 from cographic.orientations import OrientationPoset
 from cographic.graph import FORWARD, BACKWARD
+from conftest import k4_plus
 from oracles import support_orientation_of
 
 
@@ -325,3 +327,23 @@ def test_fan_poset_isomorphic_to_orientation_poset():
     orient_poset = FinitePoset(list(fan.poset), OrientationPoset.leq)
     iso = find_poset_isomorphism(cone_poset, orient_poset)
     assert iso is not None
+
+
+def test_fan_builds_labels_only_when_asked(monkeypatch):
+    built = []
+    original = orientations._orientation
+
+    def counted(*args):
+        built.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(orientations, "_orientation", counted)
+    fan = build_fan(k4_plus(4))
+    assert len(fan) == 19963
+    assert built == []
+    assert len(fan.chambers()) == len(built) == 768
+    built.clear()
+    assert len(fan.cones) == len(built) == 19963
+    built.clear()
+    fan.cones
+    assert built == []
