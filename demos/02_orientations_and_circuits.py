@@ -41,6 +41,6 @@ for gamma, n in decompose_cycle(g, c):
 
 # The circuits compatible with one chamber orientation generate its cone.
 chamber = poset.maximal_elements()[0]
-print("\nfirst chamber:", chamber.phi.to_json())
+print("\nfirst chamber:", chamber.to_json(g)["phi"])
 print("compatible circuits:",
       [gamma.to_json(g) for gamma in compatible_circuits(g, chamber)])

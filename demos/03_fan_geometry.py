@@ -19,14 +19,14 @@ print(f"B3 fan: {len(fan)} cones, {len(fan.chambers())} chambers, "
 # Dimensions complement the dual-polytope face dimensions.
 for cone in fan.cones:
     d = cone_dimension(cone)
-    print(f"  T={sorted(cone.label.support)!s:18} dim={d} "
+    print(f"  T={sorted(g.edges_of(cone.label.support))!s:18} dim={d} "
           f"dual face dim={voronoi_face_dim(cone)} "
           f"rays={len(extremal_rays(cone))}")
 
 # Locating the minimal cone of a cycle is reading its signs.
 c = Chain1({"e1": 1, "e2": 2, "e3": -3})
 label = cone_of(g, c)
-print("\nminimal cone of e1 + 2*e2 - 3*e3:", label.phi.to_json())
+print("\nminimal cone of e1 + 2*e2 - 3*e3:", label.to_json(g)["phi"])
 
 # Two cycles share a cone exactly when no edge carries opposite signs.
 d = Chain1({"e1": 1, "e3": -1})
@@ -37,7 +37,7 @@ print("shares a cone with its negative:", common_cone(c, -1 * c))
 chamber = fan.chambers()[0]
 print("\nfacets of the first chamber:")
 for sub, normal in facets(chamber):
-    print(f"   T={sorted(sub.label.support)} normal={normal}")
+    print(f"   T={sorted(g.edges_of(sub.label.support))} normal={normal}")
 
 # Membership is exact and closed under the cone operations.
 assert cone_contains(fan.cone(label), c)

@@ -39,7 +39,7 @@ for name in ("TREE3", "LOOP1", "B2", "B3", "C5", "FIG-NG", "THETA2"):
 fanposet = strata_poset(fan).poset
 chambers = fanposet.maximal_elements()
 shared = sum_of_primes(g, chambers[:2])
-print("\nsum of two chamber primes lives on T =", sorted(shared.support))
+print("\nsum of two chamber primes lives on T =", sorted(g.edges_of(shared.support)))
 prime = GradedPrime(g, chambers[0])
 print("that chamber's prime contains X^(e3-e1):",
       prime.contains(Chain1({"e3": 1, "e1": -1})))

@@ -17,9 +17,8 @@ from each anchor edge, which is exponential in the worst case.
 ``compatible_circuits`` never walks: the first call on a graph lists the
 circuits once into a table kept on the graph, one row per support with
 its edge-index bitmask and the bitmask of the edges its walk traverses
-forward.  Each call then costs one pass over the pair's edges to build
-its masks plus a few integer operations per row, and allocates nothing
-but the result list.
+forward.  A label is already a pair of masks, so each call costs a few
+integer operations per row and allocates nothing but the result list.
 
 ``hypergraph_bijection`` decides whether two families of edge sets agree
 up to an edge bijection.  It serves both the ring-equivalence decision
@@ -153,7 +152,7 @@ def _circuit_table(g):
 
 
 def compatible_circuits(g, pair):
-    """Circuits supported off ``pair.support`` and oriented by ``pair.phi``.
+    """Circuits supported off the label's T and oriented by its phi.
 
     Exactly one orientation per qualifying support survives, namely the
     restriction of phi; the result is nonempty as soon as the complement
@@ -162,7 +161,7 @@ def compatible_circuits(g, pair):
     the walk's forward edges (the walk) or the rest of the support (its
     reversal).
     """
-    blocked, forward = pair.masks(g)
+    blocked, forward = pair
     out = []
     for supp, fwd, gamma, reversal in _circuit_table(g):
         if supp & blocked:

@@ -6,26 +6,25 @@ sign check, dimension is a Betti number, extremal rays are compatible
 circuit classes, and facets come from forcing one more functional to
 vanish.  No floating point and no half-space solver anywhere.
 
-Cost model.  A cone is handled as the edge-index bitmasks of its label,
-the support T and the forward edges of phi (``TotCycPair.masks``), and
-the support masks of its compatible circuits.  A ``Fan`` holds the
-orientation poset, which stores those label masks; ``build_fan`` is the
-poset's mask walk and nothing more.  Labels and ``Cone`` objects are made
-on demand: ``chambers`` builds the chamber labels only, ``len`` reads the
-mask list, and ``cones`` builds every cone on first access and keeps it.
-``_facets`` cuts the face of each edge e off T as the OR of the circuits
-that miss e, a few integer operations per circuit; the face's label is
-(all ^ covered, forward & covered), and faces are deduplicated by that
-pair.  A face's dimension, the Betti number of its covered edges, comes
-from one memo keyed by the covered mask, so ``Fan.to_json`` runs one
+Cost model.  A cone is its label, the edge-index bitmasks of the support
+T and of the forward edges of phi (``TotCycPair``), together with the
+support masks of its compatible circuits.  A ``Fan`` holds the
+orientation poset, which stores those labels; ``build_fan`` is the
+poset's mask walk and nothing more.  ``chambers`` filters the labels on
+the bridge mask, ``len`` reads the list, and ``cones`` wraps every label
+in a ``Cone`` on first access and keeps it.  ``_facets`` cuts the face of
+each edge e off T as the OR of the circuits that miss e, a few integer
+operations per circuit; the face's label is (all ^ covered, forward &
+covered), kept as a plain tuple, and faces are deduplicated by it.  A
+face's dimension, the Betti number of its covered edges, comes from one
+memo keyed by the covered mask, so ``Fan.to_json`` runs one
 ``spanning_forest`` per distinct face rather than one per edge per cone.
 Every face label is a poset element and the poset is in ``sort_key``
-order, so ``to_json``, which reads the masks straight off the poset,
-orders each cone's facets by poset index; standalone ``facets`` builds
-its facets' labels with the poset's ``_pairs`` and sorts them by that
-key.  ``to_json`` builds each label and its JSON once per poset element,
-the JSON shared by the facet entries that name it, and each circuit's
-ray JSON once per orientation, not once per cone.
+order, so ``to_json`` orders each cone's facets by the poset's index;
+standalone ``facets`` sorts them by that key.  Edge names appear only in
+the JSON: ``to_json`` builds each label's JSON once per poset element,
+shared by the facet entries that name it, and each circuit's ray JSON
+once per orientation, not once per cone.
 """
 
 from dataclasses import dataclass
@@ -36,7 +35,7 @@ from .circuits import _circuit_table, circuit_class, compatible_circuits
 from .errors import CapacityError
 from .graph import BACKWARD, FORWARD, betti1, delete_edges, spanning_forest
 from .orientations import (Orientation, OrientationPoset, TotCycPair,
-                           _pairs, build_orientation_poset)
+                           build_orientation_poset)
 
 MAX_ISOMORPHISM_SIZE = 5000
 
@@ -57,13 +56,10 @@ def cone_contains(cone, c):
     g = cone.graph
     if not is_cycle(g, c):
         raise ValueError("cone membership is defined for cycles only")
-    t = cone.label.support
-    phi = cone.label.phi
+    support, forward = cone.label
     for e, n in c.items():
-        if e in t:
-            return False
-        d = phi.direction(e)
-        if (n > 0) != (d == FORWARD):
+        bit = 1 << g.edge_index(e)
+        if support & bit or (n > 0) != bool(forward & bit):
             return False
     return True
 
@@ -90,8 +86,8 @@ def cone_of(g, c):
 
 def cone_dimension(cone):
     """Dimension of the cone's span, i.e. the Betti number off the support."""
-    g, t = cone.graph, cone.label.support
-    return len(spanning_forest(g, [e for e in g.edges if e not in t])[1])
+    g = cone.graph
+    return len(spanning_forest(g, g.edges_of(~cone.label.support))[1])
 
 
 def voronoi_face_dim(cone):
@@ -106,20 +102,21 @@ def extremal_rays(cone):
             for gamma in compatible_circuits(cone.graph, cone.label)]
 
 
-def face_label(g, support, phi):
-    """Canonical poset label of the face cut out by (support, phi).
+def face_label(g, support, forward):
+    """Canonical poset label of the face cut out by the edge masks
+    (support, forward).
 
-    ``phi`` orients the complement of ``support`` but need not be totally
-    cyclic there; the canonical label keeps only the edges covered by
-    compatible circuits, oriented by phi.  The point set is unchanged.
-    The compatible circuits are concordant (they all agree with phi), and
-    a union of directed circuits is totally cyclic, so the label is valid
-    by construction.
+    ``forward`` orients the complement of ``support`` but need not be
+    totally cyclic there; the canonical label keeps only the edges covered
+    by compatible circuits, oriented by it.  The point set is unchanged.
+    The compatible circuits are concordant (they all agree with the
+    orientation), and a union of directed circuits is totally cyclic, so
+    the label is valid by construction.
     """
-    covered = set()
-    for gamma in compatible_circuits(g, TotCycPair(frozenset(support), phi)):
-        covered |= gamma.support
-    return TotCycPair(frozenset(g.edges) - covered, phi.restrict(covered))
+    covered = 0
+    for gamma in compatible_circuits(g, TotCycPair(support, forward)):
+        covered |= g.edge_mask(gamma.support)
+    return TotCycPair(((1 << len(g.edges)) - 1) ^ covered, forward & covered)
 
 
 def facets(cone):
@@ -133,14 +130,12 @@ def facets(cone):
 
     Returns a list of (facet_cone, normal) pairs in canonical label order.
     """
-    g = cone.graph
-    basis = fundamental_cycle_basis(delete_edges(g, cone.label.support))
-    supports = [g.edge_mask(c.support)
-                for c in compatible_circuits(g, cone.label)]
-    out = _facets(g, basis, *cone.label.masks(g), supports, {})
-    found = sorted(zip(_pairs(g, out), out.values()),
-                   key=lambda item: item[0].sort_key(g))
-    return [(Cone(g, label), normal) for label, normal in found]
+    g, label = cone.graph, cone.label
+    basis = fundamental_cycle_basis(delete_edges(g, g.edges_of(label.support)))
+    supports = [g.edge_mask(c.support) for c in compatible_circuits(g, label)]
+    found = sorted(_facets(g, basis, *label, supports, {}).items(),
+                   key=lambda item: TotCycPair(*item[0]).sort_key(g))
+    return [(Cone(g, TotCycPair(*face)), normal) for face, normal in found]
 
 
 def _facets(g, basis, support, forward, supports, dims):
@@ -169,8 +164,8 @@ def _facets(g, basis, support, forward, supports, dims):
             continue
         dim = dims.get(covered)
         if dim is None:
-            edges = [f for j, f in enumerate(g.edges) if covered >> j & 1]
-            dim = dims[covered] = len(spanning_forest(g, edges)[1])
+            forest = spanning_forest(g, g.edges_of(covered))
+            dim = dims[covered] = len(forest[1])
         if dim == d - 1:
             out[face] = _edge_functional(
                 basis, e, FORWARD if forward & bit else BACKWARD)
@@ -192,8 +187,8 @@ def _edge_functional(basis, e, direction):
 class Fan:
     """All cones of a graph, indexed by the orientation poset.
 
-    The poset holds the cones' labels as masks; ``cones`` is built from its
-    labels on first access and kept.
+    The poset holds the cones' labels; ``cones`` wraps them on first
+    access and is kept.
     """
 
     graph: object
@@ -218,20 +213,19 @@ class Fan:
         ``facets`` of each cone, from one cycle basis and circuit list."""
         g = self.graph
         total = betti1(g)
-        masks = self.poset.masks
-        index = {k: i for i, k in enumerate(masks)}
+        index = self.poset._index
         labels = [p.to_json(g) for p in self.poset]
         rays = {c: (supp, circuit_class(c).to_json())
                 for supp, _, gamma, reversal in _circuit_table(g)
                 for c in (gamma, reversal)}
         dims = {}
         report = []
-        for pair, (support, forward), label in zip(self.poset, masks, labels):
-            basis = fundamental_cycle_basis(delete_edges(g, pair.support))
+        for pair, label in zip(self.poset, labels):
+            basis = fundamental_cycle_basis(
+                delete_edges(g, g.edges_of(pair.support)))
             circuits = [rays[c] for c in compatible_circuits(g, pair)]
             found = sorted((index[k], normal) for k, normal in _facets(
-                g, basis, support, forward, [s for s, _ in circuits],
-                dims).items())
+                g, basis, *pair, [s for s, _ in circuits], dims).items())
             report.append({
                 "label": label,
                 "dimension": len(basis),
@@ -246,8 +240,8 @@ class Fan:
 def build_fan(g):
     """One cone per orientation-poset element; inclusion mirrors the poset.
 
-    Only the poset's mask walk runs here: labels and cones are built when
-    a caller asks for them.
+    Only the poset's mask walk runs here: ``Cone`` objects are made when a
+    caller asks for them.
     """
     return Fan(g, build_orientation_poset(g))
 

@@ -97,6 +97,11 @@ class Graph:
             mask |= 1 << self.edge_index(e)
         return mask
 
+    def edges_of(self, mask):
+        """The edge ids of a bitmask in canonical order, the inverse of
+        ``edge_mask``; ``~mask`` gives the edges off it."""
+        return tuple(e for i, e in enumerate(self.edges) if mask >> i & 1)
+
     def __eq__(self, other):
         if not isinstance(other, Graph):
             return NotImplemented

@@ -27,19 +27,18 @@ and no strong-connectivity search runs.  ``enumerate_tco`` builds one
 ``Orientation`` per accepted sign vector; it returns at once on a graph
 with a bridge, before the table, so a tree costs one bridge search.  The
 poset builds its table over the non-bridge edges, since every support
-avoids the bridges, and stores only the ``TotCycPair.masks`` pair of each
-element: T's mask and the forward mask, already in ``sort_key`` order.
-Its labels, one ``Orientation`` and one ``TotCycPair`` each, are built
-from the masks when first asked for (``elements``, iteration, ``index``)
-by ``_pairs``, which makes one support set per run of equal supports;
-``maximal_elements`` builds them for the chambers only.
+avoids the bridges, and stores each element as its ``TotCycPair``, a
+named pair of ints: T's mask and the forward mask, already in
+``sort_key`` order.  ``leq``, ``minimum``, ``maximal_elements`` and the
+index are integer operations on those masks; edge names are read only
+where a label enters (``TotCycPair.create``) or leaves (``to_json``).
 ``is_totally_cyclic`` is the linear check of one given label
 (``TotCycPair.create``, ``fan.cone_of``).
 """
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import CapacityError
 from .graph import FORWARD, BACKWARD, delete_edges, separating_edges
@@ -72,10 +71,6 @@ class Orientation:
 
     def items(self):
         return self._d.items()
-
-    def restrict(self, edges):
-        keep = set(edges)
-        return Orientation({e: d for e, d in self._d.items() if e in keep})
 
     def reversed(self):
         return Orientation({e: -d for e, d in self._d.items()})
@@ -111,9 +106,6 @@ class Orientation:
                                  "not '+' or '-'")
         return cls({e: (FORWARD if s == "+" else BACKWARD)
                     for e, s in obj.items()})
-
-
-EMPTY_ORIENTATION = Orientation()
 
 
 def is_totally_cyclic(g, phi):
@@ -285,34 +277,32 @@ def enumerate_tco(g):
             for f in _forward_masks(bond_table(g, g.edges), (1 << m) - 1)]
 
 
-@dataclass(frozen=True)
-class TotCycPair:
-    """An edge set T together with a totally cyclic orientation of its
-    complementary spanning subgraph: the label of one fan cone."""
+class TotCycPair(NamedTuple):
+    """An edge set T together with a totally cyclic orientation phi of its
+    complementary spanning subgraph: the label of one fan cone.
 
-    support: frozenset
-    phi: Orientation
+    Both are edge-index bitmasks of the graph: ``support`` holds T and
+    ``forward`` the edges off T that phi runs in their reference direction.
+    """
+
+    support: int
+    forward: int
 
     @classmethod
     def create(cls, g, support, phi):
+        """The label of the edge ids ``support`` and the ``Orientation``
+        ``phi`` of the rest, checked to be totally cyclic."""
         support = frozenset(support)
-        for e in support:
-            g.edge_index(e)
         rest = delete_edges(g, support)
         if not is_totally_cyclic(rest, phi):
             raise ValueError("orientation is not totally cyclic off the support")
-        return cls(support, phi)
-
-    def masks(self, g):
-        """``(support, forward)``: the edge bitmasks of T and of the edges
-        phi runs in their reference direction."""
-        return (g.edge_mask(self.support),
-                g.edge_mask(e for e, d in self.phi.items() if d == FORWARD))
+        return cls(g.edge_mask(support),
+                   g.edge_mask(e for e, d in phi.items() if d == FORWARD))
 
     def sort_key(self, g):
         """The size of T, its edge indices, then one sign per edge off T in
-        index order, 0 for forward and 1 for backward; read off the masks."""
-        support, forward = self.masks(g)
+        index order, 0 for forward and 1 for backward."""
+        support, forward = self
         m = len(g.edges)
         return (support.bit_count(),
                 tuple(i for i in range(m) if support >> i & 1),
@@ -320,32 +310,11 @@ class TotCycPair:
                       for i in range(m) if not support >> i & 1))
 
     def to_json(self, g):
-        return {"T": list(g.sort_edges(self.support)),
-                "phi": self.phi.to_json()}
-
-    def __repr__(self):
-        t = ",".join(sorted(self.support))
-        return f"TotCycPair(T={{{t}}}, {self.phi!r})"
-
-
-def _pairs(g, masks):
-    """The labels whose ``masks`` are the given ``(support, forward)``
-    pairs, in their order.
-
-    The support set and the list of kept edges are built once per run of
-    equal supports, so a list in ``sort_key`` order pays them once per
-    support and one ``_orientation`` per pair.
-    """
-    edges = list(enumerate(g.edges))
-    out = []
-    last = None
-    for support, forward in masks:
-        if support != last:
-            last = support
-            t = frozenset(e for i, e in edges if support >> i & 1)
-            kept = [(e, 1 << i) for i, e in edges if not support >> i & 1]
-        out.append(TotCycPair(t, _orientation(kept, forward)))
-    return out
+        """T in edge-index order and phi sorted by edge id."""
+        support, forward = self
+        return {"T": list(g.edges_of(support)),
+                "phi": {e: "+" if forward >> g.edge_index(e) & 1 else "-"
+                        for e in sorted(g.edges_of(~support))}}
 
 
 class OrientationPoset:
@@ -354,29 +323,23 @@ class OrientationPoset:
     (T', phi') <= (T, phi) iff T' contains T and phi' is phi restricted.
     The unique minimum is (E, empty); the maximal elements are exactly the
     pairs whose support is the set of separating edges.  That rule makes
-    ``maximal_elements`` one pass over the masks, O(n) integer
+    ``maximal_elements`` one pass over the elements, O(n) integer
     comparisons, with no pairwise ``leq`` tests.
 
-    ``masks`` lists the elements as ``TotCycPair.masks`` pairs in
-    ``sort_key`` order and is all the poset stores.  The labels
-    (``elements``, iteration, ``index``, membership) are built from it on
-    first use and kept.
+    ``elements`` lists the labels in ``sort_key`` order; ``index`` and
+    membership read one dict built from it on first use.
     """
 
-    def __init__(self, graph, masks):
+    def __init__(self, graph, elements):
         self.graph = graph
-        self.masks = masks
-
-    @cached_property
-    def elements(self):
-        return _pairs(self.graph, self.masks)
+        self.elements = elements
 
     @cached_property
     def _index(self):
         return {p: i for i, p in enumerate(self.elements)}
 
     def __len__(self):
-        return len(self.masks)
+        return len(self.elements)
 
     def __iter__(self):
         return iter(self.elements)
@@ -390,26 +353,22 @@ class OrientationPoset:
     @staticmethod
     def leq(p, q):
         """p <= q in the restriction order."""
-        if not p.support >= q.support:
-            return False
-        return all(p.phi.direction(e) == q.phi.direction(e)
-                   for e in p.phi.edges())
+        return (p.support & q.support == q.support
+                and p.forward == q.forward & ~p.support)
 
     @property
     def minimum(self):
-        full = frozenset(self.graph.edges)
-        return TotCycPair(full, EMPTY_ORIENTATION)
+        return TotCycPair((1 << len(self.graph.edges)) - 1, 0)
 
     def maximal_elements(self):
-        """The chambers, in element order; labels are built for them only.
+        """The chambers, in element order.
 
         Every element's support contains the bridges, since no totally
         cyclic orientation uses one, and every element lies below one whose
         support is exactly the bridges.  So those are the maximal ones.
         """
-        g = self.graph
-        bridges = g.edge_mask(separating_edges(g))
-        return _pairs(g, [k for k in self.masks if k[0] == bridges])
+        bridges = self.graph.edge_mask(separating_edges(self.graph))
+        return [p for p in self.elements if p.support == bridges]
 
 
 def build_orientation_poset(g):
@@ -419,7 +378,7 @@ def build_orientation_poset(g):
     and then lexicographically, which is ``sort_key`` order because every
     T holds the same separating edges; ``_forward_masks`` yields each
     complement's orientations in canonical order, or none when the
-    complement has a bridge.  The poset keeps the pairs as masks.
+    complement has a bridge.
     """
     m = len(g.edges)
     if m > MAX_POSET_EDGES:
@@ -428,10 +387,10 @@ def build_orientation_poset(g):
     free = [e for i, e in enumerate(g.edges) if not bridges >> i & 1]
     bonds = bond_table(g, free)
     full = (1 << m) - 1
-    masks = []
+    elements = []
     for k in range(len(free) + 1):
         for t in itertools.combinations(free, k):
             support = bridges | g.edge_mask(t)
-            masks += [(support, f)
-                      for f in _forward_masks(bonds, full ^ support)]
-    return OrientationPoset(g, masks)
+            elements += [TotCycPair(support, f)
+                         for f in _forward_masks(bonds, full ^ support)]
+    return OrientationPoset(g, elements)

@@ -31,7 +31,6 @@ from .circuits import concordant, enumerate_oriented_circuits
 from .fan import (Cone, common_cone, cone_contains, extremal_rays,
                   face_label, FinitePoset)
 from .graph import betti1
-from .orientations import Orientation
 from .semigroup import (chamber_classes, hilbert_basis, per_chamber_class,
                         permute_ideal, subdiagram_volume,
                         toric_ideal_up_to_degree)
@@ -231,22 +230,15 @@ def sum_of_primes(g, pairs):
     """The label whose prime is the sum of the given labels' primes.
 
     The sum of the primes of several cones is the prime of their
-    intersection; the intersection is computed by merging sign conditions
-    and canonicalizing through the circuits that survive them.
+    intersection.  Its sign conditions vanish on every edge some label
+    puts in T or two labels orient differently, and follow the shared
+    orientation elsewhere; the circuits that survive them canonicalize it.
     """
     pairs = list(pairs)
     if not pairs:
         raise ValueError("need at least one prime")
-    support = set()
+    first = pairs[0]
+    support = 0
     for p in pairs:
-        support |= p.support
-    directions = {}
-    for e in g.edges:
-        if e in support:
-            continue
-        dirs = {p.phi.direction(e) for p in pairs}
-        if len(dirs) == 1:
-            directions[e] = dirs.pop()
-        else:
-            support.add(e)
-    return face_label(g, support, Orientation(directions))
+        support |= p.support | (p.forward ^ first.forward)
+    return face_label(g, support, first.forward & ~support)

@@ -60,7 +60,7 @@ from .circuits import (_edge_profiles, circuit_class, compatible_circuits,
                        hypergraph_bijection)
 from .errors import CapacityError
 from .fan import Cone, _facets
-from .graph import FORWARD, delete_edges
+from .graph import delete_edges
 from .linalg import det_int, hyperplane_through
 
 # The Hilbert-Samuel horizon of a cone of dimension d is d plus this; it
@@ -107,13 +107,13 @@ class AffineSemigroup:
         duplicates merged.  Support edges need no row, because the basis
         cycles live off the support.
         """
-        label = self.cone.label
+        support, forward = self.cone.label
         basis = self.cycle_basis.basis
         rows = set()
-        for e in self.graph.edges:
-            if e in label.support:
+        for i, e in enumerate(self.graph.edges):
+            if support >> i & 1:
                 continue
-            sign = 1 if label.phi.direction(e) == FORWARD else -1
+            sign = 1 if forward >> i & 1 else -1
             row = tuple(sign * b.coeff(e) for b in basis)
             if any(row):
                 rows.add(row)
@@ -140,7 +140,7 @@ def hilbert_basis(g, pair):
     """
     circuits = compatible_circuits(g, pair)
     basis = [circuit_class(gamma) for gamma in circuits]
-    rest = delete_edges(g, pair.support)
+    rest = delete_edges(g, g.edges_of(pair.support))
     cycle_basis = fundamental_cycle_basis(rest)
     return AffineSemigroup(Cone(g, pair), circuits, basis, len(cycle_basis),
                            cycle_basis)
@@ -276,7 +276,7 @@ def q_gorenstein(s):
     if d == 0:
         return True, True, {}
     g = s.graph
-    normals = list(_facets(g, s.cycle_basis, *s.cone.label.masks(g),
+    normals = list(_facets(g, s.cycle_basis, *s.cone.label,
                            [g.edge_mask(c.support) for c in s.circuits],
                            {}).values())
     for rows in itertools.combinations(normals, d):
@@ -504,7 +504,7 @@ def chamber_classes(semigroups):
     buckets = {}
     classes = []
     for i, s in enumerate(semigroups):
-        edges = [e for e in s.graph.edges if e not in s.cone.label.support]
+        edges = s.graph.edges_of(~s.cone.label.support)
         sets = [gamma.support for gamma in s.circuits]
         profiles = sorted(_edge_profiles(edges, sets).values())
         bucket = buckets.setdefault((s.lattice_rank, tuple(profiles)), [])

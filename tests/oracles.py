@@ -20,8 +20,7 @@ from cographic import (BinomialIdeal, CapacityError, Chain1, Cone,
                        is_cycle, is_totally_cyclic, separating_edges)
 from cographic.circuits import _circuit_supports
 from cographic.graph import FORWARD, BACKWARD, spanning_forest
-from cographic.orientations import (EMPTY_ORIENTATION, MAX_ORIENTATION_EDGES,
-                                    MAX_POSET_EDGES)
+from cographic.orientations import MAX_ORIENTATION_EDGES, MAX_POSET_EDGES
 from cographic.linalg import det_int, primitive_vector
 
 
@@ -339,7 +338,7 @@ def enumerate_tco_reference(g):
         raise CapacityError("orientation enumeration edge cap", m,
                             MAX_ORIENTATION_EDGES)
     if m == 0:
-        return [EMPTY_ORIENTATION]
+        return [Orientation()]
     if separating_edges(g):
         return []
     found = []
@@ -361,43 +360,73 @@ def build_orientation_poset_reference(g):
         raise CapacityError("orientation poset edge cap", m, MAX_POSET_EDGES)
     sep = set(separating_edges(g))
     free = [e for e in g.edges if e not in sep]
-    elements = []
+    named = []
     for k in range(len(free), -1, -1):
         for kept in itertools.combinations(free, k):
             t = frozenset(g.edges) - frozenset(kept)
             for phi in enumerate_tco_reference(delete_edges(g, t)):
-                elements.append(TotCycPair(t, phi))
-    elements.sort(key=lambda p: p.sort_key(g))
-    poset = OrientationPoset(g, [p.masks(g) for p in elements])
-    poset.elements = elements    # these labels, not ones rebuilt from masks
-    return poset
+                named.append((t, phi))
+
+    def order(item):
+        # ``TotCycPair.sort_key`` order, computed from the names
+        t, phi = item
+        return (len(t), tuple(sorted(map(g.edge_index, t))),
+                tuple(0 if phi.direction(e) == FORWARD else 1
+                      for e in g.edges if e not in t))
+
+    named.sort(key=order)
+    return OrientationPoset(g, [_label_of(g, t, phi) for t, phi in named])
+
+
+def _label_of(g, t, phi):
+    """The label of the edge ids ``t`` and the orientation ``phi`` of the
+    rest (an ``Orientation`` or a dict), unchecked."""
+    return TotCycPair(g.edge_mask(t),
+                      g.edge_mask(e for e, d in phi.items() if d == FORWARD))
+
+
+def _names(g, pair):
+    """The edge set T and the direction dict phi of a label, read bit by
+    bit along g's edge order."""
+    support, forward = pair
+    t = frozenset(e for i, e in enumerate(g.edges) if support >> i & 1)
+    phi = {e: FORWARD if forward >> i & 1 else BACKWARD
+           for i, e in enumerate(g.edges) if not support >> i & 1}
+    return t, phi
 
 
 def maximal_elements_reference(poset):
-    """Elements below no other element, by pairwise ``leq`` tests.
+    """Elements below no other element, by pairwise order tests on names.
 
-    p <= q needs T(p) to contain T(q).  Each p is first compared with the
-    pairs one support edge up that extend it, looked up by label, and then
-    with every element whose support T(p) contains.
+    p <= q when T(p) contains T(q) and phi(p) is phi(q) restricted.  Each
+    p is first compared with the pairs one support edge up that extend
+    it, looked up by name, and then with every element whose support T(p)
+    contains.
     """
-    labels = set(poset.elements)
+    g = poset.graph
+    names = {p: _names(g, p) for p in poset.elements}
+    by_name = {(t, frozenset(phi.items())): p for p, (t, phi) in names.items()}
     by_support = {}
-    for q in poset.elements:
-        by_support.setdefault(q.support, []).append(q)
+    for q, (t, _) in names.items():
+        by_support.setdefault(t, []).append(q)
+
+    def leq(p, q):
+        (tp, phi_p), (tq, phi_q) = names[p], names[q]
+        return tp >= tq and all(phi_q[e] == d for e, d in phi_p.items())
 
     def candidates(p):
-        for e in p.support:
+        t, phi = names[p]
+        for e in t:
             for d in (FORWARD, BACKWARD):
-                q = TotCycPair(p.support - {e},
-                               Orientation({**dict(p.phi.items()), e: d}))
-                if q in labels:
+                q = by_name.get((t - {e}, frozenset({**phi, e: d}.items())))
+                if q is not None:
                     yield q
-        for t, group in by_support.items():
-            if t <= p.support:
+        for s, group in by_support.items():
+            if s <= t:
                 yield from group
 
     return [p for p in poset.elements
-            if not any(q is not p and poset.leq(p, q) for q in candidates(p))]
+            if not any(q != p and leq(p, q) for q in candidates(p))]
 
 
 def covers_reference(poset):
@@ -526,10 +555,11 @@ def enumerate_oriented_circuits_reference(g):
 def compatible_circuits_reference(g, pair):
     """Walk every circuit of the graph with the support deleted and keep
     those the restriction of phi orients coherently, then sort."""
-    rest = delete_edges(g, pair.support)
+    t, phi = _names(g, pair)
+    rest = delete_edges(g, t)
     out = []
     for edges, dirs in _circuit_supports(rest):
-        restricted = pair.phi.restrict(edges)
+        restricted = Orientation({e: phi[e] for e in edges})
         walk = Orientation(dirs)
         if restricted == walk or restricted == walk.reversed():
             out.append(OrientedCircuit(frozenset(edges), restricted))
@@ -564,9 +594,8 @@ def covered_by_compatible_circuits(g, phi):
     Slower than the strong-connectivity test but a genuinely different
     route; kept for cross-checks.
     """
-    pair = TotCycPair(frozenset(), phi)
     covered = set()
-    for gamma in compatible_circuits_reference(g, pair):
+    for gamma in compatible_circuits_reference(g, _label_of(g, (), phi)):
         covered |= gamma.support
     return covered == set(g.edges)
 
@@ -595,9 +624,8 @@ def semigroup_points_up_to_degree(s, bound):
     reference to the Hilbert basis: an independent oracle.
     """
     g = s.graph
-    label = s.cone.label
-    free = [e for e in g.edges if e not in label.support]
-    phi = label.phi
+    t, phi = _names(g, s.cone.label)
+    free = [e for e in g.edges if e not in t]
     points = []
 
     def rec(idx, budget, coeffs):
@@ -607,7 +635,7 @@ def semigroup_points_up_to_degree(s, bound):
                 points.append(c)
             return
         e = free[idx]
-        sign = 1 if phi.direction(e) == FORWARD else -1
+        sign = phi[e]
         for k in range(budget + 1):
             coeffs[e] = sign * k
             rec(idx + 1, budget - k, coeffs)
@@ -638,16 +666,14 @@ def irreducible_points_up_to_degree(s, bound):
 
 
 def facets_reference(cone):
-    """``fan.facets`` with a set of covered edges, a ``TotCycPair`` with
-    ``Orientation.restrict`` and a ``spanning_forest`` per edge off the
-    support, the labels sorted by ``sort_key``, in the coordinates of
+    """``fan.facets`` with a set of covered edges, a label restricted by
+    name and a ``spanning_forest`` per edge off the support, the labels
+    sorted by ``sort_key``, in the coordinates of
     ``fundamental_cycle_basis_reference``."""
     g = cone.graph
-    basis = fundamental_cycle_basis_reference(
-        delete_edges(g, cone.label.support))
+    t, phi = _names(g, cone.label)
+    basis = fundamental_cycle_basis_reference(delete_edges(g, t))
     circuits = compatible_circuits(g, cone.label)
-    t = cone.label.support
-    phi = cone.label.phi
     d = len(basis)
     out = {}
     for e in g.edges:
@@ -657,11 +683,12 @@ def facets_reference(cone):
         for gamma in circuits:
             if e not in gamma.support:
                 covered |= gamma.support
-        label = TotCycPair(frozenset(g.edges) - covered, phi.restrict(covered))
+        label = _label_of(g, frozenset(g.edges) - covered,
+                          {f: phi[f] for f in covered})
         if label in out or len(spanning_forest(g, covered)[1]) != d - 1:
             continue
         out[label] = (Cone(g, label), primitive_vector(
-            [phi.direction(e) * b.coeff(e) for b in basis.basis]))
+            [phi[e] * b.coeff(e) for b in basis.basis]))
     return [out[label] for label in
             sorted(out, key=lambda p: p.sort_key(g))]
 

@@ -132,10 +132,10 @@ def test_contains_matches_cone_contains(name, fan_of, rng):
 def _facet_pairs(g, pair):
     """The pairs ``facets`` hands to ``compatible_circuits``: one more
     edge forced to vanish, its direction dropped."""
-    for e in g.edges:
-        if e not in pair.support:
-            rest = pair.phi.restrict(set(pair.phi.edges()) - {e})
-            yield TotCycPair(pair.support | {e}, rest)
+    for i in range(len(g.edges)):
+        bit = 1 << i
+        if not pair.support & bit:
+            yield TotCycPair(pair.support | bit, pair.forward & ~bit)
 
 
 def _assert_poset_matches_references(g):
@@ -147,7 +147,7 @@ def _assert_poset_matches_references(g):
         for p in [pair, *_facet_pairs(g, pair)]:
             reference = compatible_circuits_reference(g, p)
             assert compatible_circuits(g, p) == reference
-            assert face_label(g, p.support, p.phi) == \
+            assert face_label(g, *p) == \
                 support_orientation_of(g, reference)
 
 
@@ -288,7 +288,7 @@ def _assert_fan_json_matches_cone_functions(fan):
     for cone, entry in zip(fan.cones, report):
         facet_list = facets(cone)
         assert cone_dimension(cone) == \
-            betti1(delete_edges(g, cone.label.support))
+            betti1(delete_edges(g, g.edges_of(cone.label.support)))
         assert entry == {
             "label": cone.label.to_json(g),
             "dimension": cone_dimension(cone),
@@ -324,7 +324,7 @@ def _assert_facets_match_reference(fan):
     g = fan.graph
     _assert_same_basis(g)
     for cone, entry in zip(fan.cones, fan.to_json()):
-        _assert_same_basis(delete_edges(g, cone.label.support))
+        _assert_same_basis(delete_edges(g, g.edges_of(cone.label.support)))
         expected = facets_reference(cone)
         assert facets(cone) == expected
         assert entry["facets"] == [sub.label.to_json(g) for sub, _ in expected]
@@ -395,7 +395,6 @@ POSET_GRAPHS = {
 def _assert_orientations_match_references(g):
     poset = build_orientation_poset(g)
     reference = build_orientation_poset_reference(g)
-    assert poset.masks == reference.masks
     assert poset.elements == reference.elements
     assert poset.elements == sorted(poset.elements,
                                     key=lambda p: p.sort_key(g))
@@ -405,7 +404,7 @@ def _assert_orientations_match_references(g):
 
 @pytest.mark.parametrize("name", POSET_GRAPHS)
 def test_orientations_match_references(name):
-    """The mask, element, chamber and orientation lists, order included."""
+    """The element, chamber and orientation lists, order included."""
     _assert_orientations_match_references(POSET_GRAPHS[name])
 
 

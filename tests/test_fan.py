@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from cographic import (CapacityError, Chain1, Cone, Orientation, TotCycPair,
-                       betti1,
+                       betti1, from_edge_list,
                        build_fan, build_orientation_poset, catalog_graph,
                        circuit_class, common_cone, compatible_circuits,
                        cone_contains, cone_dimension, cone_of,
@@ -90,14 +90,14 @@ def test_common_cone_matches_explicit_poset_search(rng, graphs):
 def test_cone_of_zero_is_minimum():
     g = catalog_graph("B3")
     pair = cone_of(g, Chain1())
-    assert pair.support == frozenset(g.edges)
+    assert g.edges_of(pair.support) == g.edges
 
 
 def test_cone_of_reads_signs():
     g = catalog_graph("B3")
     pair = cone_of(g, Chain1({"e1": 2, "e2": 1, "e3": -3}))
-    assert pair.support == frozenset()
-    assert pair.phi.to_json() == {"e1": "+", "e2": "+", "e3": "-"}
+    assert pair.to_json(g) == {"T": [],
+                               "phi": {"e1": "+", "e2": "+", "e3": "-"}}
 
 
 def test_cone_of_is_minimal_cone(graphs):
@@ -125,7 +125,7 @@ def test_fan_completeness_box(graphs):
 def test_cone_dimensions():
     g, cone = b3_chamber_cone()
     assert cone_dimension(cone) == 2
-    minimum = Cone(g, TotCycPair(frozenset(g.edges), Orientation()))
+    minimum = Cone(g, TotCycPair(g.edge_mask(g.edges), 0))
     assert cone_dimension(minimum) == 0
     theta = catalog_graph("THETA2")
     chamber = Cone(theta, TotCycPair.create(
@@ -145,7 +145,7 @@ def test_extremal_rays_counts():
     g, cone = b3_chamber_cone()
     rays = extremal_rays(cone)
     assert len(rays) == 2
-    minimum = Cone(g, TotCycPair(frozenset(g.edges), Orientation()))
+    minimum = Cone(g, TotCycPair(g.edge_mask(g.edges), 0))
     assert extremal_rays(minimum) == []
 
 
@@ -187,7 +187,7 @@ def test_facets_b3_chamber_has_two():
     assert len(fl) == 2
     # the rays: forcing e1 (or e2) to zero leaves one circuit; forcing e3
     # to zero kills both circuits at once, which is a dimension-2 drop
-    supports = {tuple(sorted(sub.label.support)) for sub, _ in fl}
+    supports = {g.edges_of(sub.label.support) for sub, _ in fl}
     assert supports == {("e1",), ("e2",)}
     for sub, _ in fl:
         assert cone_dimension(sub) == 1
@@ -202,7 +202,8 @@ def test_facet_normals_nonnegative_on_cone(fan_of):
                 continue
             from cographic.chains import fundamental_cycle_basis as fcb
             from cographic.graph import delete_edges
-            basis = fcb(delete_edges(fan.graph, cone.label.support))
+            g = fan.graph
+            basis = fcb(delete_edges(g, g.edges_of(cone.label.support)))
             rays = [basis.coordinates(r) for r in extremal_rays(cone)]
             for _, normal in facets(cone):
                 values = [sum(a * b for a, b in zip(normal, ray))
@@ -220,21 +221,21 @@ def test_facet_normal_independent_of_cutting_edge(fan_of):
         fan = fan_of(name)
         g = fan.graph
         for cone in fan.cones:
-            t = cone.label.support
-            phi = cone.label.phi
+            support, forward = cone.label
             d = cone_dimension(cone)
             if d == 0:
                 continue
-            basis = fcb(delete_edges(g, t))
+            basis = fcb(delete_edges(g, g.edges_of(support)))
             normals = {}
-            for e in g.edges:
-                if e in t:
+            for i, e in enumerate(g.edges):
+                bit = 1 << i
+                if support & bit:
                     continue
-                label = face_label(g, t | {e},
-                                   phi.restrict(set(phi.edges()) - {e}))
+                label = face_label(g, support | bit, forward & ~bit)
                 if cone_dimension(Cone(g, label)) != d - 1:
                     continue
-                normal = _edge_functional(basis, e, phi.direction(e))
+                normal = _edge_functional(
+                    basis, e, FORWARD if forward & bit else BACKWARD)
                 normals.setdefault(label, set()).add(normal)
             for label, seen in normals.items():
                 assert len(seen) == 1, (name, label, seen)
@@ -270,8 +271,11 @@ def test_distinct_labels_have_distinct_point_sets(fan_of):
 
 def test_label_map_is_order_isomorphism(fan_of):
     # restriction order upstairs equals cone containment downstairs
-    for name in ("LOOP1", "B3", "C4", "FIG-NG"):
-        fan = fan_of(name)
+    digons_with_bridge = from_edge_list([
+        ("a1", "v1", "v2"), ("a2", "v2", "v1"), ("br", "v2", "v3"),
+        ("b1", "v3", "v4"), ("b2", "v3", "v4")])
+    fans = [fan_of(name) for name in ("LOOP1", "B3", "C4", "FIG-NG")]
+    for fan in fans + [build_fan(k4_plus(0)), build_fan(digons_with_bridge)]:
         rays = {p: [circuit_class(c)
                     for c in compatible_circuits(fan.graph, p)]
                 for p in fan.poset}
@@ -329,21 +333,28 @@ def test_fan_poset_isomorphic_to_orientation_poset():
     assert iso is not None
 
 
-def test_fan_builds_labels_only_when_asked(monkeypatch):
+def test_fan_builds_no_orientation(monkeypatch):
+    # Labels are mask pairs from the poset walk to the JSON: no step of a
+    # fan's life builds an ``Orientation``.
+    g = k4_plus(4)
+    enumerate_oriented_circuits(g)    # fills the circuit table
     built = []
-    original = orientations._orientation
+    original_init = Orientation.__init__
+    original_orientation = orientations._orientation
 
-    def counted(*args):
+    def counted_init(self, *args):
         built.append(args)
-        return original(*args)
+        original_init(self, *args)
 
-    monkeypatch.setattr(orientations, "_orientation", counted)
-    fan = build_fan(k4_plus(4))
+    def counted_orientation(*args):
+        built.append(args)
+        return original_orientation(*args)
+
+    monkeypatch.setattr(Orientation, "__init__", counted_init)
+    monkeypatch.setattr(orientations, "_orientation", counted_orientation)
+    fan = build_fan(g)
     assert len(fan) == 19963
-    assert built == []
-    assert len(fan.chambers()) == len(built) == 768
-    built.clear()
-    assert len(fan.cones) == len(built) == 19963
-    built.clear()
-    fan.cones
+    assert len(fan.chambers()) == 768
+    assert len(fan.cones) == 19963
+    assert len(fan.to_json()) == 19963
     assert built == []

@@ -197,8 +197,7 @@ def test_poset_of_tree_is_single_element():
     poset = build_orientation_poset(g)
     assert len(poset) == 1
     only = poset.elements[0]
-    assert only.support == frozenset(g.edges)
-    assert len(only.phi) == 0
+    assert only.to_json(g) == {"T": list(g.edges), "phi": {}}
     assert poset.maximal_elements() == [only]
 
 
@@ -246,17 +245,17 @@ def test_maximal_elements_carry_bridge_support(graphs):
         poset = build_orientation_poset(g)
         sep = frozenset(separating_edges(g))
         for p in maximal_elements_reference(poset):
-            assert p.support == sep
+            assert set(g.edges_of(p.support)) == sep
         # and the count equals the orientation count off the bridges
         assert len(maximal_elements_reference(poset)) == \
             len(enumerate_tco(delete_edges(g, sep)))
 
 
 def test_b3_maximal_are_the_six_chambers():
-    poset = build_orientation_poset(catalog_graph("B3"))
-    maxelts = poset.maximal_elements()
+    g = catalog_graph("B3")
+    maxelts = build_orientation_poset(g).maximal_elements()
     assert len(maxelts) == 6
-    assert all(p.support == frozenset() for p in maxelts)
+    assert all(g.edges_of(p.support) == () for p in maxelts)
 
 
 def test_order_relation_is_partial_order(graphs):
@@ -278,9 +277,13 @@ def test_totcycpair_create_validates():
     g = catalog_graph("B3")
     with pytest.raises(ValueError):
         TotCycPair.create(g, frozenset(), Orientation({e: FORWARD for e in g.edges}))
+    with pytest.raises(ValueError):
+        TotCycPair.create(g, {"e1", "zz"}, Orientation({"e2": FORWARD,
+                                                        "e3": BACKWARD}))
     pair = TotCycPair.create(
         g, frozenset(), Orientation({"e1": FORWARD, "e2": FORWARD, "e3": BACKWARD}))
-    assert pair.support == frozenset()
+    assert pair.to_json(g) == {"T": [],
+                               "phi": {"e1": "+", "e2": "+", "e3": "-"}}
 
 
 def test_orientation_json_round_trip():
