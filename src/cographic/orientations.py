@@ -387,10 +387,13 @@ def build_orientation_poset(g):
     free = [e for i, e in enumerate(g.edges) if not bridges >> i & 1]
     bonds = bond_table(g, free)
     full = (1 << m) - 1
+    # tuple.__new__ costs about a third of the generated NamedTuple
+    # __new__, paid once per element
+    new = tuple.__new__
     elements = []
     for k in range(len(free) + 1):
         for t in itertools.combinations(free, k):
             support = bridges | g.edge_mask(t)
-            elements += [TotCycPair(support, f)
+            elements += [new(TotCycPair, (support, f))
                          for f in _forward_masks(bonds, full ^ support)]
     return OrientationPoset(g, elements)

@@ -27,11 +27,12 @@ Cost model, for a cone of dimension d with n Hilbert basis elements:
   generators, of d + 1 integer d x d determinants each.  Each bounded
   facet that is not a simplex is projected one dimension down and cut
   into pyramids the same way; a simplex costs one determinant.
-- Hilbert-Samuel oracle: one visit per lattice point with fewer than
+- Hilbert-Samuel oracle: one visit per lattice point with at most
   ``horizon`` parts, about multiplicity * horizon^d / d! of them.  A
-  visit looks up its n parents by integer key; a parent never visited
-  costs one membership test, one integer dot product per edge functional
-  of the cone.  Paid once per class of chambers (below), it is still the
+  visit looks up at most n parents by integer key, each key packing the
+  point's values under the edge functionals; a parent without an entry
+  costs one AND against the guard bits, with no decoding and no dot
+  product.  Paid once per class of chambers (below), it is still the
   largest single cost of ``analyze``.
 - Toric ideal: all exponent vectors of degree at most the bound, C(n +
   degree, n) - 1 of them, grouped by image.  More than
@@ -47,7 +48,6 @@ Witness minors, lattice spanning and the Gorenstein point depend on
 generator order or sign and stay per chamber.
 """
 
-import heapq
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -387,75 +387,68 @@ def hilbert_samuel_function(s, horizon):
     A monomial survives in the quotient exactly when its exponent cannot
     be split into n nonzero semigroup elements.  The maximal number of
     parts in any splitting is computed by dynamic programming over lattice
-    points in increasing degree (degree is linear on the cone, so every
-    parent precedes its children).
+    points in increasing degree.  Degree is linear on the cone and every
+    generator has positive degree, so one bucket per degree puts every
+    parent before its children; within a bucket the order is free, since
+    only the counts per number of parts leave the DP.
 
-    Lattice points are packed into one integer each.  A point is queued
-    only from a point with at most ``cutoff`` parts, and parts grow by one
-    along every queueing step, so each queued point is a sum of at most
-    ``cutoff + 1`` generators and each parent examined is such a sum minus
-    one generator.  With M the largest absolute generator coordinate,
-    every coordinate the DP touches therefore lies in [-reach, reach] for
-    reach = (cutoff + 2) * M, with cutoff read as 0 when the horizon is
-    empty.  On that box, base ``2 * reach + 1`` digits with offset
-    ``reach`` (first coordinate most significant) encode points
-    injectively and in lexicographic order, so parent and child are
-    ``key -+ step`` and the heap order is that of coordinate tuples.  A
-    key is decoded only on a membership-cache miss.
+    A point is packed into one integer by its values under the cone's
+    edge functionals (``_sign_rows``), one field of w bits per row.  The
+    map is injective, since the cone is pointed and full-dimensional.  A
+    point is queued only from a point with at most ``cutoff`` parts, and
+    parts grow by one along every queueing step, so each queued point is a
+    sum of at most ``cutoff + 1`` generators and each parent examined is
+    such a sum minus one generator.  With ``top`` the largest value of a
+    generator under a functional, every value the DP touches therefore
+    lies in [-top, (cutoff + 1) * top], and a field holds its value plus
+    2^(w - 1), w being large enough that it never leaves [0, 2^w).  So no
+    borrow crosses a field, parent and child are ``key -+ step``, and a
+    point lies in the cone exactly when the top bit of every field is set:
+    ``key & guard == guard``, one AND.  Points beyond the cutoff get no
+    entry in the DP: every point within it is visited before its children,
+    so a parent in the cone without an entry lies beyond the cutoff, and
+    then so does the point.  The counts per number of parts are kept as
+    the points are visited.
     """
     d = s.lattice_rank
-    if d == 0:
+    if d == 0 or horizon < 1:
         return [1] * horizon
-    gens = s.coords
-    degrees = [c.l1() for c in s.hilbert_basis]
     cutoff = horizon - 1
+    rows = s._sign_rows
+    values = [[sum(map(mul, row, g)) for row in rows] for g in s.coords]
+    top = max(map(max, values))
+    w = ((cutoff + 1) * top).bit_length() + 1
+    guard = sum(1 << (i * w + w - 1) for i in range(len(rows)))
+    steps = [sum(v << i * w for i, v in enumerate(vals)) for vals in values]
+    degrees = [c.l1() for c in s.hilbert_basis]
+    moves = list(zip(steps, degrees))
+    # a point within the cutoff is a sum of at most cutoff generators
+    buckets = [set() for _ in range((cutoff + 1) * max(degrees) + 1)]
 
-    reach = (max(cutoff, 0) + 2) * max(
-        (abs(x) for gvec in gens for x in gvec), default=0)
-    base = 2 * reach + 1
-    weights = [base ** (d - 1 - i) for i in range(d)]
-    steps = [sum(w * x for w, x in zip(weights, gvec)) for gvec in gens]
-    zero = reach * sum(weights)
-
-    def decode(key):
-        return [key // w % base - reach for w in weights]
-
-    member_cache = {}
-    max_parts = {zero: 0}
-    heap = []
-    queued = set()
-    for step, gdeg in zip(steps, degrees):
-        child = zero + step
-        if child not in queued:
-            queued.add(child)
-            heapq.heappush(heap, (gdeg, child))
-    while heap:
-        deg, key = heapq.heappop(heap)
-        if key in max_parts:
-            continue
-        best = 0
-        for step in steps:
-            parent = key - step
-            known = max_parts.get(parent)
-            if known is None:
-                inside = member_cache.get(parent)
-                if inside is None:
-                    inside = member_cache[parent] = s.contains(decode(parent))
-                if not inside:
-                    continue
-                known = cutoff + 1  # unvisited member: beyond the cutoff
-            if known >= best:
-                best = known + 1
-        best = min(best, cutoff + 1)
-        max_parts[key] = best
-        if best <= cutoff:
-            for step, gdeg in zip(steps, degrees):
-                child = key + step
-                if child not in max_parts and child not in queued:
-                    queued.add(child)
-                    heapq.heappush(heap, (deg + gdeg, child))
-    return [sum(1 for parts in max_parts.values() if parts <= n - 1)
-            for n in range(1, horizon + 1)]
+    parts = {guard: 0}   # the zero point: each field holds 2^(w - 1)
+    counts = [1] + [0] * cutoff
+    for step, gdeg in moves:
+        buckets[gdeg].add(guard + step)
+    for deg, bucket in enumerate(buckets):
+        for key in bucket:
+            best = 0
+            for step in steps:
+                parent = key - step
+                known = parts.get(parent)
+                if known is None:
+                    if parent & guard == guard:
+                        best = horizon   # a member beyond the cutoff
+                        break
+                elif known >= best:
+                    best = known + 1
+            if best > cutoff:
+                continue
+            parts[key] = best
+            counts[best] += 1
+            for step, gdeg in moves:
+                buckets[deg + gdeg].add(key + step)
+        buckets[deg] = None   # done; free its keys
+    return list(itertools.accumulate(counts))
 
 
 def multiplicity_hs_oracle(s):

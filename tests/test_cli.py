@@ -173,6 +173,17 @@ def test_fan_k4_plus_four_file(tmp_path, capsys):
         "3639ff9b7b6c769bf50d570d2b3fd53ad64b715e7962b448d0dc6523accd1a39"
 
 
+def test_analyze_k4_plus_two_file(tmp_path, capsys):
+    # The first analyze pin at d = 5, where the Hilbert-Samuel oracle is
+    # most of the run; the hash predates the packed edge-functional keys.
+    path = tmp_path / "k4p2.graph"
+    path.write_text(graph_to_text(k4_plus(2)))
+    code, out, _ = run_cli(capsys, "analyze", str(path))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "d39020daeb4fc4824d53b8577cdbf6d198285b005f180e6cc3627ceeaaa89755"
+
+
 def test_ring_k4_plus_three_file(tmp_path, capsys):
     # Its 340 chambers fall into 13 classes; the hash predates the sharing
     # of ideals and volumes across a class.

@@ -17,9 +17,10 @@ from cographic.fan import facets
 from cographic.graph import FORWARD, BACKWARD
 from cographic import linalg
 from cographic.linalg import det_int
-from cographic.semigroup import _volume, permute_ideal
+from cographic.semigroup import AffineSemigroup, _volume, permute_ideal
 from conftest import K4_EDGES, k4_plus, multigraphs
-from oracles import (irreducible_points_up_to_degree, rank,
+from oracles import (hilbert_samuel_function_reference,
+                     irreducible_points_up_to_degree, rank,
                      semigroup_points_up_to_degree, spans_lattice_reference)
 
 
@@ -320,6 +321,47 @@ def test_hilbert_samuel_known_shapes():
     assert hilbert_samuel_function(s, 6) == \
         [n * (n + 1) // 2 for n in range(1, 7)]
     assert multiplicity_hs_oracle(s) == 1
+
+
+def test_hilbert_samuel_needs_no_sign_test(fan_of, monkeypatch):
+    # Membership is read off the packed keys, so the DP never calls
+    # ``AffineSemigroup.contains``; the values stay the reference's.
+    fan = fan_of("THETA2")
+    semigroups = [hilbert_basis(fan.graph, cone.label)
+                  for cone in fan.chambers()]
+    reps = [semigroups[i]
+            for i, (rep, _) in enumerate(chamber_classes(semigroups))
+            if rep == i]
+    expected = [hilbert_samuel_function_reference(s, s.lattice_rank + 6)
+                for s in reps]
+
+    def refuse(self, coords):
+        raise AssertionError("sign test called")
+
+    monkeypatch.setattr(AffineSemigroup, "contains", refuse)
+    assert [hilbert_samuel_function(s, s.lattice_rank + 6)
+            for s in reps] == expected
+
+
+def test_hilbert_samuel_edge_cases(fan_of):
+    # Every cone of THETA2 at horizons 0, 1 and d + 2: the minimum has
+    # d = 0, and a ray is one generator, so n -> n.
+    fan = fan_of("THETA2")
+    ranks = set()
+    for pair in fan.poset:
+        s = hilbert_basis(fan.graph, pair)
+        d = s.lattice_rank
+        ranks.add(d)
+        for horizon in (0, 1, d + 2):
+            values = hilbert_samuel_function(s, horizon)
+            assert values == hilbert_samuel_function_reference(s, horizon)
+            assert len(values) == horizon
+        if d == 0:
+            assert hilbert_samuel_function(s, 3) == [1, 1, 1]
+        if d == 1:
+            assert len(s.hilbert_basis) == 1
+            assert hilbert_samuel_function(s, 5) == [1, 2, 3, 4, 5]
+    assert {0, 1, 4} <= ranks
 
 
 def test_multiplicity_two_routes_agree_on_sample_chambers(fan_of):
