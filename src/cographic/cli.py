@@ -20,7 +20,7 @@ from .orientations import enumerate_tco
 from .circuits import enumerate_oriented_circuits
 from .ring import DEFAULT_DEGREE_BOUND, present_ring, ring_report
 from .semigroup import (multiplicity_hs_oracle, per_chamber_class,
-                        semigroup_report)
+                        semigroup_report, unimodular_per_class)
 from .torelli import cyclically_equivalent, three_edge_connectivization
 
 EXIT_OK = 0
@@ -68,10 +68,12 @@ def cmd_analyze(args):
     semigroups = [s for _, s, _ in presentation.per_chamber_binomials]
     hs = per_chamber_class(multiplicity_hs_oracle, semigroups,
                            presentation.chamber_classes)
-    chambers = [semigroup_report(s, ideal, volume, m)
-                for (_, s, ideal), volume, m in
+    unimodular = unimodular_per_class(semigroups,
+                                      presentation.chamber_classes)
+    chambers = [semigroup_report(s, ideal, volume, m, uni)
+                for (_, s, ideal), volume, m, uni in
                 zip(presentation.per_chamber_binomials,
-                    report.chamber_volumes, hs)]
+                    report.chamber_volumes, hs, unimodular)]
     out = {
         "graph": _graph_summary(g),
         "orientation_poset": {

@@ -19,14 +19,22 @@ Cost model, for a cone of dimension d with n Hilbert basis elements:
 - Lattice spanning and unimodularity: up to C(n, d) d x d integer
   determinants, one per d-subset of the generators.  Spanning stops at
   the first subset that brings the gcd to 1; unimodularity stops at the
-  first minor of a second absolute value.
+  first minor of a second absolute value, and a unimodular class
+  representative settles its whole class (below).
 - Gorenstein test: d x d determinants over d-subsets of the facet
   normals until one is nonzero, then d more for Cramer's rule and one
   integer dot product per normal.
-- Hull volume: C(n, d) candidate planes, one per d-subset of the
-  generators, of d + 1 integer d x d determinants each.  Each bounded
-  facet that is not a simplex is projected one dimension down and cut
-  into pyramids the same way; a simplex costs one determinant.
+- Hull volume: beneath-beyond over the n generators, so the work grows
+  with the facets found rather than with C(n, d).  A start simplex
+  costs d + 1 planes of ``hyperplane_through``; each further generator
+  costs one dot product per facet, and, when some facet sees it, one
+  AND per pair of a visible facet and another facet, one scan of the
+  facet bitmasks per pair that shares at least d - 1 points, and one
+  integer combination and gcd per new facet.  Generators that all lie
+  on one plane, as in every banana chamber, cost one plane.
+  Each bounded facet that is not a simplex is projected one dimension
+  down and cut into pyramids the same way; a simplex costs one
+  determinant.
 - Hilbert-Samuel oracle: one visit per lattice point with at most
   ``horizon`` parts, about multiplicity * horizon^d / d! of them.  A
   visit looks up at most n parents by integer key, each key packing the
@@ -44,8 +52,10 @@ Hilbert-Samuel, hull and toric ideal costs once per class
 (``per_chamber_class``).  A chamber and its reversal always share a
 class.  The class search costs one backtracking bijection search per
 chamber and representative with the same rank and edge profiles.
-Witness minors, lattice spanning and the Gorenstein point depend on
-generator order or sign and stay per chamber.
+Unimodularity is a class property too, but witness minors, lattice
+spanning and the Gorenstein point depend on generator order or sign, so
+members of a non-unimodular class are tested on their own
+(``unimodular_per_class``) and the other two stay per chamber.
 """
 
 import itertools
@@ -61,7 +71,7 @@ from .circuits import (_edge_profiles, circuit_class, compatible_circuits,
 from .errors import CapacityError
 from .fan import Cone, _facets
 from .graph import delete_edges
-from .linalg import det_int, hyperplane_through
+from .linalg import det_int, hyperplane_through, primitive_vector
 
 # The Hilbert-Samuel horizon of a cone of dimension d is d plus this; it
 # suffices on every chamber of the catalog, K4 to K4p3, banana6 and banana7.
@@ -324,30 +334,77 @@ def _supporting_planes(points):
     """Every plane through k of the points of Z^k with all points on one
     side, as (normal, c, indices of the points on it).
 
-    Each plane appears once, in first-found order over the k-subsets,
-    oriented so that normal . p >= c for every point.  When all points lie
-    on the plane, it keeps the orientation of ``hyperplane_through``,
-    whose offset is nonnegative.
+    Each plane appears once, oriented so that normal . p >= c for every
+    point.  When all points lie on one plane, it is returned alone, with
+    the orientation of ``hyperplane_through``, whose offset is
+    nonnegative; fewer affinely independent points give no plane.
+
+    Otherwise the planes are the facets of the hull, found by
+    beneath-beyond (Edelsbrunner, *Algorithms in Combinatorial
+    Geometry*).  A simplex on the first affinely independent points, in
+    index order, gives k + 1 facets by ``hyperplane_through``.  Each other
+    point p is then placed in index order.  A facet F sees p when
+    normal . p < c.  Each visible F and each facet G that does not see p
+    share a ridge of the horizon exactly when no third facet holds every
+    point the two share (the combinatorial adjacency test of the double
+    description method; Fukuda and Prodon, 1996).  The new facet through
+    that ridge and p is the combination of the two planes that vanishes
+    at p, with positive weights, so it needs no determinant.  Points on a
+    plane are kept as a bitmask per facet.
     """
-    planes = {}
-    for subset in itertools.combinations(range(len(points)), len(points[0])):
-        plane = hyperplane_through([points[i] for i in subset])
-        if plane is None:
+    k = len(points[0])
+    base = points[0]
+    simplex = [0]
+    diffs = []
+    for i in range(1, len(points)):
+        if len(simplex) > k:
+            break
+        trial = diffs + [tuple(map(sub, points[i], base))]
+        if det_int([[sum(map(mul, a, b)) for b in trial] for a in trial]):
+            simplex.append(i)
+            diffs = trial
+    if len(simplex) < k:
+        return []
+    if len(simplex) == k:
+        normal, c = hyperplane_through([points[i] for i in simplex])
+        return [(normal, c, tuple(range(len(points))))]
+
+    corners = sum(1 << i for i in simplex)
+    facets = []   # (normal + (c,), bitmask of the points on the plane)
+    for i in simplex:
+        normal, c = hyperplane_through([points[j] for j in simplex if j != i])
+        plane = normal + (c,)
+        if sum(map(mul, normal, points[i])) < c:
+            plane = tuple(-a for a in plane)
+        facets.append((plane, corners & ~(1 << i)))
+
+    placed = set(simplex)
+    for i, p in enumerate(points):
+        if i in placed:
             continue
-        normal, c = plane
-        values = [sum(map(mul, normal, p)) for p in points]
-        if all(v >= c for v in values):
-            pass
-        elif all(v <= c for v in values):
-            normal = tuple(-a for a in normal)
-            c = -c
-            values = [-v for v in values]
-        else:
-            continue
-        if (normal, c) not in planes:
-            planes[normal, c] = tuple(i for i, v in enumerate(values)
-                                      if v == c)
-    return [(normal, c, on) for (normal, c), on in planes.items()]
+        bit = 1 << i
+        point = p + (-1,)
+        values = [sum(map(mul, plane, point)) for plane, _ in facets]
+        kept = {plane: on | bit if v == 0 else on
+                for (plane, on), v in zip(facets, values) if v >= 0}
+        masks = [on for _, on in facets]
+        for (plane_f, on_f), v_f in zip(facets, values):
+            if v_f >= 0:
+                continue
+            for (plane_g, on_g), v_g in zip(facets, values):
+                if v_g < 0:
+                    continue
+                ridge = on_f & on_g
+                if ridge.bit_count() < k - 1 or sum(
+                        ridge & on == ridge for on in masks) > 2:
+                    continue
+                plane = primitive_vector([v_g * a - v_f * b for a, b
+                                          in zip(plane_f, plane_g)])
+                kept[plane] = kept.get(plane, 0) | ridge | bit
+        facets = list(kept.items())
+    return [(plane[:-1], plane[-1],
+             tuple(i for i in range(len(points)) if on >> i & 1))
+            for plane, on in facets]
 
 
 def _volume(points):
@@ -531,15 +588,34 @@ def per_chamber_class(fn, semigroups, classes, transport=None):
     return values
 
 
-def semigroup_report(s, ideal, volume, hs_multiplicity):
+def unimodular_per_class(semigroups, classes):
+    """``[is_unimodular(s) for s in semigroups]``, testing only the class
+    representatives of ``classes`` (from ``chamber_classes``) when they
+    are unimodular.
+
+    A class maps generators onto generators by a signed permutation of
+    edge coordinates, so each member's maximal minors are one fixed
+    nonzero multiple of its representative's minors on the permuted
+    columns, and unimodularity is a class property.  The witnesses of a
+    non-unimodular member follow its own generator order, so such a
+    member is tested on its own.
+    """
+    values = per_chamber_class(is_unimodular, semigroups, classes)
+    return [value if value[0] or rep == i else is_unimodular(s)
+            for i, (s, value, (rep, _))
+            in enumerate(zip(semigroups, values, classes))]
+
+
+def semigroup_report(s, ideal, volume, hs_multiplicity, unimodular):
     """Everything the reports carry for one cone, JSON-ready.
 
-    ``ideal``, ``volume`` and ``hs_multiplicity`` are the cone's binomial
-    ideal, subdiagram volume and Hilbert-Samuel multiplicity, computed
-    once per class of chambers by the caller (``per_chamber_class``).
+    ``ideal``, ``volume``, ``hs_multiplicity`` and ``unimodular`` are the
+    cone's binomial ideal, subdiagram volume, Hilbert-Samuel multiplicity
+    and ``is_unimodular`` pair, computed once per class of chambers by
+    the caller (``per_chamber_class``, ``unimodular_per_class``).
     """
     g = s.graph
-    uni, witness = is_unimodular(s)
+    uni, witness = unimodular
     qg, gor, m = q_gorenstein(s)
     var_labels = [gamma.to_json(g) for gamma in s.circuits]
     return {

@@ -11,6 +11,7 @@ import heapq
 import itertools
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 from cographic import (BinomialIdeal, CapacityError, Chain1, Cone,
                        CycleBasis, Orientation, OrientationPoset,
@@ -21,7 +22,7 @@ from cographic import (BinomialIdeal, CapacityError, Chain1, Cone,
 from cographic.circuits import _circuit_supports
 from cographic.graph import FORWARD, BACKWARD, spanning_forest
 from cographic.orientations import MAX_ORIENTATION_EDGES, MAX_POSET_EDGES
-from cographic.linalg import det_int, primitive_vector
+from cographic.linalg import det_int, hyperplane_through, primitive_vector
 
 
 def hilbert_samuel_function_reference(s, horizon):
@@ -241,6 +242,38 @@ def hyperplane_through_reference(points):
     ints = [int(x * denom) for x in v]
     ints = list(primitive_vector(ints))
     return tuple(ints[:-1]), ints[-1]
+
+
+def supporting_planes_reference(points):
+    """``semigroup._supporting_planes`` by exhaustive search.
+
+    Every k-subset of the points of Z^k is tried: its plane from
+    ``hyperplane_through``, when it has one, is kept if every point lies
+    on one side, oriented so that normal . p >= c.  Each plane appears
+    once, in first-found order, with the sorted indices of the points on
+    it.  When all points lie on the plane, it keeps the orientation of
+    ``hyperplane_through``; on a plane through the origin that orientation
+    depends on the subset, and both may appear.
+    """
+    planes = {}
+    for subset in itertools.combinations(range(len(points)), len(points[0])):
+        plane = hyperplane_through([points[i] for i in subset])
+        if plane is None:
+            continue
+        normal, c = plane
+        values = [sum(map(mul, normal, p)) for p in points]
+        if all(v >= c for v in values):
+            pass
+        elif all(v <= c for v in values):
+            normal = tuple(-a for a in normal)
+            c = -c
+            values = [-v for v in values]
+        else:
+            continue
+        if (normal, c) not in planes:
+            planes[normal, c] = tuple(i for i, v in enumerate(values)
+                                      if v == c)
+    return [(normal, c, on) for (normal, c), on in planes.items()]
 
 
 def spans_lattice_reference(s):

@@ -21,6 +21,13 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _banana_file(tmp_path, m):
+    """A graph file holding the banana graph with m parallel edges."""
+    path = tmp_path / f"banana{m}.graph"
+    path.write_text("".join(f"edge e{i} v1 v2\n" for i in range(m)))
+    return str(path)
+
+
 def test_examples_lists_catalog(capsys):
     code, out, err = run_cli(capsys, "examples")
     assert code == 0
@@ -206,6 +213,34 @@ def test_ring_k4_plus_two_file_at_degree_five(tmp_path, capsys):
         "1b86af070067594abf4318f64f93c62a2ab47f1e6b183a789bc7a80450c11c94"
 
 
+def test_ring_k4_plus_four_file(tmp_path, capsys):
+    # Its largest class has 20 generators at d = 7; the hash predates the
+    # beneath-beyond hull.
+    path = tmp_path / "k4p4.graph"
+    path.write_text(graph_to_text(k4_plus(4)))
+    code, out, _ = run_cli(capsys, "ring", str(path))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "10d700614f08b67330a6baa3519335187efb0f0053ec91f86c5ba947494c3284"
+
+
+def test_ring_banana_eight_file(tmp_path, capsys):
+    # Every chamber's generators lie on one plane at d = 7; the hash
+    # predates the beneath-beyond hull.
+    code, out, _ = run_cli(capsys, "ring", _banana_file(tmp_path, 8))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "b417300a0d1469234fcf54398db68f79aebace4ea24dd24b5088e8bdbb80eef7"
+
+
+def test_analyze_banana_seven_file(tmp_path, capsys):
+    # The hash predates unimodularity tested once per class of chambers.
+    code, out, _ = run_cli(capsys, "analyze", _banana_file(tmp_path, 7))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "136782587daada20fa61531fc5837dbd5a1edb64c3c85a2941c9d497345d7350"
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     path = tmp_path / "broken.graph"
     path.write_text("edge oops\n")
@@ -257,9 +292,8 @@ def test_capacity_exit_code(tmp_path, capsys):
 ])
 def test_capacity_error_on_graph_file(tmp_path, capsys, m, argv, message):
     # G stands for a file holding the banana graph with m parallel edges
-    path = tmp_path / f"banana{m}.graph"
-    path.write_text("".join(f"edge e{i} v1 v2\n" for i in range(m)))
-    code, out, err = run_cli(capsys, *(str(path) if a == "G" else a
+    graph = _banana_file(tmp_path, m)
+    code, out, err = run_cli(capsys, *(graph if a == "G" else a
                                        for a in argv))
     assert code == 3
     assert out == ""
@@ -377,13 +411,15 @@ def test_round_trip_catalog_reports(capsys):
 # Per-graph objects each command builds: a fan, the circuit list, a
 # semigroup per chamber, and a toric ideal and a volume per class of
 # chambers; ``compare`` needs one connectivization per graph.
-# ``semigroup_report`` (one per chamber) and the Hilbert-Samuel function
-# (one per class) belong to ``analyze`` alone, and the bounded-mass cycles
-# to ``verify-invariant-ring``, which lists them once.
+# ``semigroup_report`` (one per chamber), the Hilbert-Samuel function
+# (one per class) and the unimodularity test belong to ``analyze`` alone,
+# and the bounded-mass cycles to ``verify-invariant-ring``, which lists
+# them once.  Unimodularity is tested once per class, and once more for
+# each other member of a class that is not unimodular.
 COUNTED = ("build_fan", "enumerate_oriented_circuits", "hilbert_basis",
            "subdiagram_volume", "toric_ideal_up_to_degree",
            "three_edge_connectivization", "semigroup_report",
-           "hilbert_samuel_function", "cycles_up_to_mass")
+           "hilbert_samuel_function", "is_unimodular", "cycles_up_to_mass")
 
 
 def count_calls(monkeypatch, names):
@@ -410,8 +446,12 @@ def calls(monkeypatch):
     return count_calls(monkeypatch, COUNTED)
 
 
-# Classes of chambers (``semigroup.chamber_classes``) of each graph below.
+# Classes of chambers (``semigroup.chamber_classes``) of each graph below,
+# and its chambers that are neither unimodular nor a representative:
+# THETA2 and FIG-NH each have one class that is not unimodular, a chamber
+# and its reversal.
 CLASSES = {"THETA2": 4, "FIG-NH": 4, "FIG-NG": 2}
+NON_UNIMODULAR_MEMBERS = {"THETA2": 1, "FIG-NH": 1, "FIG-NG": 0}
 
 
 @pytest.mark.parametrize("command, name", [
@@ -431,6 +471,8 @@ def test_each_object_is_built_once(command, name, calls, capsys):
         "three_edge_connectivization": 0,
         "semigroup_report": chambers if command == "analyze" else 0,
         "hilbert_samuel_function": classes if command == "analyze" else 0,
+        "is_unimodular": (classes + NON_UNIMODULAR_MEMBERS[name]
+                          if command == "analyze" else 0),
         "cycles_up_to_mass": 0,
     }
 

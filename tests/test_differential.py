@@ -10,13 +10,16 @@ references compare every pair of poset elements and walk the circuits of
 each complement.  A facet label is built from the circuits that cover
 it; the reference validates the circuits and the label.  The hull's
 hyperplane is a vector of integer minors; the reference solves a
-rational kernel.  Lattice spanning is the gcd of the maximal minors and
-the Gorenstein point comes from Cramer's rule; the references take the
-Smith normal form and a rational Gauss-Jordan solve.  Bounded-mass
+rational kernel.  The hull's facets come from beneath-beyond; the
+reference tries a plane through every k-subset of the points.  Lattice
+spanning is the gcd of the maximal minors and the Gorenstein point comes
+from Cramer's rule; the references take the Smith normal form and a
+rational Gauss-Jordan solve.  Bounded-mass
 cycles are enumerated on the L1 ball of their basis coordinates; the
 reference searches the coordinate box.  The HS function, volume and
-toric ideal are computed once per class of chambers; the reference is
-every chamber on its own.  ``Fan.to_json`` derives each cone's entry
+toric ideal are computed once per class of chambers, and so is
+unimodularity where the class is unimodular; the reference is every
+chamber on its own.  ``Fan.to_json`` derives each cone's entry
 from one cycle basis and one circuit list; the references are the
 public per-cone functions, and the cone dimension's is the Betti number
 of the graph with the support deleted.  Facets are read off edge
@@ -37,8 +40,12 @@ sign vectors; the references build a graph per edge subset and test every
 sign vector by strong connectivity.  Outputs must agree exactly.
 """
 
+from functools import cache
+from operator import mul, sub
+from unittest import mock
+
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cographic import (FinitePoset, TotCycPair, betti1, build_fan,
@@ -54,7 +61,10 @@ from cographic import (FinitePoset, TotCycPair, betti1, build_fan,
                        three_edge_connectivization, toric_ideal_up_to_degree,
                        two_edge_cuts, voronoi_face_dim)
 from cographic.fan import face_label
-from cographic.semigroup import per_chamber_class, permute_ideal
+from cographic import semigroup
+from cographic.semigroup import (_supporting_planes, _volume,
+                                 per_chamber_class, permute_ideal,
+                                 unimodular_per_class)
 from cographic.linalg import hyperplane_through
 from conftest import k4_plus, multigraphs
 from oracles import (build_orientation_poset_reference,
@@ -67,8 +77,9 @@ from oracles import (build_orientation_poset_reference,
                      hilbert_samuel_function_reference,
                      hyperplane_through_reference, is_unimodular_reference,
                      maximal_elements_reference, q_gorenstein_reference,
-                     separating_edges_reference, spans_lattice_reference,
-                     support_orientation_of,
+                     rank, separating_edges_reference,
+                     spans_lattice_reference, support_orientation_of,
+                     supporting_planes_reference,
                      three_edge_connectivization_reference,
                      toric_ideal_reference, two_edge_cuts_reference)
 
@@ -219,6 +230,118 @@ def test_subdiagram_volume_matches_hs_on_random_multigraphs(g):
     for chamber in build_fan(g).chambers():
         s = hilbert_basis(g, chamber.label)
         assert subdiagram_volume(s) == multiplicity_hs_oracle(s)
+
+
+CHAMBER_GRAPHS = {
+    **{name: catalog_graph(name) for name in catalog_names()},
+    "K4": k4_plus(0), "K4p2": k4_plus(2), "K4p3": k4_plus(3),
+    **{f"banana{m}": from_edge_list([(f"e{i}", "v1", "v2") for i in range(m)])
+       for m in (6, 7)},
+}
+
+
+@cache
+def _chamber_semigroups(name):
+    """The semigroups of a graph's chambers, and their classes."""
+    g = CHAMBER_GRAPHS[name]
+    semigroups = [hilbert_basis(g, cone.label)
+                  for cone in build_fan(g).chambers()]
+    return semigroups, chamber_classes(semigroups)
+
+
+def _assert_same_planes(points):
+    assert sorted(_supporting_planes(points)) == \
+        sorted(supporting_planes_reference(points))
+
+
+def _assert_hull_matches_reference(s):
+    """Every plane search of the subdiagram volume, those of the pyramid
+    recursion included, and the volume itself."""
+    searched = []
+
+    def recording(points):
+        searched.append(points)
+        return _supporting_planes(points)
+
+    with mock.patch.object(semigroup, "_supporting_planes", recording):
+        volume = subdiagram_volume(s)
+    for points in searched:
+        _assert_same_planes(points)
+    with mock.patch.object(semigroup, "_supporting_planes",
+                           supporting_planes_reference):
+        assert volume == subdiagram_volume(s)
+
+
+@pytest.mark.parametrize("name", CHAMBER_GRAPHS)
+def test_hull_matches_reference_on_class_representatives(name):
+    semigroups, classes = _chamber_semigroups(name)
+    for rep in sorted({rep for rep, _ in classes}):
+        _assert_hull_matches_reference(semigroups[rep])
+
+
+@given(g=multigraphs())
+def test_hull_matches_reference_on_random_multigraphs(g):
+    for chamber in build_fan(g).chambers():
+        _assert_hull_matches_reference(hilbert_basis(g, chamber.label))
+
+
+def _affine_rank(points):
+    return rank([tuple(map(sub, p, points[0])) for p in points[1:]])
+
+
+@st.composite
+def hull_points(draw):
+    """Distinct points of Z^k, k <= 6, in the two cases the hull takes:
+    full-dimensional, or spanning one plane that misses the origin.  The
+    plane is x_axis = c + w . (the other coordinates), with c > 0.  Small
+    boxes put many points on each facet, so facets are rarely simplices."""
+    k = draw(st.integers(1, 6))
+    on_plane = draw(st.booleans())
+    m = k - 1 if on_plane else k
+    low, high = draw(st.sampled_from([(0, 1), (-1, 1), (-2, 2)]))
+    points = draw(st.lists(st.tuples(*[st.integers(low, high)] * m),
+                           min_size=m + 1, max_size=m + 8, unique=True))
+    if on_plane:
+        w = draw(st.tuples(*[st.integers(-2, 2)] * m))
+        c = draw(st.integers(1, 3))
+        axis = draw(st.integers(0, m))
+        points = [p[:axis] + (c + sum(map(mul, w, p)),) + p[axis:]
+                  for p in points]
+    assume(_affine_rank(points) == m)
+    return points
+
+
+@settings(max_examples=100)
+@given(points=hull_points())
+@example(points=[(2,)])
+@example(points=[(0, 1), (1, 0), (2, -1)])
+@example(points=[(0, 0), (2, 0), (0, 2), (1, 1), (1, 0), (0, 1)])
+# two facets that share three collinear points are not adjacent
+@example(points=[(0, 0, 1, 0), (1, 0, 0, 2), (2, 2, 1, 0), (2, 1, 0, 1),
+                 (0, 1, 1, 0), (0, 2, 1, 1), (0, 2, 1, 0), (2, 0, 2, 2)])
+def test_supporting_planes_match_reference_on_random_points(points):
+    _assert_same_planes(points)
+    if _affine_rank(points) == len(points[0]):
+        with mock.patch.object(semigroup, "_supporting_planes",
+                               supporting_planes_reference):
+            expected = _volume(points)
+        assert _volume(points) == expected
+
+
+@pytest.mark.parametrize("name", CHAMBER_GRAPHS)
+def test_unimodular_per_class_matches_every_chamber(name):
+    """Verdicts and witnesses on every chamber."""
+    semigroups, classes = _chamber_semigroups(name)
+    assert unimodular_per_class(semigroups, classes) == \
+        [is_unimodular(s) for s in semigroups]
+
+
+@given(g=multigraphs())
+def test_unimodular_per_class_matches_every_chamber_on_random_multigraphs(g):
+    semigroups = [hilbert_basis(g, cone.label)
+                  for cone in build_fan(g).chambers()]
+    assert unimodular_per_class(semigroups, chamber_classes(semigroups)) == \
+        [is_unimodular(s) for s in semigroups]
 
 
 def _assert_lattice_tests_match_references(g, poset):
