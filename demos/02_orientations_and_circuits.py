@@ -30,7 +30,7 @@ print(f"\nposet size {len(poset)}, maximal elements "
 circuits = enumerate_oriented_circuits(g)
 print(f"\n{len(circuits)} oriented circuits:")
 for gamma in circuits:
-    print("  ", gamma.to_json(g), "->", circuit_class(gamma).to_json())
+    print("  ", gamma.to_json(g), "->", circuit_class(g, gamma).to_json())
 
 # Every cycle is a nonnegative combination of circuits concordant with
 # its signs; the greedy decomposition peels directed cycles.

@@ -29,14 +29,6 @@ class Chain1:
                 c[e] = int(n)
         self._hash = hash(frozenset(c.items()))
 
-    @classmethod
-    def from_oriented_edges(cls, oriented_edges):
-        """Sum of oriented edges, e.g. [("a", FORWARD), ("b", BACKWARD)]."""
-        acc = {}
-        for e, d in oriented_edges:
-            acc[e] = acc.get(e, 0) + d
-        return cls(acc)
-
     def coeff(self, e):
         return self._c.get(e, 0)
 

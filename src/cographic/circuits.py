@@ -12,12 +12,18 @@ implemented here is the greedy one (peel a lowest-edge-id directed cycle,
 subtract as much of it as possible, repeat) and is deterministic though
 not canonical: only the re-summed total is unique.
 
+An oriented circuit is two edge-index bitmasks: its support and the
+support edges it runs forward, as a signed circuit is its support and
+positive part.  Concordance is one XOR and two ANDs, and edge names are
+read only where a circuit leaves as JSON, a ``Chain1`` or an edge set.
+
 Cost model.  Listing the circuit supports walks every vertex-simple path
-from each anchor edge, which is exponential in the worst case.
+from each anchor edge, which is exponential in the worst case; the walk
+carries the two masks and allocates no set or dict per circuit.
 ``compatible_circuits`` never walks: the first call on a graph lists the
 circuits once into a table kept on the graph, one row per support with
-its edge-index bitmask and the bitmask of the edges its walk traverses
-forward.  A label is already a pair of masks, so each call costs a few
+its support mask, the forward mask of its walk and both orientations,
+prebuilt.  A label is already a pair of masks, so each call costs a few
 integer operations per row and allocates nothing but the result list.
 
 ``hypergraph_bijection`` decides whether two families of edge sets agree
@@ -26,92 +32,91 @@ up to an edge bijection.  It serves both the ring-equivalence decision
 ``semigroup.chamber_classes`` (directed circuit supports of two chambers).
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .chains import Chain1, canonical_form, is_cycle
 from .errors import CapacityError
-from .graph import FORWARD, BACKWARD
-from .orientations import MAX_ORIENTATION_EDGES, Orientation
+from .graph import FORWARD
+from .orientations import MAX_ORIENTATION_EDGES
 
 
-@dataclass(frozen=True)
-class OrientedCircuit:
-    support: frozenset       # edge ids
-    orientation: Orientation
+class OrientedCircuit(NamedTuple):
+    """A circuit with one of its two coherent orientations, as edge-index
+    bitmasks of the graph: ``support`` holds the circuit's edges and
+    ``forward`` those of them it runs in their reference direction.
+    """
+
+    support: int
+    forward: int
 
     def reversal(self):
-        return OrientedCircuit(self.support, self.orientation.reversed())
+        return OrientedCircuit(self.support, self.support ^ self.forward)
 
     def sort_key(self, g):
-        edges = tuple(sorted(g.edge_index(e) for e in self.support))
-        lowest = min(self.support, key=g.edge_index)
-        return (edges, 0 if self.orientation.direction(lowest) == FORWARD else 1)
+        """The edge indices, then 0 if the lowest edge runs forward, else 1."""
+        support, forward = self
+        edges = tuple(i for i in range(len(g.edges)) if support >> i & 1)
+        return (edges, 0 if forward >> edges[0] & 1 else 1)
 
     def to_json(self, g):
-        return [f"{e}{'+' if self.orientation.direction(e) == FORWARD else '-'}"
-                for e in g.sort_edges(self.support)]
-
-    def __repr__(self):
-        body = ",".join(f"{e}{'+' if d == FORWARD else '-'}"
-                        for e, d in sorted(self.orientation.items()))
-        return f"OrientedCircuit({body})"
+        """Each edge id in edge-index order, signed by its direction."""
+        support, forward = self
+        return [f"{e}{'+' if forward >> i & 1 else '-'}"
+                for i, e in enumerate(g.edges) if support >> i & 1]
 
 
-def circuit_class(gamma):
-    """The 0/+-1 cycle of an oriented circuit."""
-    return Chain1.from_oriented_edges(
-        gamma.orientation.oriented_edge(e) for e in gamma.support)
+def circuit_class(g, gamma):
+    """The 0/+-1 cycle of an oriented circuit of g."""
+    support, forward = gamma
+    return Chain1({e: 1 if forward >> i & 1 else -1
+                   for i, e in enumerate(g.edges) if support >> i & 1})
 
 
 def concordant(gamma, delta):
     """Do the two circuits agree in direction on every shared edge?"""
-    for e in gamma.support & delta.support:
-        if not gamma.orientation.agrees_with(delta.orientation, e):
-            return False
-    return True
+    return not (gamma.forward ^ delta.forward) & gamma.support & delta.support
 
 
 def _circuit_supports(g):
-    """All circuit edge sets: loops plus vertex-simple closed walks.
+    """All circuits of g, each once as its (support, forward) edge masks:
+    loops plus vertex-simple closed walks.
 
     Each non-loop circuit is anchored at its lowest edge, traversed in the
     reference direction, so every support is produced exactly once.  The
-    walk direction also hands us one of the two coherent orientations.
-    The visited set alone keeps a walk simple: stepping back along a path
-    edge reaches a visited vertex other than ``start``.  Every circuit
-    consumer comes here, so this caps the exponential walk.
+    walk direction also hands us one of the two coherent orientations,
+    whose forward mask is the edges the walk runs in their reference
+    direction.  The visited set alone keeps a walk simple: stepping back
+    along a path edge reaches a visited vertex other than ``start``.
+    Every circuit consumer comes here, so this caps the exponential walk.
     """
     if len(g.edges) > MAX_ORIENTATION_EDGES:
         raise CapacityError("circuit enumeration edge cap",
                             len(g.edges), MAX_ORIENTATION_EDGES)
     incidence = {v: [] for v in g.vertices}
-    for e in g.edges:
+    for i, e in enumerate(g.edges):
         s, t = g.ends(e)
         if s != t:
-            incidence[s].append((e, t, FORWARD))
-            incidence[t].append((e, s, BACKWARD))
+            incidence[s].append((i, t, 1 << i))
+            incidence[t].append((i, s, 0))
     found = []
-    for anchor in g.edges:
-        if g.is_loop(anchor):
-            found.append(((anchor,), {anchor: FORWARD}))
-            continue
-        a_idx = g.edge_index(anchor)
+    for a_idx, anchor in enumerate(g.edges):
         start, cur = g.ends(anchor)
+        bit = 1 << a_idx
+        if start == cur:
+            found.append((bit, bit))
+            continue
 
-        def walk(vertex, visited, path):
-            for e, other, direction in incidence[vertex]:
-                if g.edge_index(e) <= a_idx:
+        def walk(vertex, visited, support, forward):
+            for i, other, fwd in incidence[vertex]:
+                if i <= a_idx:
                     continue
                 if other == start:
-                    edges = (anchor,) + tuple(f for f, _ in path) + (e,)
-                    dirs = {anchor: FORWARD}
-                    dirs.update({f: d for f, d in path})
-                    dirs[e] = direction
-                    found.append((edges, dirs))
+                    found.append((support | 1 << i, forward | fwd))
                 elif other not in visited:
-                    walk(other, visited | {other}, path + ((e, direction),))
+                    walk(other, visited | {other}, support | 1 << i,
+                         forward | fwd)
 
-        walk(cur, {start, cur}, ())
+        walk(cur, {start, cur}, bit, bit)
     return found
 
 
@@ -131,23 +136,18 @@ def _circuit_table(g):
     circuit, reversal).
 
     Bit i of a mask stands for the edge of index i.  ``circuit`` is the
-    walk of ``_circuit_supports``, which runs the lowest edge forward; the
-    forward mask holds the support edges it traverses in their reference
-    direction.  Rows are in canonical order (sorted edge-index tuple),
+    walk of ``_circuit_supports``, which runs the lowest edge forward, and
+    both orientations are built here once per graph.  Rows are in
+    canonical order (sorted edge-index tuple, not integer mask order),
     which is the ``sort_key`` order of any selection holding at most one
     orientation per support.  Built on first use and kept on the graph.
     """
     table = g._circuit_table
     if table is None:
-        rows = []
-        for edges, dirs in _circuit_supports(g):
-            order = tuple(sorted(g.edge_index(e) for e in edges))
-            supp = sum(1 << i for i in order)
-            fwd = sum(1 << g.edge_index(e) for e in edges if dirs[e] == FORWARD)
-            gamma = OrientedCircuit(frozenset(edges), Orientation(dirs))
-            rows.append((order, supp, fwd, gamma, gamma.reversal()))
-        rows.sort(key=lambda row: row[0])
-        table = g._circuit_table = [row[1:] for row in rows]
+        walks = [OrientedCircuit(*masks) for masks in _circuit_supports(g)]
+        walks.sort(key=lambda gamma: gamma.sort_key(g))
+        table = g._circuit_table = [(*gamma, gamma, gamma.reversal())
+                                    for gamma in walks]
     return table
 
 
@@ -189,12 +189,10 @@ def decompose_cycle(g, c):
     counts = {}
     while not remaining.is_zero():
         gamma = _lowest_directed_cycle(g, remaining)
-        m = min(abs(remaining.coeff(e)) for e in gamma.support)
+        m = min(abs(remaining.coeff(e)) for e in g.edges_of(gamma.support))
         counts[gamma] = counts.get(gamma, 0) + m
-        remaining = remaining - m * circuit_class(gamma)
-    out = [(gamma, n) for gamma, n in counts.items()]
-    out.sort(key=lambda item: item[0].sort_key(g))
-    return out
+        remaining = remaining - m * circuit_class(g, gamma)
+    return sorted(counts.items(), key=lambda item: item[0].sort_key(g))
 
 
 def _lowest_directed_cycle(g, c):
@@ -221,8 +219,9 @@ def _lowest_directed_cycle(g, c):
         if w in seen:
             start = seen[w]
             cycle_edges = [e for e, _ in path[start:]]
-            dirs = {e: phi[e] for e in cycle_edges}
-            return OrientedCircuit(frozenset(cycle_edges), Orientation(dirs))
+            return OrientedCircuit(
+                g.edge_mask(cycle_edges),
+                g.edge_mask(e for e in cycle_edges if phi[e] == FORWARD))
         seen[w] = len(path)
         v = w
 

@@ -7,24 +7,27 @@ circuit classes, and facets come from forcing one more functional to
 vanish.  No floating point and no half-space solver anywhere.
 
 Cost model.  A cone is its label, the edge-index bitmasks of the support
-T and of the forward edges of phi (``TotCycPair``), together with the
-support masks of its compatible circuits.  A ``Fan`` holds the
-orientation poset, which stores those labels; ``build_fan`` is the
-poset's mask walk and nothing more.  ``chambers`` filters the labels on
-the bridge mask, ``len`` reads the list, and ``cones`` wraps every label
-in a ``Cone`` on first access and keeps it.  ``_facets`` cuts the face of
-each edge e off T as the OR of the circuits that miss e, a few integer
-operations per circuit; the face's label is (all ^ covered, forward &
-covered), kept as a plain tuple, and faces are deduplicated by it.  A
-face's dimension, the Betti number of its covered edges, comes from one
-memo keyed by the covered mask, so ``Fan.to_json`` runs one
-``spanning_forest`` per distinct face rather than one per edge per cone.
+T and of the forward edges of phi (``TotCycPair``), together with its
+compatible circuits, which are mask pairs too (``OrientedCircuit``).  A
+``Fan`` holds the orientation poset, which stores those labels;
+``build_fan`` is the poset's mask walk and nothing more.  ``chambers``
+filters the labels on the bridge mask, ``len`` reads the list, and
+``cones`` wraps every label in a ``Cone`` on first access and keeps it.
+``_facets`` cuts the face of each edge e off T as the OR of the circuit
+supports that miss e, a few integer operations per circuit; the face's
+label is (all ^ covered, forward & covered), kept as a plain tuple, and
+faces are deduplicated by it.  A face's dimension, the Betti number of
+its covered edges, comes from one memo keyed by the covered mask, so
+``Fan.to_json`` runs one ``spanning_forest`` per distinct face rather
+than one per edge per cone.  The poset lists its cones grouped by
+support, so ``to_json`` builds one cycle basis (``delete_edges`` and
+``fundamental_cycle_basis``) per distinct support, not one per cone.
 Every face label is a poset element and the poset is in ``sort_key``
 order, so ``to_json`` orders each cone's facets by the poset's index;
 standalone ``facets`` sorts them by that key.  Edge names appear only in
 the JSON: ``to_json`` builds each label's JSON once per poset element,
 shared by the facet entries that name it, and each circuit's ray JSON
-once per orientation, not once per cone.
+once per orientation, keyed by its mask pair, not once per cone.
 """
 
 from dataclasses import dataclass
@@ -98,7 +101,7 @@ def voronoi_face_dim(cone):
 
 def extremal_rays(cone):
     """Classes of the compatible circuits; each spans an extremal ray."""
-    return [circuit_class(gamma)
+    return [circuit_class(cone.graph, gamma)
             for gamma in compatible_circuits(cone.graph, cone.label)]
 
 
@@ -115,7 +118,7 @@ def face_label(g, support, forward):
     """
     covered = 0
     for gamma in compatible_circuits(g, TotCycPair(support, forward)):
-        covered |= g.edge_mask(gamma.support)
+        covered |= gamma.support
     return TotCycPair(((1 << len(g.edges)) - 1) ^ covered, forward & covered)
 
 
@@ -132,7 +135,7 @@ def facets(cone):
     """
     g, label = cone.graph, cone.label
     basis = fundamental_cycle_basis(delete_edges(g, g.edges_of(label.support)))
-    supports = [g.edge_mask(c.support) for c in compatible_circuits(g, label)]
+    supports = [c.support for c in compatible_circuits(g, label)]
     found = sorted(_facets(g, basis, *label, supports, {}).items(),
                    key=lambda item: TotCycPair(*item[0]).sort_key(g))
     return [(Cone(g, TotCycPair(*face)), normal) for face, normal in found]
@@ -210,27 +213,32 @@ class Fan:
 
     def to_json(self):
         """``cone_dimension``, ``voronoi_face_dim``, ``extremal_rays`` and
-        ``facets`` of each cone, from one cycle basis and circuit list."""
+        ``facets`` of each cone, from one cycle basis per support and one
+        circuit list per cone.  The poset lists its cones grouped by
+        support, so a basis is rebuilt only when the support changes."""
         g = self.graph
         total = betti1(g)
         index = self.poset._index
         labels = [p.to_json(g) for p in self.poset]
-        rays = {c: (supp, circuit_class(c).to_json())
-                for supp, _, gamma, reversal in _circuit_table(g)
+        rays = {c: circuit_class(g, c).to_json()
+                for _, _, gamma, reversal in _circuit_table(g)
                 for c in (gamma, reversal)}
         dims = {}
         report = []
+        support = None
         for pair, label in zip(self.poset, labels):
-            basis = fundamental_cycle_basis(
-                delete_edges(g, g.edges_of(pair.support)))
-            circuits = [rays[c] for c in compatible_circuits(g, pair)]
+            if pair.support != support:
+                support = pair.support
+                basis = fundamental_cycle_basis(
+                    delete_edges(g, g.edges_of(support)))
+            circuits = compatible_circuits(g, pair)
             found = sorted((index[k], normal) for k, normal in _facets(
-                g, basis, *pair, [s for s, _ in circuits], dims).items())
+                g, basis, *pair, [c.support for c in circuits], dims).items())
             report.append({
                 "label": label,
                 "dimension": len(basis),
                 "voronoi_face_dim": total - len(basis),
-                "rays": [ray for _, ray in circuits],
+                "rays": [rays[c] for c in circuits],
                 "facets": [labels[i] for i, _ in found],
                 "facet_normals": [list(n) for _, n in found],
             })

@@ -32,8 +32,10 @@ named pair of ints: T's mask and the forward mask, already in
 ``sort_key`` order.  ``leq``, ``minimum``, ``maximal_elements`` and the
 index are integer operations on those masks; edge names are read only
 where a label enters (``TotCycPair.create``) or leaves (``to_json``).
-``is_totally_cyclic`` is the linear check of one given label
-(``TotCycPair.create``, ``fan.cone_of``).
+``Orientation`` is the edge-name form of one orientation, kept for
+``enumerate_tco``, JSON and ``is_totally_cyclic``, the linear check of one
+given label (``TotCycPair.create``, ``fan.cone_of``); no label or
+oriented circuit builds one.
 """
 
 import itertools
@@ -60,9 +62,6 @@ class Orientation:
                 raise ValueError(f"bad direction {d!r} for edge {e!r}")
         self._hash = hash(frozenset(self._d.items()))
 
-    def direction(self, e):
-        return self._d[e]
-
     def oriented_edge(self, e):
         return (e, self._d[e])
 
@@ -71,15 +70,6 @@ class Orientation:
 
     def items(self):
         return self._d.items()
-
-    def reversed(self):
-        return Orientation({e: -d for e, d in self._d.items()})
-
-    def agrees_with(self, other, e):
-        return self._d[e] == other._d[e]
-
-    def __len__(self):
-        return len(self._d)
 
     def __eq__(self, other):
         if not isinstance(other, Orientation):

@@ -149,7 +149,7 @@ def hilbert_basis(g, pair):
     lattice is spanned by the fundamental cycles off the support.
     """
     circuits = compatible_circuits(g, pair)
-    basis = [circuit_class(gamma) for gamma in circuits]
+    basis = [circuit_class(g, gamma) for gamma in circuits]
     rest = delete_edges(g, g.edges_of(pair.support))
     cycle_basis = fundamental_cycle_basis(rest)
     return AffineSemigroup(Cone(g, pair), circuits, basis, len(cycle_basis),
@@ -287,7 +287,7 @@ def q_gorenstein(s):
         return True, True, {}
     g = s.graph
     normals = list(_facets(g, s.cycle_basis, *s.cone.label,
-                           [g.edge_mask(c.support) for c in s.circuits],
+                           [c.support for c in s.circuits],
                            {}).values())
     for rows in itertools.combinations(normals, d):
         det = det_int(rows)
@@ -549,13 +549,20 @@ def chamber_classes(semigroups):
     the image of generator i; a representative is the first chamber of
     its class and maps to itself.  Chambers are bucketed by lattice rank
     and sorted edge profiles, and each is searched against the
-    representatives of its bucket only.
+    representatives of its bucket only.  The chambers are those of one
+    graph, and each circuit support mask becomes a set of edge ids once.
     """
     buckets = {}
     classes = []
+    names = {}
     for i, s in enumerate(semigroups):
-        edges = s.graph.edges_of(~s.cone.label.support)
-        sets = [gamma.support for gamma in s.circuits]
+        g = s.graph
+        edges = g.edges_of(~s.cone.label.support)
+        sets = []
+        for gamma in s.circuits:
+            if gamma.support not in names:
+                names[gamma.support] = frozenset(g.edges_of(gamma.support))
+            sets.append(names[gamma.support])
         profiles = sorted(_edge_profiles(edges, sets).values())
         bucket = buckets.setdefault((s.lattice_rank, tuple(profiles)), [])
         for j, rep_edges, rep_sets in bucket:

@@ -10,7 +10,7 @@ the lowest-id member.
 
 import itertools
 
-from .circuits import _circuit_supports, hypergraph_bijection
+from .circuits import _circuit_table, hypergraph_bijection
 from .errors import CapacityError
 from .graph import betti1, contract_edge, separating_edges, spanning_forest
 from .orientations import MAX_POSET_EDGES
@@ -60,11 +60,10 @@ def three_edge_connectivization(g):
 
 
 def circuit_supports(g):
-    """The circuit hypergraph: all circuit edge sets, as frozensets, in
-    canonical order (sorted edge-index tuple).  Read off the circuit walk,
-    which yields each support once, without building oriented circuits."""
-    supports = [frozenset(edges) for edges, _ in _circuit_supports(g)]
-    return sorted(supports, key=lambda s: sorted(map(g.edge_index, s)))
+    """The circuit hypergraph: every circuit's edge ids in edge order, in
+    canonical order (sorted edge-index tuple).  Read off the support
+    masks of the circuit table, which holds each support once."""
+    return [g.edges_of(supp) for supp, _, _, _ in _circuit_table(g)]
 
 
 def cyclically_equivalent(g, h):

@@ -16,10 +16,9 @@ from operator import mul
 from cographic import (BinomialIdeal, CapacityError, Chain1, Cone,
                        CycleBasis, Orientation, OrientationPoset,
                        OrientedCircuit, TotCycPair, compatible_circuits,
-                       concordant, cone_contains, contract_edge,
+                       cone_contains, contract_edge,
                        delete_edges, fundamental_cycle_basis,
                        is_cycle, is_totally_cyclic, separating_edges)
-from cographic.circuits import _circuit_supports
 from cographic.graph import FORWARD, BACKWARD, spanning_forest
 from cographic.orientations import MAX_ORIENTATION_EDGES, MAX_POSET_EDGES
 from cographic.linalg import det_int, hyperplane_through, primitive_vector
@@ -404,7 +403,7 @@ def build_orientation_poset_reference(g):
         # ``TotCycPair.sort_key`` order, computed from the names
         t, phi = item
         return (len(t), tuple(sorted(map(g.edge_index, t))),
-                tuple(0 if phi.direction(e) == FORWARD else 1
+                tuple(0 if phi.oriented_edge(e)[1] == FORWARD else 1
                       for e in g.edges if e not in t))
 
     named.sort(key=order)
@@ -574,30 +573,101 @@ def three_edge_connectivization_reference(g):
     return g
 
 
+def _circuit_walk_reference(g):
+    """All circuits of g by name, each once as (edge ids, direction dict):
+    loops plus vertex-simple closed walks.
+
+    Each non-loop circuit is anchored at its lowest edge and traversed in
+    the reference direction, and the walk records each edge's direction
+    in a dict; ``circuits._circuit_supports`` carries two bitmasks instead.
+    """
+    incidence = {v: [] for v in g.vertices}
+    for e in g.edges:
+        s, t = g.ends(e)
+        if s != t:
+            incidence[s].append((e, t, FORWARD))
+            incidence[t].append((e, s, BACKWARD))
+    found = []
+    for anchor in g.edges:
+        if g.is_loop(anchor):
+            found.append(((anchor,), {anchor: FORWARD}))
+            continue
+        a_idx = g.edge_index(anchor)
+        start, cur = g.ends(anchor)
+
+        def walk(vertex, visited, path):
+            for e, other, direction in incidence[vertex]:
+                if g.edge_index(e) <= a_idx:
+                    continue
+                if other == start:
+                    edges = (anchor,) + tuple(f for f, _ in path) + (e,)
+                    dirs = {anchor: FORWARD}
+                    dirs.update(dict(path))
+                    dirs[e] = direction
+                    found.append((edges, dirs))
+                elif other not in visited:
+                    walk(other, visited | {other}, path + ((e, direction),))
+
+        walk(cur, {start, cur}, ())
+    return found
+
+
+def _circuit_of(g, edges, dirs):
+    """The ``OrientedCircuit`` of g on the edge ids ``edges``, directed by
+    the dict ``dirs``."""
+    return OrientedCircuit(g.edge_mask(edges),
+                           g.edge_mask(e for e in edges if dirs[e] == FORWARD))
+
+
+def _circuit_names(g, gamma):
+    """The edge ids and the direction dict of an oriented circuit of g,
+    read bit by bit along g's edge order."""
+    support, forward = gamma
+    dirs = {e: FORWARD if forward >> i & 1 else BACKWARD
+            for i, e in enumerate(g.edges) if support >> i & 1}
+    return frozenset(dirs), dirs
+
+
 def enumerate_oriented_circuits_reference(g):
-    """Both orientations of every walked circuit, then sorted."""
-    circuits = []
-    for edges, dirs in _circuit_supports(g):
-        gamma = OrientedCircuit(frozenset(edges), Orientation(dirs))
-        circuits.append(gamma)
-        circuits.append(gamma.reversal())
-    circuits.sort(key=lambda c: c.sort_key(g))
-    return circuits
+    """Both orientations of every circuit of the name-based walk, sorted
+    by names, then turned into mask pairs."""
+    named = []
+    for edges, dirs in _circuit_walk_reference(g):
+        named.append((edges, dirs))
+        named.append((edges, {e: -d for e, d in dirs.items()}))
+
+    def order(item):
+        # ``OrientedCircuit.sort_key`` order, computed from the names
+        edges, dirs = item
+        lowest = min(edges, key=g.edge_index)
+        return (tuple(sorted(map(g.edge_index, edges))),
+                0 if dirs[lowest] == FORWARD else 1)
+
+    named.sort(key=order)
+    return [_circuit_of(g, edges, dirs) for edges, dirs in named]
 
 
 def compatible_circuits_reference(g, pair):
-    """Walk every circuit of the graph with the support deleted and keep
-    those the restriction of phi orients coherently, then sort."""
+    """Walk every circuit of the graph with the support deleted by name
+    and keep those the restriction of phi orients coherently, then sort
+    and turn them into mask pairs."""
     t, phi = _names(g, pair)
-    rest = delete_edges(g, t)
     out = []
-    for edges, dirs in _circuit_supports(rest):
-        restricted = Orientation({e: phi[e] for e in edges})
-        walk = Orientation(dirs)
-        if restricted == walk or restricted == walk.reversed():
-            out.append(OrientedCircuit(frozenset(edges), restricted))
-    out.sort(key=lambda c: c.sort_key(g))
-    return out
+    for edges, dirs in _circuit_walk_reference(delete_edges(g, t)):
+        restricted = {e: phi[e] for e in edges}
+        if restricted == dirs or \
+                restricted == {e: -d for e, d in dirs.items()}:
+            out.append(edges)
+    out.sort(key=lambda edges: sorted(map(g.edge_index, edges)))
+    return [_circuit_of(g, edges, phi) for edges in out]
+
+
+def concordant_reference(g, gamma, delta):
+    """``concordant`` on edge names: do the two oriented circuits of g run
+    every shared edge the same way?"""
+    support_a, dirs_a = _circuit_names(g, gamma)
+    support_b, dirs_b = _circuit_names(g, delta)
+    return all(dirs_a[e] == dirs_b[e] for e in support_a & support_b)
 
 
 def support_orientation_of(g, circuits):
@@ -611,12 +681,11 @@ def support_orientation_of(g, circuits):
     circuits = list(circuits)
     for i, gamma in enumerate(circuits):
         for delta in circuits[i + 1:]:
-            if not concordant(gamma, delta):
+            if not concordant_reference(g, gamma, delta):
                 raise ValueError("circuits are not pairwise concordant")
     dirs = {}
     for gamma in circuits:
-        for e in gamma.support:
-            dirs[e] = gamma.orientation.direction(e)
+        dirs.update(_circuit_names(g, gamma)[1])
     t = frozenset(g.edges) - frozenset(dirs)
     return TotCycPair.create(g, t, Orientation(dirs))
 
@@ -629,7 +698,7 @@ def covered_by_compatible_circuits(g, phi):
     """
     covered = set()
     for gamma in compatible_circuits_reference(g, _label_of(g, (), phi)):
-        covered |= gamma.support
+        covered |= _circuit_names(g, gamma)[0]
     return covered == set(g.edges)
 
 
@@ -706,16 +775,17 @@ def facets_reference(cone):
     g = cone.graph
     t, phi = _names(g, cone.label)
     basis = fundamental_cycle_basis_reference(delete_edges(g, t))
-    circuits = compatible_circuits(g, cone.label)
+    circuits = [_circuit_names(g, gamma)[0]
+                for gamma in compatible_circuits(g, cone.label)]
     d = len(basis)
     out = {}
     for e in g.edges:
         if e in t:
             continue
         covered = set()
-        for gamma in circuits:
-            if e not in gamma.support:
-                covered |= gamma.support
+        for supp in circuits:
+            if e not in supp:
+                covered |= supp
         label = _label_of(g, frozenset(g.edges) - covered,
                           {f: phi[f] for f in covered})
         if label in out or len(spanning_forest(g, covered)[1]) != d - 1:
@@ -768,5 +838,5 @@ def fundamental_cycle_basis_reference(g):
     for f in coforest:
         s, t = g.ends(f)
         oriented = [(f, FORWARD)] + forest_path(t, s)
-        basis.append(Chain1.from_oriented_edges(oriented))
+        basis.append(Chain1(oriented))
     return CycleBasis(g, tuple(forest), tuple(coforest), basis)

@@ -310,7 +310,7 @@ def test_acceptance_9_property_suites(rng, fan_of):
         resum = Chain1()
         for gamma, n in decompose_cycle(g, c):
             assert n > 0
-            resum = resum + n * circuit_class(gamma)
+            resum = resum + n * circuit_class(g, gamma)
         assert resum == c
 
     # canonical form reconstruction, 1000 cases

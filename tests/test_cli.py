@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import cographic
-from cographic import semigroup
+from cographic import build_orientation_poset, catalog_graph, semigroup
 from cographic.cli import main
 from cographic.catalog import CATALOG
 from cographic.graph import graph_to_text
@@ -489,14 +489,19 @@ def test_short_hs_horizon_names_the_horizon_needed(capsys, monkeypatch):
 
 
 def test_fan_derives_each_cone_once(monkeypatch, capsys):
+    # One circuit filter per cone, and one cycle basis per support: the
+    # poset lists its cones grouped by support.
     counts = count_calls(monkeypatch, ["compatible_circuits",
                                        "fundamental_cycle_basis"])
     code, out, _ = run_cli(capsys, "fan", "THETA2")
     assert code == 0
     cones = json.loads(out)["num_cones"]
     assert cones == 261
+    poset = build_orientation_poset(catalog_graph("THETA2"))
+    supports = len({pair.support for pair in poset})
+    assert supports == 34
     assert counts == {"compatible_circuits": cones,
-                      "fundamental_cycle_basis": cones}
+                      "fundamental_cycle_basis": supports}
 
 
 def test_compare_connectivizes_each_graph_once(calls, capsys):

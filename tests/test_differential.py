@@ -7,8 +7,10 @@ the reference keeps coordinate tuples and the chain-level
 ``AffineSemigroup.contains``.  Chamber selection filters
 by support, and circuits are read from a per-graph bitmask table; the
 references compare every pair of poset elements and walk the circuits of
-each complement.  A facet label is built from the circuits that cover
-it; the reference validates the circuits and the label.  The hull's
+each complement by edge name.  Concordance of two oriented circuits is
+one AND of their edge masks; the reference compares the directions of
+the shared edges by name.  A facet label is built from the circuits
+that cover it; the reference validates the circuits and the label.  The hull's
 hyperplane is a vector of integer minors; the reference solves a
 rational kernel.  The hull's facets come from beneath-beyond; the
 reference tries a plane through every k-subset of the points.  Lattice
@@ -50,8 +52,9 @@ from hypothesis import strategies as st
 
 from cographic import (FinitePoset, TotCycPair, betti1, build_fan,
                        build_orientation_poset, catalog_graph,
-                       catalog_names, compatible_circuits, cone_contains,
-                       cone_dimension, chamber_classes, connected_components,
+                       catalog_names, compatible_circuits, concordant,
+                       cone_contains, cone_dimension, chamber_classes,
+                       connected_components,
                        cycles_up_to_mass, delete_edges,
                        enumerate_oriented_circuits, enumerate_tco,
                        extremal_rays, facets, from_edge_list,
@@ -68,7 +71,7 @@ from cographic.semigroup import (_supporting_planes, _volume,
 from cographic.linalg import hyperplane_through
 from conftest import k4_plus, multigraphs
 from oracles import (build_orientation_poset_reference,
-                     compatible_circuits_reference,
+                     compatible_circuits_reference, concordant_reference,
                      connected_components_reference, covers_reference,
                      cycles_up_to_mass_reference,
                      enumerate_oriented_circuits_reference,
@@ -190,6 +193,25 @@ def test_chambers_and_compatible_circuits_match_reference(name, graphs):
 @given(g=multigraphs())
 def test_chambers_and_compatible_circuits_match_reference_on_random_multigraphs(g):
     _assert_poset_matches_references(g)
+
+
+def _assert_concordance_matches_reference(g):
+    circuits = enumerate_oriented_circuits(g)
+    for a in circuits:
+        for b in circuits:
+            assert concordant(a, b) == concordant_reference(g, a, b)
+
+
+@pytest.mark.parametrize("name", catalog_names() + ["K4", "K4p2"])
+def test_concordance_matches_reference(name, graphs):
+    g = (from_edge_list(NON_CATALOG[name]) if name in NON_CATALOG
+         else graphs[name])
+    _assert_concordance_matches_reference(g)
+
+
+@given(g=multigraphs())
+def test_concordance_matches_reference_on_random_multigraphs(g):
+    _assert_concordance_matches_reference(g)
 
 
 @st.composite

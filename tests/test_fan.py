@@ -12,8 +12,9 @@ from cographic import (CapacityError, Chain1, Cone, Orientation, TotCycPair,
                        fundamental_cycle_basis,
                        voronoi_face_dim, FinitePoset)
 from cographic import orientations
+from cographic.cli import main
 from cographic.orientations import OrientationPoset
-from cographic.graph import FORWARD, BACKWARD
+from cographic.graph import FORWARD, BACKWARD, graph_to_text
 from conftest import k4_plus
 from oracles import support_orientation_of
 
@@ -60,7 +61,7 @@ def test_class_lies_in_its_own_support_cone(graphs):
         g = graphs[name]
         for gamma in enumerate_oriented_circuits(g):
             pair = support_orientation_of(g, [gamma])
-            assert cone_contains(Cone(g, pair), circuit_class(gamma))
+            assert cone_contains(Cone(g, pair), circuit_class(g, gamma))
 
 
 def test_common_cone_examples():
@@ -276,7 +277,7 @@ def test_label_map_is_order_isomorphism(fan_of):
         ("b1", "v3", "v4"), ("b2", "v3", "v4")])
     fans = [fan_of(name) for name in ("LOOP1", "B3", "C4", "FIG-NG")]
     for fan in fans + [build_fan(k4_plus(0)), build_fan(digons_with_bridge)]:
-        rays = {p: [circuit_class(c)
+        rays = {p: [circuit_class(fan.graph, c)
                     for c in compatible_circuits(fan.graph, p)]
                 for p in fan.poset}
         for p in fan.poset:
@@ -321,7 +322,7 @@ def test_fan_poset_isomorphic_to_orientation_poset():
     g = catalog_graph("B3")
     fan = build_fan(g)
     # cone-inclusion order computed from ray membership, label-free
-    rays = {p: [circuit_class(c) for c in compatible_circuits(g, p)]
+    rays = {p: [circuit_class(g, c) for c in compatible_circuits(g, p)]
             for p in fan.poset}
 
     def cone_leq(p, q):
@@ -333,11 +334,9 @@ def test_fan_poset_isomorphic_to_orientation_poset():
     assert iso is not None
 
 
-def test_fan_builds_no_orientation(monkeypatch):
-    # Labels are mask pairs from the poset walk to the JSON: no step of a
-    # fan's life builds an ``Orientation``.
-    g = k4_plus(4)
-    enumerate_oriented_circuits(g)    # fills the circuit table
+@pytest.fixture
+def orientations_built(monkeypatch):
+    """The arguments of every ``Orientation`` built while the test runs."""
     built = []
     original_init = Orientation.__init__
     original_orientation = orientations._orientation
@@ -352,9 +351,26 @@ def test_fan_builds_no_orientation(monkeypatch):
 
     monkeypatch.setattr(Orientation, "__init__", counted_init)
     monkeypatch.setattr(orientations, "_orientation", counted_orientation)
-    fan = build_fan(g)
+    return built
+
+
+def test_fan_builds_no_orientation(orientations_built):
+    # Labels and circuits are mask pairs from the poset walk and the
+    # circuit table to the JSON: no step of a fan's life builds an
+    # ``Orientation``.
+    fan = build_fan(k4_plus(4))
     assert len(fan) == 19963
     assert len(fan.chambers()) == 768
     assert len(fan.cones) == 19963
     assert len(fan.to_json()) == 19963
-    assert built == []
+    assert orientations_built == []
+
+
+@pytest.mark.parametrize("command", ["circuits", "fan", "ring"])
+def test_cli_builds_no_orientation(command, orientations_built, tmp_path,
+                                   capsys):
+    path = tmp_path / "k4p2.graph"
+    path.write_text(graph_to_text(k4_plus(2)))
+    assert main([command, str(path)]) == 0
+    capsys.readouterr()
+    assert orientations_built == []

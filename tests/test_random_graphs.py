@@ -30,7 +30,7 @@ def test_random_counts_and_poset_shape(g):
     assert len(maximal) == len(enumerate_tco(free))
     # circuits: even count, classes are sign vectors
     for gamma in enumerate_oriented_circuits(g):
-        c = circuit_class(gamma)
+        c = circuit_class(g, gamma)
         assert all(n in (-1, 1) for _, n in c.items())
 
 
@@ -42,7 +42,7 @@ def test_random_decompose_and_spanning(g, data):
         c = basis.chain(coords)
         resum = Chain1()
         for gamma, n in decompose_cycle(g, c):
-            resum = resum + n * circuit_class(gamma)
+            resum = resum + n * circuit_class(g, gamma)
         assert resum == c
     fan = build_fan(g)
     for pair in fan.poset:

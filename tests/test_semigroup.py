@@ -389,8 +389,10 @@ def test_hs_oracle_unstable_horizon_raises(monkeypatch):
 
 
 def _supports(s):
-    edges = s.graph.edges_of(~s.cone.label.support)
-    return edges, [gamma.support for gamma in s.circuits]
+    g = s.graph
+    edges = g.edges_of(~s.cone.label.support)
+    return edges, [frozenset(g.edges_of(gamma.support))
+                   for gamma in s.circuits]
 
 
 def _reversal(g, pair):
