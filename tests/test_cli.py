@@ -97,6 +97,30 @@ def test_orientations_subcommand(capsys):
     assert len(json.loads(out)["totally_cyclic_orientations"]) == 6
 
 
+def _k4x2_file(tmp_path):
+    path = tmp_path / "k4x2.graph"
+    path.write_text(graph_to_text(k4_plus(6)))
+    return str(path)
+
+
+@pytest.mark.parametrize("graph, digest", [
+    (_k4x2_file,
+     "8689651bee0aed13d142465717f64d3bef574d5a5bee5d6d7234958978c8b6c5"),
+    (lambda tmp_path: _banana_file(tmp_path, 12),
+     "9df8b86878437fd7f8f989e669de5e36a4b044bdc65bf7353c1d0218a4d874b6"),
+    (lambda tmp_path: "LOOP1",
+     "2282697c61ce3a18762b7aa45412f5f809ed4b0672eca4becb7c0233a2a09847"),
+    (lambda tmp_path: "TREE3",
+     "db252e54ac29b52828b1d36775a1bc9c61cdc758161bc9326c5e1cbf03bcb020"),
+], ids=["K4x2", "banana12", "LOOP1", "TREE3"])
+def test_orientations_stdout_pin(tmp_path, capsys, graph, digest):
+    # 3,608 and 4,094 orientations, two, and none for a tree; the hashes
+    # predate ``enumerate_tco`` returning forward-edge masks.
+    code, out, _ = run_cli(capsys, "orientations", graph(tmp_path))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_circuits_subcommand(capsys):
     code, out, _ = run_cli(capsys, "circuits", "FIG-NG")
     assert code == 0
