@@ -13,11 +13,13 @@ from cographic import (Chain1, build_orientation_poset, catalog_graph,
 g = catalog_graph("B3")
 
 # An orientation is totally cyclic when every component of the resulting
-# digraph is strongly connected.  Three parallel edges admit six.
+# digraph is strongly connected.  Three parallel edges admit six.  Each
+# comes back as the bitmask of its forward edges, bit i for edge i.
 tcos = enumerate_tco(g)
 print("totally cyclic orientations of B3:")
-for phi in tcos:
-    print("  ", phi.to_json())
+for forward in tcos:
+    print("  ", {e: "+" if forward >> g.edge_index(e) & 1 else "-"
+                 for e in sorted(g.edges)})
 
 # The poset collects pairs (T, phi): delete the edges in T, orient the
 # rest totally cyclically.  Restriction orders the pairs.

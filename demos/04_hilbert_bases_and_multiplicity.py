@@ -8,15 +8,14 @@ generators are not unimodular, and its toric relations start at degree
 three against degree two.
 """
 
-from cographic import (Orientation, TotCycPair, catalog_graph, hilbert_basis,
+from cographic import (TotCycPair, catalog_graph, hilbert_basis,
                        is_homogeneous, is_unimodular, multiplicity_hs_oracle,
                        q_gorenstein, spans_lattice, subdiagram_volume,
                        toric_ideal_up_to_degree)
-from cographic.graph import FORWARD
 
+# A chamber label: no edge deleted, every edge run forward.
 theta = catalog_graph("THETA2")
-phi = Orientation({e: FORWARD for e in theta.edges})
-s = hilbert_basis(theta, TotCycPair.create(theta, frozenset(), phi))
+s = hilbert_basis(theta, TotCycPair.create(theta, (), theta.edges))
 
 print("doubled triangle, reference chamber")
 print("Hilbert basis (eight triangles):")
@@ -36,15 +35,13 @@ print("Hilbert-Samuel multiplicity:", multiplicity_hs_oracle(s))
 
 # The five-banana chamber is the smallest non-Q-Gorenstein example.
 fng = catalog_graph("FIG-NG")
-s_ng = hilbert_basis(fng, TotCycPair.create(
-    fng, frozenset(), Orientation({e: FORWARD for e in fng.edges})))
+s_ng = hilbert_basis(fng, TotCycPair.create(fng, (), fng.edges))
 print("\nfive parallel edges, reference chamber")
 print("Q-Gorenstein:", q_gorenstein(s_ng)[0])
 
 # The mixed doubled triangle carries the inhomogeneous cubic relation.
 fnh = catalog_graph("FIG-NH")
-s_nh = hilbert_basis(fnh, TotCycPair.create(
-    fnh, frozenset(), Orientation({e: FORWARD for e in fnh.edges})))
+s_nh = hilbert_basis(fnh, TotCycPair.create(fnh, (), fnh.edges))
 ideal = toric_ideal_up_to_degree(s_nh, 3)
 print("\nmixed doubled triangle, reference chamber")
 for u, v in ideal.generators:

@@ -18,7 +18,7 @@ from .graph import (Graph, from_edge_list, delete_edges, contract_edge,
                     parse_graph_text, graph_to_text, FORWARD, BACKWARD)
 from .chains import (Chain1, boundary, is_cycle, inner_product,
                      fundamental_cycle_basis, canonical_form, CycleBasis)
-from .orientations import (Orientation, TotCycPair, OrientationPoset,
+from .orientations import (TotCycPair, OrientationPoset,
                            is_totally_cyclic, enumerate_tco,
                            build_orientation_poset)
 from .circuits import (OrientedCircuit, enumerate_oriented_circuits,
@@ -48,7 +48,7 @@ __all__ = [
     "graph_to_text", "FORWARD", "BACKWARD",
     "Chain1", "boundary", "is_cycle", "inner_product",
     "fundamental_cycle_basis", "canonical_form", "CycleBasis",
-    "Orientation", "TotCycPair", "OrientationPoset", "is_totally_cyclic",
+    "TotCycPair", "OrientationPoset", "is_totally_cyclic",
     "enumerate_tco", "build_orientation_poset",
     "OrientedCircuit", "enumerate_oriented_circuits", "circuit_class",
     "concordant", "compatible_circuits", "decompose_cycle",

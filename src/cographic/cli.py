@@ -99,8 +99,11 @@ def cmd_analyze(args):
 def cmd_orientations(args):
     g = _load_graph(args.graph)
     tcos = enumerate_tco(g)
+    bits = [(e, 1 << g.edge_index(e)) for e in sorted(g.edges)]
     _emit({"graph": _graph_summary(g),
-           "totally_cyclic_orientations": [phi.to_json() for phi in tcos]},
+           "totally_cyclic_orientations": [
+               {e: "+" if forward & bit else "-" for e, bit in bits}
+               for forward in tcos]},
           f"orientations: {len(tcos)} totally cyclic")
     return EXIT_OK
 

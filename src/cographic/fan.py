@@ -33,11 +33,11 @@ once per orientation, keyed by its mask pair, not once per cone.
 from dataclasses import dataclass
 from functools import cached_property
 
-from .chains import canonical_form, fundamental_cycle_basis, is_cycle
+from .chains import fundamental_cycle_basis, is_cycle
 from .circuits import _circuit_table, circuit_class, compatible_circuits
 from .errors import CapacityError
 from .graph import BACKWARD, FORWARD, betti1, delete_edges, spanning_forest
-from .orientations import (Orientation, OrientationPoset, TotCycPair,
+from .orientations import (OrientationPoset, TotCycPair,
                            build_orientation_poset)
 
 MAX_ISOMORPHISM_SIZE = 5000
@@ -82,9 +82,8 @@ def cone_of(g, c):
     the circuit decomposition of cycles."""
     if not is_cycle(g, c):
         raise ValueError("cone_of is defined for cycles only")
-    support, phi, _ = canonical_form(g, c)
-    t = frozenset(g.edges) - frozenset(support)
-    return TotCycPair.create(g, t, Orientation(phi))
+    return TotCycPair(((1 << len(g.edges)) - 1) ^ g.edge_mask(c.support()),
+                      g.edge_mask(e for e, n in c.items() if n > 0))
 
 
 def cone_dimension(cone):

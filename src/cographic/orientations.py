@@ -10,7 +10,8 @@ restriction.
 An orientation is totally cyclic exactly when it directs no bond: no
 minimal edge cut of the graph has all its edges crossing the same way
 (Bjorner, Las Vergnas, Sturmfels, White and Ziegler, *Oriented Matroids*,
-ch. 3).  Both enumerators work on that rule, over edge-index bitmasks.
+ch. 3).  Every total-cyclicity decision here works on that rule, over
+edge-index bitmasks: an orientation is the mask of its forward edges.
 
 Cost model.  ``bond_table`` lists the bonds once per enumeration, one row
 per bond with its cut mask and the mask of its edges whose reference
@@ -23,19 +24,18 @@ single edge, a bridge of the subgraph.  Otherwise its edges are fixed one
 at a time, forward before backward, and each bond is checked with an XOR
 and an AND as soon as its last edge in the support is fixed, so a prefix
 that directs a bond is never extended; no graph is built per edge subset
-and no strong-connectivity search runs.  ``enumerate_tco`` builds one
-``Orientation`` per accepted sign vector; it returns at once on a graph
-with a bridge, before the table, so a tree costs one bridge search.  The
+and no strong-connectivity search runs.  ``enumerate_tco`` returns the
+accepted forward masks; it returns at once on a graph with a bridge,
+before the table, so a tree costs one bridge search.  The
 poset builds its table over the non-bridge edges, since every support
 avoids the bridges, and stores each element as its ``TotCycPair``, a
 named pair of ints: T's mask and the forward mask, already in
 ``sort_key`` order.  ``leq``, ``minimum``, ``maximal_elements`` and the
 index are integer operations on those masks; edge names are read only
 where a label enters (``TotCycPair.create``) or leaves (``to_json``).
-``Orientation`` is the edge-name form of one orientation, kept for
-``enumerate_tco``, JSON and ``is_totally_cyclic``, the linear check of one
-given label (``TotCycPair.create``, ``fan.cone_of``); no label or
-oriented circuit builds one.
+``is_totally_cyclic`` checks one given label, the one ``create`` is
+handed, against the bond table of its complement: one XOR and one AND
+per bond, after the same linear bridge search.
 """
 
 import itertools
@@ -43,102 +43,10 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .errors import CapacityError
-from .graph import FORWARD, BACKWARD, delete_edges, separating_edges
+from .graph import delete_edges, separating_edges
 
 MAX_ORIENTATION_EDGES = 20
 MAX_POSET_EDGES = 14
-
-
-class Orientation:
-    """Immutable choice of direction (relative to reference) per edge."""
-
-    __slots__ = ("_d", "_hash")
-
-    def __init__(self, directions=()):
-        items = directions.items() if isinstance(directions, dict) else directions
-        self._d = dict(items)
-        for e, d in self._d.items():
-            if d not in (FORWARD, BACKWARD):
-                raise ValueError(f"bad direction {d!r} for edge {e!r}")
-        self._hash = hash(frozenset(self._d.items()))
-
-    def oriented_edge(self, e):
-        return (e, self._d[e])
-
-    def edges(self):
-        return frozenset(self._d)
-
-    def items(self):
-        return self._d.items()
-
-    def __eq__(self, other):
-        if not isinstance(other, Orientation):
-            return NotImplemented
-        return self._d == other._d
-
-    def __hash__(self):
-        return self._hash
-
-    def __repr__(self):
-        body = ",".join(f"{e}{'+' if d == FORWARD else '-'}"
-                        for e, d in sorted(self._d.items()))
-        return f"Orientation({body})"
-
-    def to_json(self):
-        return {e: ("+" if d == FORWARD else "-")
-                for e, d in sorted(self._d.items())}
-
-    @classmethod
-    def from_json(cls, obj):
-        for e, s in obj.items():
-            if s not in ("+", "-"):
-                raise ValueError(f"edge {e!r} has direction {s!r}, "
-                                 "not '+' or '-'")
-        return cls({e: (FORWARD if s == "+" else BACKWARD)
-                    for e, s in obj.items()})
-
-
-def is_totally_cyclic(g, phi):
-    """Is every component of the oriented graph strongly connected?
-
-    ``phi`` must orient exactly the edges of ``g``; a partial orientation
-    is rejected.
-    """
-    if phi.edges() != frozenset(g.edges):
-        raise ValueError("orientation does not cover exactly the edge set")
-    out = {v: [] for v in g.vertices}
-    inc = {v: [] for v in g.vertices}
-    und = {v: [] for v in g.vertices}
-    for e in g.edges:
-        oe = phi.oriented_edge(e)
-        s, t = g.source(oe), g.target(oe)
-        out[s].append(t)
-        inc[t].append(s)
-        und[s].append(t)
-        und[t].append(s)
-
-    def reach(start, adj):
-        seen = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return seen
-
-    visited = set()
-    for v in g.vertices:
-        if v in visited:
-            continue
-        comp = reach(v, und)
-        visited |= comp
-        if all(not out[w] and not inc[w] for w in comp):
-            continue  # edgeless component, vacuously fine
-        if reach(v, out) != comp or reach(v, inc) != comp:
-            return False
-    return True
 
 
 def bond_table(g, edges):
@@ -200,6 +108,26 @@ def bond_table(g, edges):
     return rows
 
 
+def is_totally_cyclic(g, support, forward):
+    """Does the forward-edge mask ``forward`` give a totally cyclic
+    orientation of the spanning subgraph off the edge mask ``support``?
+
+    It does when it directs no bond of that subgraph: every bond has edges
+    crossing both ways.  A bridge is a bond of one edge, which every
+    orientation directs, so a subgraph with one is rejected before its
+    bond table is grown; a tree's table has a row per connected vertex
+    set.  Bits of ``forward`` inside ``support`` are ignored.
+    """
+    rest = delete_edges(g, g.edges_of(support))
+    if separating_edges(rest):
+        return False
+    for cut, out in bond_table(g, rest.edges):
+        x = (forward ^ out) & cut
+        if not x or x == cut:
+            return False
+    return True
+
+
 def _forward_masks(bonds, support):
     """Forward-edge bitmasks of the totally cyclic orientations of the
     spanning subgraph on the edge bitmask ``support``, in canonical order.
@@ -236,25 +164,13 @@ def _forward_masks(bonds, support):
     return level
 
 
-def _orientation(edges, forward):
-    """The orientation of ``edges`` (g's edge ids with their bits) whose
-    forward edges are the bitmask ``forward``.
-
-    Every direction is FORWARD or BACKWARD by construction, so the checks
-    of ``Orientation.__init__`` are skipped.
-    """
-    phi = Orientation.__new__(Orientation)
-    phi._d = {e: FORWARD if forward & bit else BACKWARD for e, bit in edges}
-    phi._hash = hash(frozenset(phi._d.items()))
-    return phi
-
-
 def enumerate_tco(g):
-    """All totally cyclic orientations of g, in canonical order.
+    """The forward-edge bitmasks of all totally cyclic orientations of g,
+    in canonical order.
 
     Canonical order is lexicographic over edges in enumeration order with
     forward before backward.  The edgeless graph yields exactly the empty
-    orientation; a graph with a separating edge yields nothing.
+    orientation, mask 0; a graph with a separating edge yields nothing.
     """
     m = len(g.edges)
     if m > MAX_ORIENTATION_EDGES:
@@ -262,9 +178,7 @@ def enumerate_tco(g):
                             MAX_ORIENTATION_EDGES)
     if separating_edges(g):
         return []
-    edges = [(e, 1 << i) for i, e in enumerate(g.edges)]
-    return [_orientation(edges, f)
-            for f in _forward_masks(bond_table(g, g.edges), (1 << m) - 1)]
+    return _forward_masks(bond_table(g, g.edges), (1 << m) - 1)
 
 
 class TotCycPair(NamedTuple):
@@ -279,15 +193,18 @@ class TotCycPair(NamedTuple):
     forward: int
 
     @classmethod
-    def create(cls, g, support, phi):
-        """The label of the edge ids ``support`` and the ``Orientation``
-        ``phi`` of the rest, checked to be totally cyclic."""
-        support = frozenset(support)
-        rest = delete_edges(g, support)
-        if not is_totally_cyclic(rest, phi):
+    def create(cls, g, support, forward_edges):
+        """The label of the edge ids ``support`` and the orientation of
+        the rest that runs the edge ids ``forward_edges`` in their
+        reference direction and the others against it, checked to be
+        totally cyclic."""
+        support = g.edge_mask(support)
+        forward = g.edge_mask(forward_edges)
+        if support & forward:
+            raise ValueError("forward edges lie in the support")
+        if not is_totally_cyclic(g, support, forward):
             raise ValueError("orientation is not totally cyclic off the support")
-        return cls(g.edge_mask(support),
-                   g.edge_mask(e for e, d in phi.items() if d == FORWARD))
+        return cls(support, forward)
 
     def sort_key(self, g):
         """The size of T, its edge indices, then one sign per edge off T in

@@ -26,12 +26,12 @@ banana6 have 352 chambers in 32 classes.
 
 from dataclasses import dataclass
 
-from .chains import is_cycle
+from .chains import fundamental_cycle_basis, is_cycle
 from .circuits import concordant, enumerate_oriented_circuits
 from .fan import (Cone, common_cone, cone_contains, extremal_rays,
                   face_label, FinitePoset)
-from .graph import betti1
-from .semigroup import (chamber_classes, hilbert_basis, per_chamber_class,
+from .graph import betti1, delete_edges, separating_edges
+from .semigroup import (_semigroup, chamber_classes, per_chamber_class,
                         permute_ideal, subdiagram_volume,
                         toric_ideal_up_to_degree)
 
@@ -117,7 +117,9 @@ def present_ring(fan, degree=DEFAULT_DEGREE_BOUND):
                 for b in circuits[i + 1:]
                 if not concordant(a, b)]
     labels = [cone.label for cone in fan.chambers()]
-    semigroups = [hilbert_basis(g, pair) for pair in labels]
+    # every chamber's support is the bridges: one cycle basis serves all
+    cycle_basis = fundamental_cycle_basis(delete_edges(g, separating_edges(g)))
+    semigroups = [_semigroup(g, pair, cycle_basis) for pair in labels]
     classes = chamber_classes(semigroups)
     ideals = per_chamber_class(
         lambda s: toric_ideal_up_to_degree(s, degree),

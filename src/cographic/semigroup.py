@@ -148,12 +148,17 @@ def hilbert_basis(g, pair):
     The Hilbert basis is the set of compatible circuit classes; the
     lattice is spanned by the fundamental cycles off the support.
     """
+    return _semigroup(g, pair, fundamental_cycle_basis(
+        delete_edges(g, g.edges_of(pair.support))))
+
+
+def _semigroup(g, pair, cycle_basis):
+    """``hilbert_basis`` of ``pair`` given the fundamental cycles off its
+    support, which cones of one support can share."""
     circuits = compatible_circuits(g, pair)
-    basis = [circuit_class(g, gamma) for gamma in circuits]
-    rest = delete_edges(g, g.edges_of(pair.support))
-    cycle_basis = fundamental_cycle_basis(rest)
-    return AffineSemigroup(Cone(g, pair), circuits, basis, len(cycle_basis),
-                           cycle_basis)
+    return AffineSemigroup(Cone(g, pair), circuits,
+                           [circuit_class(g, gamma) for gamma in circuits],
+                           len(cycle_basis), cycle_basis)
 
 
 def spans_lattice(s):

@@ -5,6 +5,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from cographic import build_fan, catalog_graph, catalog_names, from_edge_list
+from cographic.graph import FORWARD
 
 # Property tests replay the same examples on every run, and a slow example
 # on a loaded host is not a failure.  Another profile can still be chosen
@@ -42,6 +43,12 @@ def k4_plus(k):
     the doubled K4 (12 edges, first Betti number 9)."""
     copies = [(f"e{7 + i}", s, t) for i, (_, s, t) in enumerate(K4_EDGES[:k])]
     return from_edge_list(K4_EDGES + copies)
+
+
+def forward_mask(g, dirs):
+    """The forward-edge bitmask of a direction dict, edge id -> FORWARD or
+    BACKWARD."""
+    return g.edge_mask(e for e, d in dirs.items() if d == FORWARD)
 
 
 @pytest.fixture

@@ -14,11 +14,11 @@ from math import gcd
 from operator import mul
 
 from cographic import (BinomialIdeal, CapacityError, Chain1, Cone,
-                       CycleBasis, Orientation, OrientationPoset,
+                       CycleBasis, OrientationPoset,
                        OrientedCircuit, TotCycPair, compatible_circuits,
                        cone_contains, contract_edge,
                        delete_edges, fundamental_cycle_basis,
-                       is_cycle, is_totally_cyclic, separating_edges)
+                       is_cycle, separating_edges)
 from cographic.graph import FORWARD, BACKWARD, spanning_forest
 from cographic.orientations import MAX_ORIENTATION_EDGES, MAX_POSET_EDGES
 from cographic.linalg import det_int, hyperplane_through, primitive_vector
@@ -358,8 +358,53 @@ def toric_ideal_reference(s, degree):
     return BinomialIdeal(sorted(generators), degree)
 
 
+def is_totally_cyclic_reference(g, dirs):
+    """Is every component of g, its edges directed by the dict ``dirs``
+    (edge id -> FORWARD or BACKWARD), strongly connected?
+
+    The slow twin of the bond rule ``is_totally_cyclic``.  ``dirs`` must
+    orient exactly the edges of ``g``; a partial orientation is rejected.
+    """
+    if set(dirs) != set(g.edges):
+        raise ValueError("orientation does not cover exactly the edge set")
+    out = {v: [] for v in g.vertices}
+    inc = {v: [] for v in g.vertices}
+    und = {v: [] for v in g.vertices}
+    for e in g.edges:
+        oe = (e, dirs[e])
+        s, t = g.source(oe), g.target(oe)
+        out[s].append(t)
+        inc[t].append(s)
+        und[s].append(t)
+        und[t].append(s)
+
+    def reach(start, adj):
+        seen = {start}
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            for w in adj[v]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        return seen
+
+    visited = set()
+    for v in g.vertices:
+        if v in visited:
+            continue
+        comp = reach(v, und)
+        visited |= comp
+        if all(not out[w] and not inc[w] for w in comp):
+            continue  # edgeless component, vacuously fine
+        if reach(v, out) != comp or reach(v, inc) != comp:
+            return False
+    return True
+
+
 def enumerate_tco_reference(g):
-    """All totally cyclic orientations of g, in canonical order.
+    """All totally cyclic orientations of g as direction dicts, in
+    canonical order.
 
     Canonical order is lexicographic over edges in enumeration order with
     forward before backward.  The edgeless graph yields exactly the empty
@@ -370,14 +415,14 @@ def enumerate_tco_reference(g):
         raise CapacityError("orientation enumeration edge cap", m,
                             MAX_ORIENTATION_EDGES)
     if m == 0:
-        return [Orientation()]
+        return [{}]
     if separating_edges(g):
         return []
     found = []
     for signs in itertools.product((FORWARD, BACKWARD), repeat=m):
-        phi = Orientation(zip(g.edges, signs))
-        if is_totally_cyclic(g, phi):
-            found.append(phi)
+        dirs = dict(zip(g.edges, signs))
+        if is_totally_cyclic_reference(g, dirs):
+            found.append(dirs)
     return found
 
 
@@ -403,7 +448,7 @@ def build_orientation_poset_reference(g):
         # ``TotCycPair.sort_key`` order, computed from the names
         t, phi = item
         return (len(t), tuple(sorted(map(g.edge_index, t))),
-                tuple(0 if phi.oriented_edge(e)[1] == FORWARD else 1
+                tuple(0 if phi[e] == FORWARD else 1
                       for e in g.edges if e not in t))
 
     named.sort(key=order)
@@ -411,8 +456,8 @@ def build_orientation_poset_reference(g):
 
 
 def _label_of(g, t, phi):
-    """The label of the edge ids ``t`` and the orientation ``phi`` of the
-    rest (an ``Orientation`` or a dict), unchecked."""
+    """The label of the edge ids ``t`` and the direction dict ``phi`` of
+    the rest, unchecked."""
     return TotCycPair(g.edge_mask(t),
                       g.edge_mask(e for e, d in phi.items() if d == FORWARD))
 
@@ -687,7 +732,7 @@ def support_orientation_of(g, circuits):
     for gamma in circuits:
         dirs.update(_circuit_names(g, gamma)[1])
     t = frozenset(g.edges) - frozenset(dirs)
-    return TotCycPair.create(g, t, Orientation(dirs))
+    return TotCycPair.create(g, t, [e for e, d in dirs.items() if d == FORWARD])
 
 
 def covered_by_compatible_circuits(g, phi):

@@ -9,7 +9,7 @@ through subset enumeration, cone membership through explicit search.
 
 import itertools
 
-from cographic import (Chain1, Cone, Orientation, TotCycPair, betti1,
+from cographic import (Chain1, Cone, TotCycPair, betti1,
                        build_fan, build_orientation_poset, canonical_form,
                        catalog_graph, catalog_names, check_iso_truncated,
                        circuit_class, common_cone, cone_contains,
@@ -24,7 +24,6 @@ from cographic import (Chain1, Cone, Orientation, TotCycPair, betti1,
                        FinitePoset)
 from cographic.linalg import det_int
 from cographic.orientations import OrientationPoset
-from cographic.graph import FORWARD
 from oracles import irreducible_points_up_to_degree, solve_rational
 
 CATALOG = catalog_names()
@@ -32,8 +31,7 @@ CATALOG = catalog_names()
 
 def reference_chamber(name):
     g = catalog_graph(name)
-    phi = Orientation({e: FORWARD for e in g.edges})
-    pair = TotCycPair.create(g, frozenset(), phi)
+    pair = TotCycPair.create(g, frozenset(), g.edges)
     return g, pair, hilbert_basis(g, pair)
 
 

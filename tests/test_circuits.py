@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cographic import (Chain1, OrientedCircuit, Orientation, TotCycPair,
+from cographic import (Chain1, OrientedCircuit, TotCycPair,
                        betti1, catalog_graph, circuit_class,
                        compatible_circuits, concordant, decompose_cycle,
                        enumerate_oriented_circuits,
@@ -13,7 +13,7 @@ from cographic import (Chain1, OrientedCircuit, Orientation, TotCycPair,
                        is_cycle, is_totally_cyclic, separating_edges)
 from cographic.graph import FORWARD, BACKWARD
 from cographic.torelli import circuit_supports
-from conftest import multigraphs
+from conftest import forward_mask, multigraphs
 from oracles import (covered_by_compatible_circuits, smith_invariant_factors,
                      support_orientation_of)
 
@@ -22,9 +22,7 @@ B2 = from_edge_list([("a", 1, 2), ("b", 1, 2)])
 
 def oriented(g, dirs):
     """The oriented circuit of g on the edges of ``dirs``, directed by it."""
-    return OrientedCircuit(g.edge_mask(dirs),
-                           g.edge_mask(e for e, d in dirs.items()
-                                       if d == FORWARD))
+    return OrientedCircuit(g.edge_mask(dirs), forward_mask(g, dirs))
 
 
 def brute_circuit_supports(g):
@@ -127,8 +125,7 @@ def test_concordance_b3_chamber_pair():
 
 def b3_chamber():
     g = catalog_graph("B3")
-    phi = Orientation({"e1": FORWARD, "e2": FORWARD, "e3": BACKWARD})
-    return g, TotCycPair.create(g, frozenset(), phi)
+    return g, TotCycPair.create(g, frozenset(), ["e1", "e2"])
 
 
 def test_compatible_circuits_b3_chamber():
@@ -143,8 +140,7 @@ def test_compatible_circuits_b3_chamber():
 
 def test_compatible_circuits_fig_nh_reference():
     g = catalog_graph("FIG-NH")
-    pair = TotCycPair.create(g, frozenset(),
-                             Orientation({e: FORWARD for e in g.edges}))
+    pair = TotCycPair.create(g, frozenset(), g.edges)
     comp = compatible_circuits(g, pair)
     assert [sorted(g.edges_of(c.support)) for c in comp] == [
         ["e1", "e2", "e3"],
@@ -166,17 +162,17 @@ def test_total_cyclicity_equals_circuit_cover(graphs):
     for name in ("B2", "B3", "C3", "LOOP1", "FIG-NG"):
         g = graphs[name]
         for signs in itertools.product((FORWARD, BACKWARD), repeat=len(g.edges)):
-            phi = Orientation(zip(g.edges, signs))
-            assert is_totally_cyclic(g, phi) == \
-                covered_by_compatible_circuits(g, phi)
+            dirs = dict(zip(g.edges, signs))
+            assert is_totally_cyclic(g, 0, forward_mask(g, dirs)) == \
+                covered_by_compatible_circuits(g, dirs)
 
 
 def test_compatible_classes_generate_homology(graphs):
     # classes of compatible circuits span the cycle lattice off the support
     for name in ("B3", "C4", "FIG-NG", "THETA2"):
         g = graphs[name]
-        for phi in enumerate_tco(g):
-            pair = TotCycPair.create(g, (), phi)
+        for forward in enumerate_tco(g):
+            pair = TotCycPair.create(g, (), g.edges_of(forward))
             rest_basis = fundamental_cycle_basis(g)
             rows = [rest_basis.coordinates(circuit_class(g, c))
                     for c in compatible_circuits(g, pair)]

@@ -433,7 +433,8 @@ def test_round_trip_catalog_reports(capsys):
 
 
 # Per-graph objects each command builds: a fan, the circuit list, a
-# semigroup per chamber, and a toric ideal and a volume per class of
+# semigroup per chamber (one circuit filter each, none through the public
+# ``hilbert_basis``), and a toric ideal and a volume per class of
 # chambers; ``compare`` needs one connectivization per graph.
 # ``semigroup_report`` (one per chamber), the Hilbert-Samuel function
 # (one per class) and the unimodularity test belong to ``analyze`` alone,
@@ -441,6 +442,7 @@ def test_round_trip_catalog_reports(capsys):
 # them once.  Unimodularity is tested once per class, and once more for
 # each other member of a class that is not unimodular.
 COUNTED = ("build_fan", "enumerate_oriented_circuits", "hilbert_basis",
+           "compatible_circuits",
            "subdiagram_volume", "toric_ideal_up_to_degree",
            "three_edge_connectivization", "semigroup_report",
            "hilbert_samuel_function", "is_unimodular", "cycles_up_to_mass")
@@ -489,7 +491,8 @@ def test_each_object_is_built_once(command, name, calls, capsys):
     assert calls == {
         "build_fan": 1,
         "enumerate_oriented_circuits": 1,
-        "hilbert_basis": chambers,
+        "hilbert_basis": 0,
+        "compatible_circuits": chambers,
         "subdiagram_volume": classes,
         "toric_ideal_up_to_degree": classes,
         "three_edge_connectivization": 0,
@@ -526,6 +529,19 @@ def test_fan_derives_each_cone_once(monkeypatch, capsys):
     assert supports == 34
     assert counts == {"compatible_circuits": cones,
                       "fundamental_cycle_basis": supports}
+
+
+def test_ring_builds_one_cycle_basis(monkeypatch, tmp_path, capsys):
+    # K4p2's 144 chambers all have the empty support; each chamber
+    # semigroup once built its own copy of the same cycle basis.
+    counts = count_calls(monkeypatch, ["compatible_circuits",
+                                       "fundamental_cycle_basis"])
+    path = tmp_path / "k4p2.graph"
+    path.write_text(graph_to_text(k4_plus(2)))
+    code, out, _ = run_cli(capsys, "ring", str(path))
+    assert code == 0
+    assert json.loads(out)["ring"]["num_minimal_primes"] == 144
+    assert counts == {"compatible_circuits": 144, "fundamental_cycle_basis": 1}
 
 
 def test_compare_connectivizes_each_graph_once(calls, capsys):

@@ -39,7 +39,9 @@ their coordinates; the reference deduplicates the words over the
 generators and takes dot products.  The orientation poset and the totally
 cyclic orientations are read off the bond table of the graph as bitmask
 sign vectors; the references build a graph per edge subset and test every
-sign vector by strong connectivity.  Outputs must agree exactly.
+sign vector by strong connectivity.  So does the reference of the one
+total-cyclicity test of a given label, which checks the bond table of
+its complement.  Outputs must agree exactly.
 """
 
 from functools import cache
@@ -58,7 +60,8 @@ from cographic import (FinitePoset, TotCycPair, betti1, build_fan,
                        cycles_up_to_mass, delete_edges,
                        enumerate_oriented_circuits, enumerate_tco,
                        extremal_rays, facets, from_edge_list,
-                       fundamental_cycle_basis, hilbert_basis, hilbert_samuel_function, is_unimodular,
+                       fundamental_cycle_basis, hilbert_basis, hilbert_samuel_function,
+                       is_totally_cyclic, is_unimodular,
                        multiplicity_hs_oracle, q_gorenstein, separating_edges,
                        spans_lattice, subdiagram_volume,
                        three_edge_connectivization, toric_ideal_up_to_degree,
@@ -69,7 +72,8 @@ from cographic.semigroup import (_supporting_planes, _volume,
                                  per_chamber_class, permute_ideal,
                                  unimodular_per_class)
 from cographic.linalg import hyperplane_through
-from conftest import k4_plus, multigraphs
+from cographic.graph import BACKWARD, FORWARD
+from conftest import forward_mask, k4_plus, multigraphs
 from oracles import (build_orientation_poset_reference,
                      compatible_circuits_reference, concordant_reference,
                      connected_components_reference, covers_reference,
@@ -78,7 +82,8 @@ from oracles import (build_orientation_poset_reference,
                      enumerate_tco_reference, facets_reference,
                      fundamental_cycle_basis_reference,
                      hilbert_samuel_function_reference,
-                     hyperplane_through_reference, is_unimodular_reference,
+                     hyperplane_through_reference,
+                     is_totally_cyclic_reference, is_unimodular_reference,
                      maximal_elements_reference, q_gorenstein_reference,
                      rank, separating_edges_reference,
                      spans_lattice_reference, support_orientation_of,
@@ -563,7 +568,8 @@ def _assert_orientations_match_references(g):
     assert poset.elements == sorted(poset.elements,
                                     key=lambda p: p.sort_key(g))
     assert poset.maximal_elements() == maximal_elements_reference(reference)
-    assert enumerate_tco(g) == enumerate_tco_reference(g)
+    assert enumerate_tco(g) == [forward_mask(g, dirs)
+                                for dirs in enumerate_tco_reference(g)]
 
 
 @pytest.mark.parametrize("name", POSET_GRAPHS)
@@ -574,7 +580,8 @@ def test_orientations_match_references(name):
 
 def test_enumerate_tco_matches_reference_on_doubled_k4():
     g = k4_plus(6)
-    assert enumerate_tco(g) == enumerate_tco_reference(g)
+    assert enumerate_tco(g) == [forward_mask(g, dirs)
+                                for dirs in enumerate_tco_reference(g)]
 
 
 # Loops, parallel edges, an isolated vertex and three components.
@@ -584,3 +591,51 @@ def test_enumerate_tco_matches_reference_on_doubled_k4():
                           vertices=["u", "v", "w", "x", "y", "z"]))
 def test_orientations_match_references_on_random_multigraphs(g):
     _assert_orientations_match_references(g)
+
+
+def _assert_total_cyclicity_matches_reference(g):
+    """Every support and every sign vector off it, bridges and loops of
+    the complement included: the bond rule and ``TotCycPair.create``
+    accept exactly what strong connectivity accepts.  Bits of the forward
+    mask inside the support are ignored by the rule and rejected by
+    ``create``."""
+    full = (1 << len(g.edges)) - 1
+    for support in range(full + 1):
+        rest = delete_edges(g, g.edges_of(support))
+        t = g.edges_of(support)
+        off = full ^ support
+        forward = off
+        while True:
+            dirs = {e: FORWARD if forward >> g.edge_index(e) & 1 else BACKWARD
+                    for e in rest.edges}
+            expected = is_totally_cyclic_reference(rest, dirs)
+            assert is_totally_cyclic(g, support, forward) == expected
+            assert is_totally_cyclic(g, support, forward | support) == expected
+            if expected:
+                assert TotCycPair.create(g, t, g.edges_of(forward)) == \
+                    (support, forward)
+            else:
+                with pytest.raises(ValueError, match="not totally cyclic"):
+                    TotCycPair.create(g, t, g.edges_of(forward))
+            if support:
+                with pytest.raises(ValueError, match="in the support"):
+                    TotCycPair.create(g, t, g.edges_of(forward | support))
+            if not forward:
+                break
+            forward = (forward - 1) & off
+
+
+TOTAL_CYCLICITY_GRAPHS = {
+    **{name: catalog_graph(name) for name in catalog_names()},
+    "K4p2": k4_plus(2),
+}
+
+
+@pytest.mark.parametrize("name", TOTAL_CYCLICITY_GRAPHS)
+def test_total_cyclicity_matches_reference(name):
+    _assert_total_cyclicity_matches_reference(TOTAL_CYCLICITY_GRAPHS[name])
+
+
+@given(g=multigraphs())
+def test_total_cyclicity_matches_reference_on_random_multigraphs(g):
+    _assert_total_cyclicity_matches_reference(g)

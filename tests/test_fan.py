@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from cographic import (CapacityError, Chain1, Cone, Orientation, TotCycPair,
+from cographic import (CapacityError, Chain1, Cone, TotCycPair,
                        betti1, from_edge_list,
                        build_fan, build_orientation_poset, catalog_graph,
                        circuit_class, common_cone, compatible_circuits,
@@ -21,14 +21,12 @@ from oracles import support_orientation_of
 
 def b3_chamber_cone():
     g = catalog_graph("B3")
-    phi = Orientation({"e1": FORWARD, "e2": FORWARD, "e3": BACKWARD})
-    return g, Cone(g, TotCycPair.create(g, frozenset(), phi))
+    return g, Cone(g, TotCycPair.create(g, frozenset(), ["e1", "e2"]))
 
 
 def fig_ng_chamber_cone():
     g = catalog_graph("FIG-NG")
-    phi = Orientation({e: FORWARD for e in g.edges})
-    return g, Cone(g, TotCycPair.create(g, frozenset(), phi))
+    return g, Cone(g, TotCycPair.create(g, frozenset(), g.edges))
 
 
 def all_cycles_in_box(g, bound):
@@ -129,8 +127,7 @@ def test_cone_dimensions():
     minimum = Cone(g, TotCycPair(g.edge_mask(g.edges), 0))
     assert cone_dimension(minimum) == 0
     theta = catalog_graph("THETA2")
-    chamber = Cone(theta, TotCycPair.create(
-        theta, frozenset(), Orientation({e: FORWARD for e in theta.edges})))
+    chamber = Cone(theta, TotCycPair.create(theta, frozenset(), theta.edges))
     assert cone_dimension(chamber) == 4
 
 
@@ -162,8 +159,7 @@ def test_rays_span_dimension(fan_of):
 
 def test_facets_of_ray_is_origin():
     g = catalog_graph("LOOP1")
-    ray = Cone(g, TotCycPair.create(g, frozenset(),
-                                    Orientation({"e1": FORWARD})))
+    ray = Cone(g, TotCycPair.create(g, frozenset(), ["e1"]))
     fl = facets(ray)
     assert len(fl) == 1
     sub, normal = fl[0]
@@ -335,42 +331,37 @@ def test_fan_poset_isomorphic_to_orientation_poset():
 
 
 @pytest.fixture
-def orientations_built(monkeypatch):
-    """The arguments of every ``Orientation`` built while the test runs."""
-    built = []
-    original_init = Orientation.__init__
-    original_orientation = orientations._orientation
+def labels_checked(monkeypatch):
+    """The arguments of every total-cyclicity test run while the test runs:
+    the check ``TotCycPair.create`` makes of a label given by edge ids."""
+    checked = []
+    original = orientations.is_totally_cyclic
 
-    def counted_init(self, *args):
-        built.append(args)
-        original_init(self, *args)
+    def counted(*args):
+        checked.append(args)
+        return original(*args)
 
-    def counted_orientation(*args):
-        built.append(args)
-        return original_orientation(*args)
-
-    monkeypatch.setattr(Orientation, "__init__", counted_init)
-    monkeypatch.setattr(orientations, "_orientation", counted_orientation)
-    return built
+    monkeypatch.setattr(orientations, "is_totally_cyclic", counted)
+    return checked
 
 
-def test_fan_builds_no_orientation(orientations_built):
+def test_fan_builds_no_orientation(labels_checked):
     # Labels and circuits are mask pairs from the poset walk and the
-    # circuit table to the JSON: no step of a fan's life builds an
-    # ``Orientation``.
+    # circuit table to the JSON: no step of a fan's life builds a label
+    # from edge ids or tests one for total cyclicity.
     fan = build_fan(k4_plus(4))
     assert len(fan) == 19963
     assert len(fan.chambers()) == 768
     assert len(fan.cones) == 19963
     assert len(fan.to_json()) == 19963
-    assert orientations_built == []
+    assert labels_checked == []
 
 
 @pytest.mark.parametrize("command", ["circuits", "fan", "ring"])
-def test_cli_builds_no_orientation(command, orientations_built, tmp_path,
+def test_cli_builds_no_orientation(command, labels_checked, tmp_path,
                                    capsys):
     path = tmp_path / "k4p2.graph"
     path.write_text(graph_to_text(k4_plus(2)))
     assert main([command, str(path)]) == 0
     capsys.readouterr()
-    assert orientations_built == []
+    assert labels_checked == []

@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import given
 
-from cographic import (Orientation, TotCycPair, build_orientation_poset,
+from cographic import (TotCycPair, build_orientation_poset,
                        catalog_graph, delete_edges, enumerate_tco,
                        from_edge_list, is_totally_cyclic,
                        separating_edges, CapacityError)
@@ -11,15 +11,16 @@ from cographic.graph import FORWARD, BACKWARD
 from cographic import orientations
 from cographic.orientations import _forward_masks, bond_table
 from conftest import K4_EDGES, multigraphs
-from oracles import maximal_elements_reference
+from oracles import is_totally_cyclic_reference, maximal_elements_reference
 
 B2 = from_edge_list([("a", 1, 2), ("b", 1, 2)])
 
 
-def no_directed_cut(g, phi):
+def no_directed_cut(g, dirs):
     """Total cyclicity straight from the definition: no orientation-uniform
-    edge cut out of any nonempty proper vertex subset of a component.
-    Independent of the strong-connectivity route."""
+    edge cut out of any nonempty proper vertex subset of a component, the
+    edges directed by the dict ``dirs``.  Independent of the
+    strong-connectivity route and of the bond table."""
     comps = []
     seen = set()
     for v in g.vertices:
@@ -45,32 +46,34 @@ def no_directed_cut(g, phi):
                 for e in g.edges:
                     s, t = g.ends(e)
                     if (s in comp) and ((s in w) != (t in w)):
-                        oe = phi.oriented_edge(e)
-                        crossing.append(g.source(oe) in w)
+                        crossing.append(g.source((e, dirs[e])) in w)
                 if crossing and (all(crossing) or not any(crossing)):
                     return False
     return True
 
 
 def test_anti_parallel_banana_is_totally_cyclic():
-    phi = Orientation({"a": FORWARD, "b": BACKWARD})
-    assert is_totally_cyclic(B2, phi)
+    assert is_totally_cyclic(B2, 0, B2.edge_mask(["a"]))
 
 
 def test_parallel_banana_is_not():
-    phi = Orientation({"a": FORWARD, "b": FORWARD})
-    assert not is_totally_cyclic(B2, phi)
+    assert not is_totally_cyclic(B2, 0, B2.edge_mask(["a", "b"]))
 
 
 def test_fig_ng_reference_orientation_is_totally_cyclic():
     g = catalog_graph("FIG-NG")
-    phi = Orientation({e: FORWARD for e in g.edges})
-    assert is_totally_cyclic(g, phi)
+    assert is_totally_cyclic(g, 0, g.edge_mask(g.edges))
 
 
 def test_partial_orientation_rejected():
     with pytest.raises(ValueError):
-        is_totally_cyclic(B2, Orientation({"a": FORWARD}))
+        is_totally_cyclic_reference(B2, {"a": FORWARD})
+    # e2 forward and e3 backward is totally cyclic off e1, but e1 is
+    # deleted and cannot also run forward
+    g = catalog_graph("B3")
+    assert TotCycPair.create(g, ["e1"], ["e2"]) == (0b001, 0b010)
+    with pytest.raises(ValueError, match="support"):
+        TotCycPair.create(g, ["e1"], ["e1", "e2"])
 
 
 def test_strong_connectivity_matches_cut_definition(graphs):
@@ -78,8 +81,9 @@ def test_strong_connectivity_matches_cut_definition(graphs):
         if len(g.edges) > 6:
             continue
         for signs in itertools.product((FORWARD, BACKWARD), repeat=len(g.edges)):
-            phi = Orientation(zip(g.edges, signs))
-            assert is_totally_cyclic(g, phi) == no_directed_cut(g, phi)
+            dirs = dict(zip(g.edges, signs))
+            assert is_totally_cyclic_reference(g, dirs) == \
+                no_directed_cut(g, dirs)
 
 
 def _assert_bond_rule_matches_cut_definition(g):
@@ -95,8 +99,8 @@ def _assert_bond_rule_matches_cut_definition(g):
             for signs in itertools.product((FORWARD, BACKWARD), repeat=r):
                 forward = sum(1 << i for i, d in zip(kept, signs)
                               if d == FORWARD)
-                phi = Orientation(zip(rest.edges, signs))
-                assert (forward in accepted) == no_directed_cut(rest, phi)
+                dirs = dict(zip(rest.edges, signs))
+                assert (forward in accepted) == no_directed_cut(rest, dirs)
 
 
 def test_bond_rule_matches_cut_definition(graphs):
@@ -151,14 +155,14 @@ def test_enumerate_tco_with_a_bridge_builds_no_bond_table(monkeypatch):
     monkeypatch.setattr(orientations, "bond_table", unreachable)
     star = from_edge_list([(f"e{i}", 0, i + 1) for i in range(20)])
     assert enumerate_tco(star) == []
+    assert not is_totally_cyclic(star, 0, 0)
 
 
 def test_enumerate_tco_near_the_cap():
     # a 16-edge cycle: 2^16 sign vectors, of which only the two coherent
     # ones survive the bond of each pair of edges
     g = _cycle(16)
-    assert enumerate_tco(g) == [Orientation({e: d for e in g.edges})
-                                for d in (FORWARD, BACKWARD)]
+    assert enumerate_tco(g) == [(1 << 16) - 1, 0]
 
 
 def test_enumerate_tco_counts():
@@ -169,14 +173,14 @@ def test_enumerate_tco_counts():
 
 def test_enumerate_tco_edgeless():
     g = from_edge_list([], vertices=[1, 2])
-    assert enumerate_tco(g) == [Orientation()]
+    assert enumerate_tco(g) == [0]
 
 
 def test_enumerate_tco_canonical_order():
-    tcos = enumerate_tco(catalog_graph("B3"))
-    keys = [tuple(0 if phi.oriented_edge(e)[1] == FORWARD else 1
+    g = catalog_graph("B3")
+    keys = [tuple(0 if forward >> g.edge_index(e) & 1 else 1
                   for e in ("e1", "e2", "e3"))
-            for phi in tcos]
+            for forward in enumerate_tco(g)]
     assert keys == sorted(keys)
 
 
@@ -189,9 +193,10 @@ def test_enumerate_tco_cap():
 def test_reversal_symmetry(graphs):
     for name in ("B3", "C4", "FIG-NG"):
         g = graphs[name]
-        for phi in enumerate_tco(g):
-            reversal = Orientation({e: -d for e, d in phi.items()})
-            assert is_totally_cyclic(g, reversal)
+        for forward in enumerate_tco(g):
+            reversal = {e: BACKWARD if forward >> g.edge_index(e) & 1
+                        else FORWARD for e in g.edges}
+            assert is_totally_cyclic_reference(g, reversal)
 
 
 def test_poset_of_tree_is_single_element():
@@ -223,7 +228,7 @@ def test_poset_b3_count_against_brute_force():
                 continue
             for signs in itertools.product((FORWARD, BACKWARD),
                                            repeat=len(rest.edges)):
-                if no_directed_cut(rest, Orientation(zip(rest.edges, signs))):
+                if no_directed_cut(rest, dict(zip(rest.edges, signs))):
                     count += 1
     assert count == 13
 
@@ -278,21 +283,11 @@ def test_order_relation_is_partial_order(graphs):
 def test_totcycpair_create_validates():
     g = catalog_graph("B3")
     with pytest.raises(ValueError):
-        TotCycPair.create(g, frozenset(), Orientation({e: FORWARD for e in g.edges}))
+        TotCycPair.create(g, frozenset(), g.edges)
     with pytest.raises(ValueError):
-        TotCycPair.create(g, {"e1", "zz"}, Orientation({"e2": FORWARD,
-                                                        "e3": BACKWARD}))
-    pair = TotCycPair.create(
-        g, frozenset(), Orientation({"e1": FORWARD, "e2": FORWARD, "e3": BACKWARD}))
+        TotCycPair.create(g, {"e1", "zz"}, ["e2"])
+    with pytest.raises(ValueError):
+        TotCycPair.create(g, {"e1"}, ["e2", "zz"])
+    pair = TotCycPair.create(g, frozenset(), ["e1", "e2"])
     assert pair.to_json(g) == {"T": [],
                                "phi": {"e1": "+", "e2": "+", "e3": "-"}}
-
-
-def test_orientation_json_round_trip():
-    phi = Orientation({"a": FORWARD, "b": BACKWARD})
-    assert Orientation.from_json(phi.to_json()) == phi
-
-
-def test_orientation_json_rejects_unknown_direction():
-    with pytest.raises(ValueError):
-        Orientation.from_json({"a": "+", "b": "x"})

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from cographic import (Chain1, Cone, GradedPrime, Orientation, TotCycPair,
+from cographic import (Chain1, Cone, GradedPrime, TotCycPair,
                        betti1, build_fan, catalog_graph, circuit_class,
                        cone_contains, delete_edges, enumerate_oriented_circuits,
                        enumerate_tco, find_poset_isomorphism,
@@ -11,7 +11,6 @@ from cographic import (Chain1, Cone, GradedPrime, Orientation, TotCycPair,
                        separating_edges, strata_poset, sum_of_primes,
                        FinitePoset)
 from cographic.orientations import OrientationPoset
-from cographic.graph import FORWARD
 from conftest import k4_plus
 from oracles import concordant_reference
 
@@ -34,8 +33,7 @@ def test_present_b2():
 def test_present_fig_nh_contains_the_binomial():
     g = catalog_graph("FIG-NH")
     p = present_ring(build_fan(g), degree=3)
-    reference = TotCycPair.create(
-        g, frozenset(), Orientation({e: FORWARD for e in g.edges}))
+    reference = TotCycPair.create(g, frozenset(), g.edges)
     by_label = {pair: ideal for pair, _, ideal in p.per_chamber_binomials}
     assert reference in by_label
     assert len(by_label[reference]) == 1
@@ -105,9 +103,7 @@ def test_graded_prime_minimum_is_maximal_ideal():
 
 def test_graded_prime_chamber_membership():
     g = catalog_graph("B3")
-    chamber = TotCycPair.create(
-        g, frozenset(), Orientation({"e1": FORWARD, "e2": FORWARD,
-                                     "e3": -1}))
+    chamber = TotCycPair.create(g, frozenset(), ["e1", "e2"])
     prime = GradedPrime(g, chamber)
     assert prime.contains(Chain1({"e3": 1, "e1": -1}))
     assert not prime.contains(Chain1({"e1": 1, "e3": -1}))
@@ -188,10 +184,8 @@ def test_sum_of_primes_single_is_identity(fan_of):
 
 def test_sum_of_adjacent_chambers_is_shared_ray():
     g = catalog_graph("B3")
-    a = TotCycPair.create(g, frozenset(), Orientation(
-        {"e1": 1, "e2": 1, "e3": -1}))
-    b = TotCycPair.create(g, frozenset(), Orientation(
-        {"e1": 1, "e2": -1, "e3": -1}))
+    a = TotCycPair.create(g, frozenset(), ["e1", "e2"])
+    b = TotCycPair.create(g, frozenset(), ["e1"])
     shared = sum_of_primes(g, [a, b])
     assert shared.to_json(g) == {"T": ["e2"], "phi": {"e1": "+", "e3": "-"}}
 
