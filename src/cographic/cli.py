@@ -4,18 +4,36 @@ Machine-readable JSON goes to stdout with sorted keys and compact
 separators, so identical inputs produce byte-identical reports; a short
 human summary goes to stderr.  Exit codes: 0 success, 1 usage error or
 failed verification, 2 graph parse error, 3 capacity error.
+
+A report is written as it is made, never held whole.  ``_emit`` writes a
+dict key by key in sorted order, and a value that is an iterator is an
+array whose entries arrive as their JSON text, one ``write`` each.
+Sorted keys put the growing list first: ``"cones"`` in ``fan``,
+``"chambers"`` in ``analyze``, and ``"chambers"`` inside
+``"presentation"`` in ``ring``.  So stdout gets a short prefix, then
+each entry as the fan or the ring presentation makes it, then the rest
+of the report, and the bytes are those of one ``json.dumps`` of the
+whole.  Every value that can fail is computed before the first byte:
+the poset and its cap, and in ``ring`` and ``analyze`` every class
+value (toric ideal and its cap, volume, Hilbert-Samuel multiplicity and
+its horizon, unimodularity), so an error leaves stdout empty.
+
+When the reader of stdout goes away (``cographic fan G | head``), the
+next write raises ``BrokenPipeError``: ``main`` points stdout at
+``os.devnull``, so the flush at exit is silent, and returns 1.
 """
 
 import argparse
-import json
 import os
 import sys
+from collections.abc import Iterator
 
 from . import catalog
 from .errors import CapacityError, GraphParseError
 from .fan import build_fan
 from .graph import betti1, parse_graph_text, separating_edges
 from .invariants import check_iso_truncated
+from .jsontext import dumps
 from .orientations import enumerate_tco
 from .circuits import enumerate_oriented_circuits
 from .ring import DEFAULT_DEGREE_BOUND, present_ring, ring_report
@@ -44,9 +62,32 @@ def _load_graph(arg):
 
 
 def _emit(obj, summary=None):
-    print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
+    _write_json(sys.stdout.write, obj)
+    sys.stdout.write("\n")
     if summary:
         print(summary, file=sys.stderr)
+
+
+def _write_json(write, value):
+    """Write the JSON text of ``value``: a dict key by key in sorted
+    order, an iterator as an array of the JSON texts it yields, one
+    ``write`` per entry, and anything else in one piece."""
+    if isinstance(value, dict):
+        sep = "{"
+        for key in sorted(value):
+            write(sep + dumps(key) + ":")
+            _write_json(write, value[key])
+            sep = ","
+        write("}" if value else "{}")
+    elif isinstance(value, Iterator):
+        sep = "["
+        for entry in value:
+            write(sep)
+            write(entry)
+            sep = ","
+        write("]" if sep == "," else "[]")
+    else:
+        write(dumps(value))
 
 
 def _graph_summary(g):
@@ -65,25 +106,24 @@ def cmd_analyze(args):
     poset = fan.poset
     presentation = present_ring(fan, degree=args.degree)
     report = ring_report(presentation)
-    semigroups = [s for _, s, _ in presentation.per_chamber_binomials]
-    hs = per_chamber_class(multiplicity_hs_oracle, semigroups,
-                           presentation.chamber_classes)
-    unimodular = unimodular_per_class(semigroups,
-                                      presentation.chamber_classes)
-    chambers = [semigroup_report(s, ideal, volume, m, uni)
-                for (_, s, ideal), volume, m, uni in
-                zip(presentation.per_chamber_binomials,
-                    report.chamber_volumes, hs, unimodular)]
+    classes = presentation.chamber_classes
+    semigroups = [s for _, s in presentation.chambers]
+    hs = per_chamber_class(multiplicity_hs_oracle, semigroups, classes)
+    unimodular = unimodular_per_class(semigroups, classes)
+    chambers = (dumps(semigroup_report(s, ideal, volume, m, uni))
+                for s, ideal, volume, m, uni in
+                zip(semigroups, presentation.ideals(),
+                    report.chamber_volumes, hs, unimodular))
     out = {
         "graph": _graph_summary(g),
         "orientation_poset": {
             "size": len(poset),
-            "num_maximal": len(chambers),
+            "num_maximal": len(semigroups),
             "minimum": poset.minimum.to_json(g),
         },
         "fan": {
             "num_cones": len(fan),
-            "num_chambers": len(chambers),
+            "num_chambers": len(semigroups),
             "dimension": betti1(g),
         },
         "ring": report.to_json(g),
@@ -91,7 +131,8 @@ def cmd_analyze(args):
         "chambers": chambers,
     }
     _emit(out, f"analyze: |V|={len(g.vertices)} |E|={len(g.edges)} "
-               f"b1={betti1(g)} poset={len(poset)} chambers={len(chambers)} "
+               f"b1={betti1(g)} poset={len(poset)} "
+               f"chambers={len(semigroups)} "
                f"multiplicity={report.multiplicity}")
     return EXIT_OK
 
@@ -220,6 +261,9 @@ def main(argv=None):
         return EXIT_CAPACITY
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_USAGE
 
 

@@ -32,7 +32,8 @@ avoids the bridges, and stores each element as its ``TotCycPair``, a
 named pair of ints: T's mask and the forward mask, already in
 ``sort_key`` order.  ``leq``, ``minimum``, ``maximal_elements`` and the
 index are integer operations on those masks; edge names are read only
-where a label enters (``TotCycPair.create``) or leaves (``to_json``).
+where a label enters (``TotCycPair.create``) or leaves (``to_json``, or
+``label_texts`` for a report's many labels as JSON text).
 ``is_totally_cyclic`` checks one given label, the one ``create`` is
 handed, against the bond table of its complement: one XOR and one AND
 per bond, after the same linear bridge search.
@@ -44,6 +45,7 @@ from typing import NamedTuple
 
 from .errors import CapacityError
 from .graph import delete_edges, separating_edges
+from .jsontext import dumps
 
 MAX_ORIENTATION_EDGES = 20
 MAX_POSET_EDGES = 14
@@ -222,6 +224,28 @@ class TotCycPair(NamedTuple):
         return {"T": list(g.edges_of(support)),
                 "phi": {e: "+" if forward >> g.edge_index(e) & 1 else "-"
                         for e in sorted(g.edges_of(~support))}}
+
+
+def label_texts(g, pairs):
+    """``jsontext.dumps(pair.to_json(g))`` for each label of ``pairs``, in
+    order.
+
+    The T list and both signed entries of each edge off T are encoded
+    once per run of labels with one support, the order the poset lists
+    them in, so each further label of the run costs one pick per edge off
+    T and no dict.
+    """
+    support = None
+    for pair in pairs:
+        if pair.support != support:
+            support = pair.support
+            head = '{"T":' + dumps(list(g.edges_of(support))) + ',"phi":{'
+            signs = [(dumps(e) + ':"+"', dumps(e) + ':"-"',
+                      1 << g.edge_index(e))
+                     for e in sorted(g.edges_of(~support))]
+        forward = pair.forward
+        yield head + ",".join([plus if forward & bit else minus
+                               for plus, minus, bit in signs]) + "}}"
 
 
 class OrientationPoset:

@@ -8,9 +8,9 @@ oriented circuit, a quadric for every discordant pair, and one
 degree-bounded binomial ideal per maximal cone.
 
 Each object is built once and passed on: ``present_ring`` takes a built
-fan and makes each chamber's semigroup, its class and its ideal, and
-``ring_report`` reads the presentation, adding each chamber's subdiagram
-volume::
+fan and makes each chamber's semigroup, its class and its class's ideal,
+and ``ring_report`` reads the presentation, adding each chamber's
+subdiagram volume::
 
     fan = build_fan(g)
     presentation = present_ring(fan)
@@ -18,10 +18,13 @@ volume::
 
 Chambers with isomorphic semigroups form one class
 (``semigroup.chamber_classes``).  The volume is computed once per class,
-and so is the ideal, which the rest of the class receives with its
-variables permuted; ``analyze`` shares the Hilbert-Samuel multiplicity,
+and so is the ideal; ``analyze`` shares the Hilbert-Samuel multiplicity,
 its largest cost, the same way.  THETA2, FIG-NG, FIG-NH, K4, K4p2 and
-banana6 have 352 chambers in 32 classes.
+banana6 have 352 chambers in 32 classes.  The presentation keeps one
+ideal per class, and the rest of the class receives it with its
+variables permuted only when ``ideals`` is read, one chamber at a time:
+the report encodes each chamber's entry and drops it, so the 1.33M
+binomials of ``ring K4x2``'s 3,608 chambers are never held at once.
 """
 
 from dataclasses import dataclass
@@ -31,6 +34,8 @@ from .circuits import concordant, enumerate_oriented_circuits
 from .fan import (Cone, common_cone, cone_contains, extremal_rays,
                   face_label, FinitePoset)
 from .graph import betti1, delete_edges, separating_edges
+from .jsontext import dumps
+from .orientations import label_texts
 from .semigroup import (_semigroup, chamber_classes, per_chamber_class,
                         permute_ideal, subdiagram_volume,
                         toric_ideal_up_to_degree)
@@ -40,28 +45,54 @@ DEFAULT_DEGREE_BOUND = 3
 
 @dataclass
 class RingPresentation:
-    """Generators and relations of the ring, with degree-bounded binomials."""
+    """Generators and relations of the ring, with degree-bounded binomials.
+
+    The ideal is kept once per class of chambers, as its representative's
+    (``class_ideals``); ``ideals`` permutes it for each other member when
+    asked, so the ideals of every chamber are never held at once.
+    """
 
     graph: object
     generators: list            # oriented circuits, canonical order
     discordance_quadrics: list  # (gamma, delta) pairs, gamma before delta
-    per_chamber_binomials: list # (maximal TotCycPair, AffineSemigroup, BinomialIdeal)
+    chambers: list              # (maximal TotCycPair, AffineSemigroup)
     degree_bound: int
     chamber_classes: list       # (representative index, generator permutation)
+    class_ideals: dict          # representative index -> BinomialIdeal
+
+    def ideals(self):
+        """Each chamber's ``BinomialIdeal``, in chamber order, made as the
+        iterator is read: its class representative's, with the variables
+        permuted (``permute_ideal``)."""
+        for i, (rep, perm) in enumerate(self.chamber_classes):
+            ideal = self.class_ideals[rep]
+            yield ideal if rep == i else permute_ideal(ideal, perm)
 
     def to_json(self):
+        """The presentation as a dict for ``cli``, whose ``generators``,
+        ``quadrics`` and ``chambers`` are iterators of their entries' JSON
+        text.
+
+        Each circuit's JSON is encoded once and shared by the quadrics and
+        the chambers' variables.  A chamber's entry is made as the
+        iterator is read, from the ideal ``ideals`` makes for it, and is
+        dropped once read.
+        """
         g = self.graph
+        names = {gamma: dumps(gamma.to_json(g)) for gamma in self.generators}
+        labels = label_texts(g, [pair for pair, _ in self.chambers])
+        chambers = ("".join([
+            f'{{"degree_bound":{ideal.degree_bound},"generators":',
+            dumps([{"u": u, "v": v} for u, v in ideal.generators]),
+            ',"label":', label,
+            ',"variables":[', ",".join([names[c] for c in s.circuits]), "]}"])
+            for label, (_, s), ideal in zip(labels, self.chambers,
+                                            self.ideals()))
         return {
-            "generators": [gamma.to_json(g) for gamma in self.generators],
-            "quadrics": [[a.to_json(g), b.to_json(g)]
-                         for a, b in self.discordance_quadrics],
-            "chambers": [{
-                "label": pair.to_json(g),
-                "variables": [gamma.to_json(g) for gamma in s.circuits],
-                "generators": [{"u": list(u), "v": list(v)}
-                               for u, v in ideal.generators],
-                "degree_bound": ideal.degree_bound,
-            } for pair, s, ideal in self.per_chamber_binomials],
+            "generators": iter(names.values()),
+            "quadrics": (f"[{names[a]},{names[b]}]"
+                         for a, b in self.discordance_quadrics),
+            "chambers": chambers,
             "degree_bound": self.degree_bound,
         }
 
@@ -80,19 +111,22 @@ class RingReport:
         return sum(self.chamber_volumes)
 
     def to_json(self, g):
+        """The invariants as a dict for ``cli``; the two lists of chamber
+        labels are iterators of their JSON text, each label encoded once.
+        """
         # Gorenstein/seminormal/slc hold for every graph ring by general
         # theory; this tool does not certify them, so the report says so
         # instead of printing a computed verdict.  The normalization has
         # one component per minimal prime.
         asserted = "holds for every graph ring (general theory); not computed"
-        primes = [p.to_json(g) for p in self.minimal_prime_labels]
+        primes = list(label_texts(g, self.minimal_prime_labels))
         return {
             "dimension": self.dimension,
             "embedded_dimension": self.embedded_dimension,
             "num_minimal_primes": len(primes),
-            "minimal_primes": primes,
+            "minimal_primes": iter(primes),
             "multiplicity": self.multiplicity,
-            "normalization_components": primes,
+            "normalization_components": iter(primes),
             "asserted_properties": {
                 "gorenstein": asserted,
                 "seminormal": asserted,
@@ -121,12 +155,12 @@ def present_ring(fan, degree=DEFAULT_DEGREE_BOUND):
     cycle_basis = fundamental_cycle_basis(delete_edges(g, separating_edges(g)))
     semigroups = [_semigroup(g, pair, cycle_basis) for pair in labels]
     classes = chamber_classes(semigroups)
-    ideals = per_chamber_class(
-        lambda s: toric_ideal_up_to_degree(s, degree),
-        semigroups, classes, transport=permute_ideal)
+    ideals = {i: toric_ideal_up_to_degree(s, degree)
+              for i, (s, (rep, _)) in enumerate(zip(semigroups, classes))
+              if rep == i}
     return RingPresentation(g, circuits, quadrics,
-                            list(zip(labels, semigroups, ideals)), degree,
-                            classes)
+                            list(zip(labels, semigroups)), degree, classes,
+                            ideals)
 
 
 def multiply_monomials(g, c, d):
@@ -168,13 +202,13 @@ def ring_report(presentation):
     primes are the chambers, and the multiplicity is the sum of the
     chambers' subdiagram volumes.
     """
-    chambers = presentation.per_chamber_binomials
+    chambers = presentation.chambers
     return RingReport(
         dimension=betti1(presentation.graph),
         embedded_dimension=len(presentation.generators),
-        minimal_prime_labels=[pair for pair, _, _ in chambers],
+        minimal_prime_labels=[pair for pair, _ in chambers],
         chamber_volumes=per_chamber_class(
-            subdiagram_volume, [s for _, s, _ in chambers],
+            subdiagram_volume, [s for _, s in chambers],
             presentation.chamber_classes),
     )
 

@@ -49,7 +49,8 @@ Cost model, for a cone of dimension d with n Hilbert basis elements:
 Chambers whose directed circuit supports agree up to an edge bijection
 have isomorphic semigroups (``chamber_classes``), so callers pay the
 Hilbert-Samuel, hull and toric ideal costs once per class
-(``per_chamber_class``).  A chamber and its reversal always share a
+(``per_chamber_class``; the other members of a class get its ideal
+through ``permute_ideal``).  A chamber and its reversal always share a
 class.  The class search costs one backtracking bijection search per
 chamber and representative with the same rank and edge profiles.
 Unimodularity is a class property too, but witness minors, lattice
@@ -63,7 +64,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import comb, gcd
-from operator import mul, sub
+from operator import itemgetter, mul, sub
 
 from .chains import fundamental_cycle_basis
 from .circuits import (_edge_profiles, circuit_class, compatible_circuits,
@@ -258,11 +259,18 @@ def toric_ideal_up_to_degree(s, degree):
 def permute_ideal(ideal, perm):
     """The ideal over generators whose generator i is generator ``perm[i]``
     of the generators ``ideal`` is over: u'[i] = u[perm[i]], each pair
-    oriented so that u' >= v', in sorted order."""
+    oriented so that u' >= v', in sorted order.
+
+    ``itemgetter(*perm)`` picks the entries; on one index it would return
+    the entry rather than a tuple, but a permutation of at most one
+    generator is the identity, so the ideal is returned as it is.
+    """
+    if len(perm) < 2:
+        return ideal
+    pick = itemgetter(*perm)
     generators = []
     for u, v in ideal.generators:
-        u = tuple(u[j] for j in perm)
-        v = tuple(v[j] for j in perm)
+        u, v = pick(u), pick(v)
         generators.append((u, v) if u >= v else (v, u))
     generators.sort()
     return BinomialIdeal(generators, ideal.degree_bound)
@@ -457,20 +465,24 @@ def hilbert_samuel_function(s, horizon):
     A point is packed into one integer by its values under the cone's
     edge functionals (``_sign_rows``), one field of w bits per row.  The
     map is injective, since the cone is pointed and full-dimensional.  A
-    point is queued only from a point with at most ``cutoff`` parts, and
-    parts grow by one along every queueing step, so each queued point is a
-    sum of at most ``cutoff + 1`` generators and each parent examined is
-    such a sum minus one generator.  With ``top`` the largest value of a
+    point is queued only from a point with fewer than ``cutoff`` parts:
+    every child of a point with ``cutoff`` parts has more.  No point within
+    the cutoff is lost: a point with p <= cutoff parts, less one generator
+    of a longest splitting, has p - 1 < cutoff parts and queues it.  Parts
+    grow by one along every queueing step, so each queued point is a sum
+    of at most ``cutoff`` generators and each parent examined is such a
+    sum minus one generator.  With ``top`` the largest value of a
     generator under a functional, every value the DP touches therefore
-    lies in [-top, (cutoff + 1) * top], and a field holds its value plus
+    lies in [-top, cutoff * top], and a field holds its value plus
     2^(w - 1), w being large enough that it never leaves [0, 2^w).  So no
     borrow crosses a field, parent and child are ``key -+ step``, and a
     point lies in the cone exactly when the top bit of every field is set:
     ``key & guard == guard``, one AND.  Points beyond the cutoff get no
     entry in the DP: every point within it is visited before its children,
     so a parent in the cone without an entry lies beyond the cutoff, and
-    then so does the point.  The counts per number of parts are kept as
-    the points are visited.
+    then so does the point.  A point whose parent has ``cutoff`` parts
+    finds that parent's entry and is dropped.  The counts per number of
+    parts are kept as the points are visited, the zero point first.
     """
     d = s.lattice_rank
     if d == 0 or horizon < 1:
@@ -479,18 +491,17 @@ def hilbert_samuel_function(s, horizon):
     rows = s._sign_rows
     values = [[sum(map(mul, row, g)) for row in rows] for g in s.coords]
     top = max(map(max, values))
-    w = ((cutoff + 1) * top).bit_length() + 1
+    w = (cutoff * top).bit_length() + 1
     guard = sum(1 << (i * w + w - 1) for i in range(len(rows)))
     steps = [sum(v << i * w for i, v in enumerate(vals)) for vals in values]
     degrees = [c.l1() for c in s.hilbert_basis]
     moves = list(zip(steps, degrees))
-    # a point within the cutoff is a sum of at most cutoff generators
-    buckets = [set() for _ in range((cutoff + 1) * max(degrees) + 1)]
+    # a queued point is a sum of at most cutoff generators
+    buckets = [set() for _ in range(cutoff * max(degrees) + 1)]
+    buckets[0].add(guard)   # the zero point: each field holds 2^(w - 1)
 
-    parts = {guard: 0}   # the zero point: each field holds 2^(w - 1)
-    counts = [1] + [0] * cutoff
-    for step, gdeg in moves:
-        buckets[gdeg].add(guard + step)
+    parts = {}
+    counts = [0] * horizon
     for deg, bucket in enumerate(buckets):
         for key in bucket:
             best = 0
@@ -507,8 +518,9 @@ def hilbert_samuel_function(s, horizon):
                 continue
             parts[key] = best
             counts[best] += 1
-            for step, gdeg in moves:
-                buckets[deg + gdeg].add(key + step)
+            if best < cutoff:
+                for step, gdeg in moves:
+                    buckets[deg + gdeg].add(key + step)
         buckets[deg] = None   # done; free its keys
     return list(itertools.accumulate(counts))
 
@@ -584,19 +596,13 @@ def chamber_classes(semigroups):
     return classes
 
 
-def per_chamber_class(fn, semigroups, classes, transport=None):
+def per_chamber_class(fn, semigroups, classes):
     """``[fn(s) for s in semigroups]``, calling ``fn`` only on the class
-    representatives of ``classes`` (from ``chamber_classes``).  The rest
-    of a class reuses its representative's value, passed through
-    ``transport(value, perm)`` when a transport is given."""
+    representatives of ``classes`` (from ``chamber_classes``); the rest
+    of a class reuses its representative's value."""
     values = []
-    for i, (rep, perm) in enumerate(classes):
-        if rep == i:
-            values.append(fn(semigroups[i]))
-        elif transport is None:
-            values.append(values[rep])
-        else:
-            values.append(transport(values[rep], perm))
+    for i, (rep, _) in enumerate(classes):
+        values.append(fn(semigroups[i]) if rep == i else values[rep])
     return values
 
 

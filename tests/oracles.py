@@ -358,6 +358,19 @@ def toric_ideal_reference(s, degree):
     return BinomialIdeal(sorted(generators), degree)
 
 
+def permute_ideal_reference(ideal, perm):
+    """``permute_ideal`` entry by entry: u'[i] = u[perm[i]], one
+    comprehension per exponent vector, then each pair oriented and the
+    list sorted."""
+    generators = []
+    for u, v in ideal.generators:
+        u = tuple(u[j] for j in perm)
+        v = tuple(v[j] for j in perm)
+        generators.append((u, v) if u >= v else (v, u))
+    generators.sort()
+    return BinomialIdeal(generators, ideal.degree_bound)
+
+
 def is_totally_cyclic_reference(g, dirs):
     """Is every component of g, its edges directed by the dict ``dirs``
     (edge id -> FORWARD or BACKWARD), strongly connected?

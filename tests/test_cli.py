@@ -1,8 +1,12 @@
 import ast
 import hashlib
 import inspect
+import io
 import json
+import os
+import subprocess
 import sys
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -12,6 +16,7 @@ from cographic import build_orientation_poset, catalog_graph, semigroup
 from cographic.cli import main
 from cographic.catalog import CATALOG
 from cographic.graph import graph_to_text
+from cographic.jsontext import dumps
 from conftest import k4_plus
 
 
@@ -263,6 +268,61 @@ def test_analyze_banana_seven_file(tmp_path, capsys):
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == \
         "136782587daada20fa61531fc5837dbd5a1edb64c3c85a2941c9d497345d7350"
+
+
+class _LongestWrite(io.StringIO):
+    """A stdout that records the length of its longest write."""
+
+    longest = 0
+
+    def write(self, text):
+        self.longest = max(self.longest, len(text))
+        return super().write(text)
+
+
+@pytest.mark.parametrize("command, graph, lists", [
+    ("fan", "K4p2", [["cones"]]),
+    ("ring", "K4p2", [["presentation", "chambers"]]),
+    ("analyze", "THETA2", [["chambers"], ["presentation", "chambers"]]),
+])
+def test_each_write_holds_at_most_one_entry(tmp_path, command, graph, lists):
+    # The reports are streamed: no write to stdout is longer than the
+    # longest cone or chamber entry, so none holds two of them.
+    if graph == "K4p2":
+        graph = tmp_path / "k4p2.graph"
+        graph.write_text(graph_to_text(k4_plus(2)))
+    sink = _LongestWrite()
+    with redirect_stdout(sink):
+        assert main([command, str(graph)]) == 0
+    report = json.loads(sink.getvalue())
+    entries = []
+    for path in lists:
+        node = report
+        for key in path:
+            node = node[key]
+        entries += node
+    assert len(entries) > 1
+    assert 0 < sink.longest <= max(len(dumps(entry)) for entry in entries)
+
+
+def test_closed_stdout_exits_quietly(tmp_path):
+    # The reader stops after 50 bytes of a 17 MB report: the next write
+    # meets a broken pipe, and the exit is 1 with nothing on stderr.
+    path = tmp_path / "k4p4.graph"
+    path.write_text(graph_to_text(k4_plus(4)))
+    src = str(Path(cographic.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cographic.cli", "fan", str(path)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    head = proc.stdout.read(50)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert head.startswith(b'{"cones":[{"dimension":')
+    assert "Traceback" not in err
+    assert "Exception ignored" not in err
 
 
 def test_parse_error_exit_code(tmp_path, capsys):

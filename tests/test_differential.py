@@ -44,6 +44,7 @@ total-cyclicity test of a given label, which checks the bond table of
 its complement.  Outputs must agree exactly.
 """
 
+import json
 from functools import cache
 from operator import mul, sub
 from unittest import mock
@@ -52,7 +53,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from cographic import (FinitePoset, TotCycPair, betti1, build_fan,
+from cographic import (BinomialIdeal, FinitePoset, TotCycPair, betti1,
+                       build_fan,
                        build_orientation_poset, catalog_graph,
                        catalog_names, compatible_circuits, concordant,
                        cone_contains, cone_dimension, chamber_classes,
@@ -62,11 +64,14 @@ from cographic import (FinitePoset, TotCycPair, betti1, build_fan,
                        extremal_rays, facets, from_edge_list,
                        fundamental_cycle_basis, hilbert_basis, hilbert_samuel_function,
                        is_totally_cyclic, is_unimodular,
-                       multiplicity_hs_oracle, q_gorenstein, separating_edges,
+                       multiplicity_hs_oracle, present_ring, q_gorenstein,
+                       separating_edges,
                        spans_lattice, subdiagram_volume,
                        three_edge_connectivization, toric_ideal_up_to_degree,
                        two_edge_cuts, voronoi_face_dim)
 from cographic.fan import face_label
+from cographic.jsontext import dumps
+from cographic.orientations import label_texts
 from cographic import semigroup
 from cographic.semigroup import (_supporting_planes, _volume,
                                  per_chamber_class, permute_ideal,
@@ -84,7 +89,8 @@ from oracles import (build_orientation_poset_reference,
                      hilbert_samuel_function_reference,
                      hyperplane_through_reference,
                      is_totally_cyclic_reference, is_unimodular_reference,
-                     maximal_elements_reference, q_gorenstein_reference,
+                     maximal_elements_reference, permute_ideal_reference,
+                     q_gorenstein_reference,
                      rank, separating_edges_reference,
                      spans_lattice_reference, support_orientation_of,
                      supporting_planes_reference,
@@ -424,8 +430,27 @@ def test_per_chamber_class_matches_every_chamber(name, fan_of):
     for fn in (hs, subdiagram_volume):
         assert per_chamber_class(fn, semigroups, classes) == \
             [fn(s) for s in semigroups]
-    assert per_chamber_class(ideal, semigroups, classes, permute_ideal) == \
-        [ideal(s) for s in semigroups]
+    presentation = present_ring(fan)
+    assert list(presentation.ideals()) == \
+        [ideal(s) for _, s in presentation.chambers]
+
+
+@pytest.mark.parametrize("name", ["LOOP1", "B2", "K4p3"])
+def test_permute_ideal_matches_reference(name, fan_of):
+    # LOOP1's and B2's chambers have one generator each, so their
+    # permutations have length 1; K4p3 has 340 chambers in 13 classes.
+    fan = build_fan(k4_plus(3)) if name == "K4p3" else fan_of(name)
+    presentation = present_ring(fan)
+    classes = presentation.chamber_classes
+    assert ({len(perm) for _, perm in classes} == {1}) == (name != "K4p3")
+    for rep, perm in classes:
+        ideal = presentation.class_ideals[rep]
+        assert permute_ideal(ideal, perm) == \
+            permute_ideal_reference(ideal, perm)
+    # A chamber's ideal over one generator is empty; this made-up one
+    # checks that a length-1 permutation keeps vectors, not entries.
+    one = BinomialIdeal([((1,), (0,))], 1)
+    assert permute_ideal(one, (0,)) == permute_ideal_reference(one, (0,))
 
 
 def _assert_toric_ideals_match_reference(semigroups):
@@ -452,7 +477,7 @@ def test_toric_ideal_matches_reference_on_random_multigraphs(g):
 
 def _assert_fan_json_matches_cone_functions(fan):
     g = fan.graph
-    report = fan.to_json()
+    report = [json.loads(text) for text in fan.to_json()]
     assert len(report) == len(fan)
     for cone, entry in zip(fan.cones, report):
         facet_list = facets(cone)
@@ -478,6 +503,26 @@ def test_fan_json_matches_cone_functions_on_random_multigraphs(g):
     _assert_fan_json_matches_cone_functions(build_fan(g))
 
 
+def _assert_label_texts_match_to_json(g):
+    pairs = list(build_orientation_poset(g))
+    assert list(label_texts(g, pairs)) == [dumps(p.to_json(g)) for p in pairs]
+
+
+@pytest.mark.parametrize("name",
+                         catalog_names() + ["K4p2", "banana6", "reversed"])
+def test_label_texts_match_to_json(name, fan_of):
+    # "reversed" lists its edges against id order, so phi's order by id
+    # and the edge order differ.
+    _assert_label_texts_match_to_json(
+        from_edge_list([(f"e{i}", "v1", "v2") for i in range(4, -1, -1)])
+        if name == "reversed" else _fan(name, fan_of).graph)
+
+
+@given(g=multigraphs())
+def test_label_texts_match_to_json_on_random_multigraphs(g):
+    _assert_label_texts_match_to_json(g)
+
+
 def _assert_same_basis(g):
     basis = fundamental_cycle_basis(g)
     reference = fundamental_cycle_basis_reference(g)
@@ -492,7 +537,8 @@ def _assert_facets_match_reference(fan):
     ``Fan.to_json``, and the cycle basis of every cone's complement."""
     g = fan.graph
     _assert_same_basis(g)
-    for cone, entry in zip(fan.cones, fan.to_json()):
+    for cone, text in zip(fan.cones, fan.to_json()):
+        entry = json.loads(text)
         _assert_same_basis(delete_edges(g, g.edges_of(cone.label.support)))
         expected = facets_reference(cone)
         assert facets(cone) == expected

@@ -19,22 +19,22 @@ def test_present_loop1():
     p = present_ring(build_fan(catalog_graph("LOOP1")))
     assert len(p.generators) == 2
     assert len(p.discordance_quadrics) == 1
-    assert all(len(ideal) == 0 for _, _, ideal in p.per_chamber_binomials)
-    assert len(p.per_chamber_binomials) == 2
+    assert all(len(ideal) == 0 for ideal in p.ideals())
+    assert len(p.chambers) == 2
 
 
 def test_present_b2():
     p = present_ring(build_fan(catalog_graph("B2")))
     assert len(p.generators) == 2
     assert len(p.discordance_quadrics) == 1
-    assert all(len(ideal) == 0 for _, _, ideal in p.per_chamber_binomials)
+    assert all(len(ideal) == 0 for ideal in p.ideals())
 
 
 def test_present_fig_nh_contains_the_binomial():
     g = catalog_graph("FIG-NH")
     p = present_ring(build_fan(g), degree=3)
     reference = TotCycPair.create(g, frozenset(), g.edges)
-    by_label = {pair: ideal for pair, _, ideal in p.per_chamber_binomials}
+    by_label = dict(zip((pair for pair, _ in p.chambers), p.ideals()))
     assert reference in by_label
     assert len(by_label[reference]) == 1
 
