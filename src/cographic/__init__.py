@@ -17,7 +17,8 @@ from .graph import (Graph, from_edge_list, delete_edges, contract_edge,
                     separating_edges, betti1, connected_components,
                     parse_graph_text, graph_to_text, FORWARD, BACKWARD)
 from .chains import (Chain1, boundary, is_cycle, inner_product,
-                     fundamental_cycle_basis, canonical_form, CycleBasis)
+                     fundamental_cycle_basis, cone_basis, canonical_form,
+                     CycleBasis)
 from .orientations import (TotCycPair, OrientationPoset,
                            is_totally_cyclic, enumerate_tco,
                            build_orientation_poset)
@@ -47,7 +48,7 @@ __all__ = [
     "separating_edges", "betti1", "connected_components", "parse_graph_text",
     "graph_to_text", "FORWARD", "BACKWARD",
     "Chain1", "boundary", "is_cycle", "inner_product",
-    "fundamental_cycle_basis", "canonical_form", "CycleBasis",
+    "fundamental_cycle_basis", "cone_basis", "canonical_form", "CycleBasis",
     "TotCycPair", "OrientationPoset", "is_totally_cyclic",
     "enumerate_tco", "build_orientation_poset",
     "OrientedCircuit", "enumerate_oriented_circuits", "circuit_class",

@@ -10,7 +10,9 @@ integer scalar product in reference-orientation coordinates, hence
 positive definite.
 """
 
-from .graph import FORWARD, BACKWARD, spanning_forest
+from operator import mul
+
+from .graph import FORWARD, BACKWARD, delete_edges, spanning_forest
 
 
 class Chain1:
@@ -87,9 +89,6 @@ class Chain1:
         return cls(obj)
 
 
-ZERO = Chain1()
-
-
 def boundary(g, c):
     """Boundary 0-chain of c: each oriented edge maps to target - source.
 
@@ -120,15 +119,23 @@ class CycleBasis:
     and appears in no other basis element, so the basis matrix in
     non-forest coordinates is the identity and the basis spans the cycle
     lattice over the integers.
+
+    ``columns`` maps each edge on some basis cycle to its coefficients in
+    the basis cycles: the pairing against the edge in these coordinates.
     """
 
-    __slots__ = ("graph", "forest", "coforest", "basis")
+    __slots__ = ("graph", "forest", "coforest", "basis", "columns")
 
     def __init__(self, graph, forest, coforest, basis):
         self.graph = graph
         self.forest = forest        # edge ids, canonical order
         self.coforest = coforest    # edge ids, canonical order
         self.basis = basis          # list of Chain1, parallel to coforest
+        columns = {}
+        for i, b in enumerate(basis):
+            for e, n in b.items():
+                columns.setdefault(e, [0] * len(basis))[i] = n
+        self.columns = {e: tuple(col) for e, col in columns.items()}
 
     def __len__(self):
         return len(self.basis)
@@ -139,11 +146,8 @@ class CycleBasis:
 
     def chain(self, coords):
         """Inverse of :meth:`coordinates`."""
-        acc = ZERO
-        for a, b in zip(coords, self.basis):
-            if a:
-                acc = acc + a * b
-        return acc
+        return Chain1({e: sum(map(mul, col, coords))
+                       for e, col in self.columns.items()})
 
 
 def fundamental_cycle_basis(g):
@@ -190,6 +194,21 @@ def fundamental_cycle_basis(g):
         down.reverse()
         basis.append(Chain1([(f, FORWARD)] + up + down))
     return CycleBasis(g, tuple(forest), tuple(coforest), basis)
+
+
+def cone_basis(g, support):
+    """``fundamental_cycle_basis`` of g less the edges of the mask
+    ``support``: the coordinates of the cones of that support.
+
+    The graph keeps only the last one.  The poset lists its cones grouped
+    by support, and every chamber has the bridge support, so a walk over
+    either builds one basis per support.
+    """
+    slot = g._cone_basis
+    if slot is None or slot[0] != support:
+        slot = g._cone_basis = (support, fundamental_cycle_basis(
+            delete_edges(g, g.edges_of(support))))
+    return slot[1]
 
 
 def canonical_form(g, c):

@@ -19,9 +19,9 @@ label is (all ^ covered, forward & covered), kept as a plain tuple, and
 faces are deduplicated by it.  A face's dimension, the Betti number of
 its covered edges, comes from one memo keyed by the covered mask, so
 ``Fan.to_json`` runs one ``spanning_forest`` per distinct face rather
-than one per edge per cone.  The poset lists its cones grouped by
-support, so ``to_json`` builds one cycle basis (``delete_edges`` and
-``fundamental_cycle_basis``) per distinct support, not one per cone.
+than one per edge per cone.  A facet normal is a signed column of
+``chains.cone_basis``, which keeps the last basis; the poset lists its
+cones grouped by support, so ``to_json`` builds one per support.
 Every face label is a poset element and the poset is in ``sort_key``
 order, so ``to_json`` orders each cone's facets by the poset's index;
 standalone ``facets`` sorts them by that key.  Edge names appear only in
@@ -39,10 +39,10 @@ with the poset, not with the output: about 110 MiB for the 338 MB of
 from dataclasses import dataclass
 from functools import cached_property
 
-from .chains import fundamental_cycle_basis, is_cycle
+from .chains import cone_basis, is_cycle
 from .circuits import _circuit_table, circuit_class, compatible_circuits
 from .errors import CapacityError
-from .graph import BACKWARD, FORWARD, betti1, delete_edges, spanning_forest
+from .graph import betti1, spanning_forest
 from .jsontext import dumps
 from .orientations import (OrientationPoset, TotCycPair,
                            build_orientation_poset, label_texts)
@@ -140,7 +140,7 @@ def facets(cone):
     Returns a list of (facet_cone, normal) pairs in canonical label order.
     """
     g, label = cone.graph, cone.label
-    basis = fundamental_cycle_basis(delete_edges(g, g.edges_of(label.support)))
+    basis = cone_basis(g, label.support)
     supports = [c.support for c in compatible_circuits(g, label)]
     found = sorted(_facets(g, basis, *label, supports, {}).items(),
                    key=lambda item: TotCycPair(*item[0]).sort_key(g))
@@ -155,7 +155,8 @@ def _facets(g, basis, support, forward, supports, dims):
     ``supports`` are the support masks of the cone's compatible circuits.
     ``dims`` maps a covered mask to the Betti number of its edges and is
     filled as faces are met.  The first edge in g's order that cuts a
-    facet gives its normal.
+    facet gives its normal, its basis column signed by phi, primitive
+    because fundamental cycles have coefficients 0 and +-1.
     """
     full = (1 << len(g.edges)) - 1
     d = len(basis)
@@ -176,20 +177,10 @@ def _facets(g, basis, support, forward, supports, dims):
             forest = spanning_forest(g, g.edges_of(covered))
             dim = dims[covered] = len(forest[1])
         if dim == d - 1:
-            out[face] = _edge_functional(
-                basis, e, FORWARD if forward & bit else BACKWARD)
+            column = basis.columns[e]
+            out[face] = (column if forward & bit
+                         else tuple([-a for a in column]))
     return out
-
-
-def _edge_functional(basis, e, direction):
-    """The pairing against the oriented edge, as a primitive integer vector
-    in the given cycle-basis coordinates.
-
-    Fundamental cycles have coefficients 0 and +-1, so the vector is
-    primitive as soon as it is nonzero, which it is for an edge that
-    cuts a facet.
-    """
-    return tuple([direction * b.coeff(e) for b in basis.basis])
 
 
 @dataclass
@@ -228,8 +219,8 @@ class Fan:
         pieces encoded once each: every label once per poset element,
         every ray once per oriented circuit and every facet normal once
         per distinct vector.  The poset lists its cones grouped by
-        support, so a cycle basis is rebuilt only when the support
-        changes, and each cone filters the circuit table once.
+        support, so ``cone_basis`` builds a cycle basis only when the
+        support changes, and each cone filters the circuit table once.
         """
         g = self.graph
         total = betti1(g)
@@ -244,8 +235,7 @@ class Fan:
         for pair, label in zip(self.poset, labels):
             if pair.support != support:
                 support = pair.support
-                basis = fundamental_cycle_basis(
-                    delete_edges(g, g.edges_of(support)))
+                basis = cone_basis(g, support)
                 head = f'{{"dimension":{len(basis)},"facet_normals":['
                 tail = f'],"voronoi_face_dim":{total - len(basis)}}}'
             circuits = compatible_circuits(g, pair)

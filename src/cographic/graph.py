@@ -35,7 +35,7 @@ class Graph:
     """
 
     __slots__ = ("vertices", "edges", "_ends", "_vindex", "_eindex", "_hash",
-                 "_circuit_table")
+                 "_circuit_table", "_cone_basis")
 
     def __init__(self, vertices, edges, ends):
         self.vertices = tuple(vertices)
@@ -55,8 +55,9 @@ class Graph:
                            tuple(self._ends[e] for e in self.edges)))
         # Filled by ``circuits`` on first use.  A graph never changes, so
         # the table never goes stale, and threads racing to fill it build
-        # equal tables.
-        self._circuit_table = None
+        # equal tables.  ``chains.cone_basis`` keeps (support, basis) of its
+        # last call, which a racing thread may replace but never corrupt.
+        self._circuit_table = self._cone_basis = None
 
     # -- basic accessors -------------------------------------------------
 

@@ -27,7 +27,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from math import comb
 
-from .chains import Chain1, boundary, fundamental_cycle_basis
+from .chains import Chain1, boundary, cone_basis
 from .errors import CapacityError
 from .fan import common_cone
 from .graph import FORWARD, BACKWARD, betti1
@@ -103,7 +103,7 @@ def cycles_up_to_mass(g, bound):
     its mass and a search of the L1 ball of radius ``bound`` is
     exhaustive.  Sorted by mass, then by coefficients.
     """
-    basis = fundamental_cycle_basis(g).basis
+    basis = cone_basis(g, 0).basis
     found = []
     for point in _l1_ball(len(basis), bound):
         acc = {}

@@ -8,14 +8,15 @@ oriented circuit, a quadric for every discordant pair, and one
 degree-bounded binomial ideal per maximal cone.
 
 Each object is built once and passed on: ``present_ring`` takes a built
-fan and makes each chamber's semigroup, its class and its class's ideal,
-and ``ring_report`` reads the presentation, adding each chamber's
-subdiagram volume::
+fan and makes each chamber's semigroup (``hilbert_basis``), its class and
+its class's ideal, and ``ring_report`` reads the presentation, adding
+each chamber's subdiagram volume::
 
     fan = build_fan(g)
     presentation = present_ring(fan)
     report = ring_report(presentation)
 
+The chambers share the bridge support, and so one ``chains.cone_basis``.
 Chambers with isomorphic semigroups form one class
 (``semigroup.chamber_classes``).  The volume is computed once per class,
 and so is the ideal; ``analyze`` shares the Hilbert-Samuel multiplicity,
@@ -29,14 +30,14 @@ binomials of ``ring K4x2``'s 3,608 chambers are never held at once.
 
 from dataclasses import dataclass
 
-from .chains import fundamental_cycle_basis, is_cycle
+from .chains import is_cycle
 from .circuits import concordant, enumerate_oriented_circuits
 from .fan import (Cone, common_cone, cone_contains, extremal_rays,
                   face_label, FinitePoset)
-from .graph import betti1, delete_edges, separating_edges
+from .graph import betti1
 from .jsontext import dumps
 from .orientations import label_texts
-from .semigroup import (_semigroup, chamber_classes, per_chamber_class,
+from .semigroup import (chamber_classes, hilbert_basis, per_chamber_class,
                         permute_ideal, subdiagram_volume,
                         toric_ideal_up_to_degree)
 
@@ -150,10 +151,8 @@ def present_ring(fan, degree=DEFAULT_DEGREE_BOUND):
                 for i, a in enumerate(circuits)
                 for b in circuits[i + 1:]
                 if not concordant(a, b)]
-    labels = [cone.label for cone in fan.chambers()]
-    # every chamber's support is the bridges: one cycle basis serves all
-    cycle_basis = fundamental_cycle_basis(delete_edges(g, separating_edges(g)))
-    semigroups = [_semigroup(g, pair, cycle_basis) for pair in labels]
+    labels = fan.poset.maximal_elements()
+    semigroups = [hilbert_basis(g, pair) for pair in labels]
     classes = chamber_classes(semigroups)
     ideals = {i: toric_ideal_up_to_degree(s, degree)
               for i, (s, (rep, _)) in enumerate(zip(semigroups, classes))

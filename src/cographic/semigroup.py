@@ -3,7 +3,9 @@
 For a cone labeled (T, phi), the lattice points form a positive normal
 affine semigroup whose Hilbert basis is exactly the set of compatible
 circuit classes.  This module computes, per cone: the basis in both edge
-and cycle-basis coordinates, lattice spanning (gcd of the maximal minors),
+and cycle-basis coordinates (``chains.cone_basis`` of the support, whose
+edge columns give the edge functionals, the facet normals and the
+Gorenstein point), lattice spanning (gcd of the maximal minors),
 unimodularity (equality of all maximal minors up to sign), a
 degree-bounded slice of the toric ideal of relations, the
 (Q-)Gorenstein test from facet normals (Cramer's rule), and the
@@ -66,12 +68,11 @@ from functools import cached_property
 from math import comb, gcd
 from operator import itemgetter, mul, sub
 
-from .chains import fundamental_cycle_basis
+from .chains import cone_basis
 from .circuits import (_edge_profiles, circuit_class, compatible_circuits,
                        hypergraph_bijection)
 from .errors import CapacityError
 from .fan import Cone, _facets
-from .graph import delete_edges
 from .linalg import det_int, hyperplane_through, primitive_vector
 
 # The Hilbert-Samuel horizon of a cone of dimension d is d plus this; it
@@ -113,21 +114,15 @@ class AffineSemigroup:
     def _sign_rows(self):
         """Edge functionals whose nonnegativity cuts out the cone.
 
-        One row per non-support edge e: the coefficient of e in each basis
-        cycle, times the sign of e's direction.  Zero rows are dropped and
-        duplicates merged.  Support edges need no row, because the basis
-        cycles live off the support.
+        One row per edge with a basis column: the column times the sign
+        of the edge's direction, duplicates merged.  The other edges lie
+        on no basis cycle and would give zero rows.
         """
-        support, forward = self.cone.label
-        basis = self.cycle_basis.basis
+        g, forward = self.graph, self.cone.label.forward
         rows = set()
-        for i, e in enumerate(self.graph.edges):
-            if support >> i & 1:
-                continue
-            sign = 1 if forward >> i & 1 else -1
-            row = tuple(sign * b.coeff(e) for b in basis)
-            if any(row):
-                rows.add(row)
+        for e, column in self.cycle_basis.columns.items():
+            rows.add(column if forward >> g.edge_index(e) & 1
+                     else tuple([-a for a in column]))
         return sorted(rows)
 
     def contains(self, coords):
@@ -147,16 +142,11 @@ def hilbert_basis(g, pair):
     """The semigroup of the cone labeled by ``pair``.
 
     The Hilbert basis is the set of compatible circuit classes; the
-    lattice is spanned by the fundamental cycles off the support.
+    lattice is spanned by the fundamental cycles off the support, its
+    ``cone_basis``, which consecutive calls with one support share.
     """
-    return _semigroup(g, pair, fundamental_cycle_basis(
-        delete_edges(g, g.edges_of(pair.support))))
-
-
-def _semigroup(g, pair, cycle_basis):
-    """``hilbert_basis`` of ``pair`` given the fundamental cycles off its
-    support, which cones of one support can share."""
     circuits = compatible_circuits(g, pair)
+    cycle_basis = cone_basis(g, pair.support)
     return AffineSemigroup(Cone(g, pair), circuits,
                            [circuit_class(g, gamma) for gamma in circuits],
                            len(cycle_basis), cycle_basis)
@@ -290,7 +280,8 @@ def q_gorenstein(s):
     in the integral sense when that solution is a lattice point.  Cramer's
     rule solves the first d normals, in ``combinations`` order, with a
     nonzero determinant; the solution then stands if every normal pairs
-    to 1 with it.
+    to 1 with it.  The point pairs each edge's basis column with the
+    numerators, over the determinant.
 
     Returns (q_gorenstein, gorenstein_integral, m) where m is the rational
     cycle realizing the pairings, as a dict edge -> Fraction, or None.
@@ -310,13 +301,9 @@ def q_gorenstein(s):
                   for j in range(d)]
     if any(sum(map(mul, normal, numerators)) != det for normal in normals):
         return False, False, None
-    solution = [Fraction(x, det) for x in numerators]
-    integral = all(x.denominator == 1 for x in solution)
-    m = {}
-    for coeff, basis_chain in zip(solution, s.cycle_basis.basis):
-        for e, n in basis_chain.items():
-            m[e] = m.get(e, Fraction(0)) + coeff * n
-    m = {e: x for e, x in m.items() if x != 0}
+    integral = all(x % det == 0 for x in numerators)
+    m = {e: Fraction(x, det) for e, column in s.cycle_basis.columns.items()
+         if (x := sum(map(mul, column, numerators)))}
     return True, integral, m
 
 

@@ -551,7 +551,7 @@ def test_each_object_is_built_once(command, name, calls, capsys):
     assert calls == {
         "build_fan": 1,
         "enumerate_oriented_circuits": 1,
-        "hilbert_basis": 0,
+        "hilbert_basis": chambers,
         "compatible_circuits": chambers,
         "subdiagram_volume": classes,
         "toric_ideal_up_to_degree": classes,
@@ -592,16 +592,21 @@ def test_fan_derives_each_cone_once(monkeypatch, capsys):
 
 
 def test_ring_builds_one_cycle_basis(monkeypatch, tmp_path, capsys):
-    # K4p2's 144 chambers all have the empty support; each chamber
-    # semigroup once built its own copy of the same cycle basis.
+    # Every chamber has the bridge support (K4p2's 144 and THETA2's 46
+    # have the empty one); each chamber semigroup once built its own copy
+    # of the same cycle basis.
     counts = count_calls(monkeypatch, ["compatible_circuits",
                                        "fundamental_cycle_basis"])
     path = tmp_path / "k4p2.graph"
     path.write_text(graph_to_text(k4_plus(2)))
-    code, out, _ = run_cli(capsys, "ring", str(path))
-    assert code == 0
-    assert json.loads(out)["ring"]["num_minimal_primes"] == 144
-    assert counts == {"compatible_circuits": 144, "fundamental_cycle_basis": 1}
+    for command, name, chambers in [("ring", str(path), 144),
+                                    ("analyze", "THETA2", 46)]:
+        counts.update(dict.fromkeys(counts, 0))
+        code, out, _ = run_cli(capsys, command, name)
+        assert code == 0
+        assert json.loads(out)["ring"]["num_minimal_primes"] == chambers
+        assert counts == {"compatible_circuits": chambers,
+                          "fundamental_cycle_basis": 1}
 
 
 def test_compare_connectivizes_each_graph_once(calls, capsys):

@@ -28,13 +28,15 @@ of the graph with the support deleted.  Facets are read off edge
 bitmasks with one dimension per distinct face; the reference builds a
 label and a spanning forest per edge off the support.  A fundamental
 cycle is read off one rooted forest by depth; the reference runs a
-breadth-first search per cycle.  A finite poset's covers are one
-set difference per element; the reference tests every element between
-each comparable pair.  Components, the Betti number, bridges and
-two-edge cuts are read off one spanning forest; the references search
-depth-first per question and build a graph per candidate pair, and the
-reference connectivization recomputes every bridge after each
-contraction.  The toric ideal walks multisets of generators and sums
+breadth-first search per cycle.  A cone's basis is kept in one slot per
+graph, keyed by its support; the reference builds one per support.  A
+finite poset's covers are one set difference per element; the reference
+tests every element between each comparable pair.  Components, the
+Betti number, bridges and two-edge cuts are read off one spanning
+forest; the references search depth-first per question and build a
+graph per candidate pair, and the reference connectivization
+recomputes every bridge after each contraction.  The toric ideal walks
+multisets of generators and sums
 their coordinates; the reference deduplicates the words over the
 generators and takes dot products.  The orientation poset and the totally
 cyclic orientations are read off the bond table of the graph as bitmask
@@ -57,7 +59,8 @@ from cographic import (BinomialIdeal, FinitePoset, TotCycPair, betti1,
                        build_fan,
                        build_orientation_poset, catalog_graph,
                        catalog_names, compatible_circuits, concordant,
-                       cone_contains, cone_dimension, chamber_classes,
+                       cone_basis, cone_contains, cone_dimension,
+                       chamber_classes,
                        connected_components,
                        cycles_up_to_mass, delete_edges,
                        enumerate_oriented_circuits, enumerate_tco,
@@ -523,23 +526,53 @@ def test_label_texts_match_to_json_on_random_multigraphs(g):
     _assert_label_texts_match_to_json(g)
 
 
-def _assert_same_basis(g):
-    basis = fundamental_cycle_basis(g)
-    reference = fundamental_cycle_basis_reference(g)
+def _assert_same_basis(basis, reference):
+    """Equal forests and cycles, and columns that hold the coefficients of
+    exactly the edges some basis cycle uses."""
     assert (basis.graph, basis.forest, basis.coforest) == \
         (reference.graph, reference.forest, reference.coforest)
     assert [list(c.items()) for c in basis.basis] == \
         [list(c.items()) for c in reference.basis]
+    columns = {e: tuple(b.coeff(e) for b in basis.basis)
+               for e in basis.graph.edges}
+    assert basis.columns == {e: col for e, col in columns.items() if any(col)}
+
+
+def _assert_cone_bases_match_reference(g):
+    """``cone_basis`` of every poset element's support, walking the poset
+    forward and then backward, so its one slot is both kept and replaced
+    between supports of equal size."""
+    pairs = list(build_orientation_poset(g))
+    references = {}
+    for pair in pairs + pairs[::-1]:
+        if pair.support not in references:
+            references[pair.support] = fundamental_cycle_basis_reference(
+                delete_edges(g, g.edges_of(pair.support)))
+        _assert_same_basis(cone_basis(g, pair.support),
+                           references[pair.support])
+
+
+@pytest.mark.parametrize("name", catalog_names() + ["K4p2"])
+def test_cone_bases_match_reference(name, fan_of):
+    _assert_cone_bases_match_reference(_fan(name, fan_of).graph)
+
+
+@given(g=multigraphs())
+def test_cone_bases_match_reference_on_random_multigraphs(g):
+    _assert_cone_bases_match_reference(g)
 
 
 def _assert_facets_match_reference(fan):
     """Labels, order and normals of every cone's facets, standalone and in
     ``Fan.to_json``, and the cycle basis of every cone's complement."""
     g = fan.graph
-    _assert_same_basis(g)
+    _assert_same_basis(fundamental_cycle_basis(g),
+                       fundamental_cycle_basis_reference(g))
     for cone, text in zip(fan.cones, fan.to_json()):
         entry = json.loads(text)
-        _assert_same_basis(delete_edges(g, g.edges_of(cone.label.support)))
+        rest = delete_edges(g, g.edges_of(cone.label.support))
+        _assert_same_basis(fundamental_cycle_basis(rest),
+                           fundamental_cycle_basis_reference(rest))
         expected = facets_reference(cone)
         assert facets(cone) == expected
         assert entry["facets"] == [sub.label.to_json(g) for sub, _ in expected]
