@@ -14,14 +14,14 @@ from cographic import (Chain1, build_fan, catalog_graph, common_cone,
 g = catalog_graph("B3")
 fan = build_fan(g)
 print(f"B3 fan: {len(fan)} cones, {len(fan.chambers())} chambers, "
-      f"ambient dimension {cone_dimension(fan.chambers()[0])}")
+      f"ambient dimension {cone_dimension(g, fan.chambers()[0])}")
 
 # Dimensions complement the dual-polytope face dimensions.
-for cone in fan.cones:
-    d = cone_dimension(cone)
-    print(f"  T={sorted(g.edges_of(cone.label.support))!s:18} dim={d} "
-          f"dual face dim={voronoi_face_dim(cone)} "
-          f"rays={len(extremal_rays(cone))}")
+for pair in fan.poset:
+    d = cone_dimension(g, pair)
+    print(f"  T={sorted(g.edges_of(pair.support))!s:18} dim={d} "
+          f"dual face dim={voronoi_face_dim(g, pair)} "
+          f"rays={len(extremal_rays(g, pair))}")
 
 # Locating the minimal cone of a cycle is reading its signs.
 c = Chain1({"e1": 1, "e2": 2, "e3": -3})
@@ -36,8 +36,8 @@ print("shares a cone with its negative:", common_cone(c, -1 * c))
 # Facets of a chamber: one functional forced to zero at a time.
 chamber = fan.chambers()[0]
 print("\nfacets of the first chamber:")
-for sub, normal in facets(chamber):
-    print(f"   T={sorted(g.edges_of(sub.label.support))} normal={normal}")
+for sub, normal in facets(g, chamber):
+    print(f"   T={sorted(g.edges_of(sub.support))} normal={normal}")
 
 # Membership is exact and closed under the cone operations.
-assert cone_contains(fan.cone(label), c)
+assert cone_contains(g, label, c)

@@ -25,7 +25,7 @@ from .orientations import (TotCycPair, OrientationPoset,
 from .circuits import (OrientedCircuit, enumerate_oriented_circuits,
                        circuit_class, concordant, compatible_circuits,
                        decompose_cycle, hypergraph_bijection)
-from .fan import (Cone, Fan, build_fan, cone_contains, common_cone, cone_of,
+from .fan import (Fan, build_fan, cone_contains, common_cone, cone_of,
                   cone_dimension, voronoi_face_dim, extremal_rays, facets,
                   FinitePoset, find_poset_isomorphism)
 from .semigroup import (AffineSemigroup, BinomialIdeal, hilbert_basis,
@@ -54,7 +54,7 @@ __all__ = [
     "OrientedCircuit", "enumerate_oriented_circuits", "circuit_class",
     "concordant", "compatible_circuits", "decompose_cycle",
     "hypergraph_bijection",
-    "Cone", "Fan", "build_fan", "cone_contains", "common_cone", "cone_of",
+    "Fan", "build_fan", "cone_contains", "common_cone", "cone_of",
     "cone_dimension", "voronoi_face_dim", "extremal_rays", "facets",
     "FinitePoset", "find_poset_isomorphism",
     "AffineSemigroup", "BinomialIdeal", "hilbert_basis", "spans_lattice",

@@ -93,12 +93,16 @@ def boundary(g, c):
     """Boundary 0-chain of c: each oriented edge maps to target - source.
 
     Returned as a dict vertex -> integer with zero entries dropped.
+    Raises ``ValueError`` for an edge id that g lacks.
     """
     out = {}
-    for e, n in c.items():
-        s, t = g.ends(e)
-        out[t] = out.get(t, 0) + n
-        out[s] = out.get(s, 0) - n
+    try:
+        for e, n in c.items():
+            s, t = g.ends(e)
+            out[t] = out.get(t, 0) + n
+            out[s] = out.get(s, 0) - n
+    except KeyError:
+        raise ValueError(f"unknown edge id {e!r}") from None
     return {v: n for v, n in out.items() if n != 0}
 
 

@@ -107,7 +107,7 @@ def cmd_analyze(args):
     presentation = present_ring(fan, degree=args.degree)
     report = ring_report(presentation)
     classes = presentation.chamber_classes
-    semigroups = [s for _, s in presentation.chambers]
+    semigroups = presentation.chambers
     hs = per_chamber_class(multiplicity_hs_oracle, semigroups, classes)
     unimodular = unimodular_per_class(semigroups, classes)
     chambers = (dumps(semigroup_report(s, ideal, volume, m, uni))

@@ -10,9 +10,9 @@ Cost model.  A cone is its label, the edge-index bitmasks of the support
 T and of the forward edges of phi (``TotCycPair``), together with its
 compatible circuits, which are mask pairs too (``OrientedCircuit``).  A
 ``Fan`` holds the orientation poset, which stores those labels;
-``build_fan`` is the poset's mask walk and nothing more.  ``chambers``
-filters the labels on the bridge mask, ``len`` reads the list, and
-``cones`` wraps every label in a ``Cone`` on first access and keeps it.
+``build_fan`` is the poset's mask walk and nothing more.  Every cone
+function takes the graph and the label, ``(g, pair)``; ``chambers``
+filters the labels on the bridge mask and ``len`` reads the list.
 ``_facets`` cuts the face of each edge e off T as the OR of the circuit
 supports that miss e, a few integer operations per circuit; the face's
 label is (all ^ covered, forward & covered), kept as a plain tuple, and
@@ -37,7 +37,6 @@ with the poset, not with the output: about 110 MiB for the 338 MB of
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .chains import cone_basis, is_cycle
 from .circuits import _circuit_table, circuit_class, compatible_circuits
@@ -50,23 +49,11 @@ from .orientations import (OrientationPoset, TotCycPair,
 MAX_ISOMORPHISM_SIZE = 5000
 
 
-@dataclass(frozen=True)
-class Cone:
-    """A fan cone, represented by its label (T, phi) in the ambient graph."""
-
-    graph: object
-    label: TotCycPair
-
-    def __repr__(self):
-        return f"Cone({self.label!r})"
-
-
-def cone_contains(cone, c):
-    """Sign test for membership of a cycle in the cone."""
-    g = cone.graph
+def cone_contains(g, pair, c):
+    """Sign test for membership of a cycle in the cone labelled ``pair``."""
     if not is_cycle(g, c):
         raise ValueError("cone membership is defined for cycles only")
-    support, forward = cone.label
+    support, forward = pair
     for e, n in c.items():
         bit = 1 << g.edge_index(e)
         if support & bit or (n > 0) != bool(forward & bit):
@@ -93,22 +80,20 @@ def cone_of(g, c):
                       g.edge_mask(e for e, n in c.items() if n > 0))
 
 
-def cone_dimension(cone):
+def cone_dimension(g, pair):
     """Dimension of the cone's span, i.e. the Betti number off the support."""
-    g = cone.graph
-    return len(spanning_forest(g, g.edges_of(~cone.label.support))[1])
+    return len(spanning_forest(g, g.edges_of(~pair.support))[1])
 
 
-def voronoi_face_dim(cone):
-    """Dimension of the dual lattice-polytope face carried by this cone's
-    label (total Betti number minus the cone dimension)."""
-    return betti1(cone.graph) - cone_dimension(cone)
+def voronoi_face_dim(g, pair):
+    """Dimension of the dual lattice-polytope face carried by the label
+    (total Betti number minus the cone dimension)."""
+    return betti1(g) - cone_dimension(g, pair)
 
 
-def extremal_rays(cone):
+def extremal_rays(g, pair):
     """Classes of the compatible circuits; each spans an extremal ray."""
-    return [circuit_class(cone.graph, gamma)
-            for gamma in compatible_circuits(cone.graph, cone.label)]
+    return [circuit_class(g, gamma) for gamma in compatible_circuits(g, pair)]
 
 
 def face_label(g, support, forward):
@@ -128,7 +113,7 @@ def face_label(g, support, forward):
     return TotCycPair(((1 << len(g.edges)) - 1) ^ covered, forward & covered)
 
 
-def facets(cone):
+def facets(g, pair):
     """Codimension-one subcones, each with a primitive inward normal.
 
     Forcing one more edge functional to zero cuts a face; the faces of
@@ -137,14 +122,13 @@ def facets(cone):
     support, deduplicated up to positive scaling.  Edge e cuts the face
     covered by the cone's compatible circuits that avoid e.
 
-    Returns a list of (facet_cone, normal) pairs in canonical label order.
+    Returns a list of (facet label, normal) pairs in canonical label order.
     """
-    g, label = cone.graph, cone.label
-    basis = cone_basis(g, label.support)
-    supports = [c.support for c in compatible_circuits(g, label)]
-    found = sorted(_facets(g, basis, *label, supports, {}).items(),
+    basis = cone_basis(g, pair.support)
+    supports = [c.support for c in compatible_circuits(g, pair)]
+    found = sorted(_facets(g, basis, *pair, supports, {}).items(),
                    key=lambda item: TotCycPair(*item[0]).sort_key(g))
-    return [(Cone(g, TotCycPair(*face)), normal) for face, normal in found]
+    return [(TotCycPair(*face), normal) for face, normal in found]
 
 
 def _facets(g, basis, support, forward, supports, dims):
@@ -185,25 +169,15 @@ def _facets(g, basis, support, forward, supports, dims):
 
 @dataclass
 class Fan:
-    """All cones of a graph, indexed by the orientation poset.
-
-    The poset holds the cones' labels; ``cones`` wraps them on first
-    access and is kept.
-    """
+    """All cones of a graph, indexed by the orientation poset, whose
+    elements are the cones' labels."""
 
     graph: object
     poset: OrientationPoset
 
-    @cached_property
-    def cones(self):
-        return [Cone(self.graph, p) for p in self.poset]
-
-    def cone(self, label):
-        return self.cones[self.poset.index(label)]
-
     def chambers(self):
-        """Maximal cones (labels with support exactly the bridges)."""
-        return [Cone(self.graph, p) for p in self.poset.maximal_elements()]
+        """Labels of the maximal cones (support exactly the bridges)."""
+        return self.poset.maximal_elements()
 
     def __len__(self):
         return len(self.poset)
@@ -255,11 +229,8 @@ class Fan:
 
 
 def build_fan(g):
-    """One cone per orientation-poset element; inclusion mirrors the poset.
-
-    Only the poset's mask walk runs here: ``Cone`` objects are made when a
-    caller asks for them.
-    """
+    """One cone per orientation-poset element, addressed by its label;
+    inclusion mirrors the poset.  Only the poset's mask walk runs here."""
     return Fan(g, build_orientation_poset(g))
 
 

@@ -257,8 +257,9 @@ class OrientationPoset:
     ``maximal_elements`` one pass over the elements, O(n) integer
     comparisons, with no pairwise ``leq`` tests.
 
-    ``elements`` lists the labels in ``sort_key`` order; ``index`` and
-    membership read one dict built from it on first use.
+    ``elements`` lists the labels in ``sort_key`` order; membership and
+    ``Fan.to_json``'s facet order read ``_index``, one dict built from it
+    on first use.
     """
 
     def __init__(self, graph, elements):
@@ -277,9 +278,6 @@ class OrientationPoset:
 
     def __contains__(self, pair):
         return pair in self._index
-
-    def index(self, pair):
-        return self._index[pair]
 
     @staticmethod
     def leq(p, q):

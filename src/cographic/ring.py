@@ -32,8 +32,8 @@ from dataclasses import dataclass
 
 from .chains import is_cycle
 from .circuits import concordant, enumerate_oriented_circuits
-from .fan import (Cone, common_cone, cone_contains, extremal_rays,
-                  face_label, FinitePoset)
+from .fan import (common_cone, cone_contains, extremal_rays, face_label,
+                  FinitePoset)
 from .graph import betti1
 from .jsontext import dumps
 from .orientations import label_texts
@@ -56,7 +56,7 @@ class RingPresentation:
     graph: object
     generators: list            # oriented circuits, canonical order
     discordance_quadrics: list  # (gamma, delta) pairs, gamma before delta
-    chambers: list              # (maximal TotCycPair, AffineSemigroup)
+    chambers: list              # AffineSemigroup of each maximal label
     degree_bound: int
     chamber_classes: list       # (representative index, generator permutation)
     class_ideals: dict          # representative index -> BinomialIdeal
@@ -81,14 +81,13 @@ class RingPresentation:
         """
         g = self.graph
         names = {gamma: dumps(gamma.to_json(g)) for gamma in self.generators}
-        labels = label_texts(g, [pair for pair, _ in self.chambers])
+        labels = label_texts(g, [s.label for s in self.chambers])
         chambers = ("".join([
             f'{{"degree_bound":{ideal.degree_bound},"generators":',
             dumps([{"u": u, "v": v} for u, v in ideal.generators]),
             ',"label":', label,
             ',"variables":[', ",".join([names[c] for c in s.circuits]), "]}"])
-            for label, (_, s), ideal in zip(labels, self.chambers,
-                                            self.ideals()))
+            for label, s, ideal in zip(labels, self.chambers, self.ideals()))
         return {
             "generators": iter(names.values()),
             "quadrics": (f"[{names[a]},{names[b]}]"
@@ -151,15 +150,13 @@ def present_ring(fan, degree=DEFAULT_DEGREE_BOUND):
                 for i, a in enumerate(circuits)
                 for b in circuits[i + 1:]
                 if not concordant(a, b)]
-    labels = fan.poset.maximal_elements()
-    semigroups = [hilbert_basis(g, pair) for pair in labels]
+    semigroups = [hilbert_basis(g, pair) for pair in fan.chambers()]
     classes = chamber_classes(semigroups)
     ideals = {i: toric_ideal_up_to_degree(s, degree)
               for i, (s, (rep, _)) in enumerate(zip(semigroups, classes))
               if rep == i}
-    return RingPresentation(g, circuits, quadrics,
-                            list(zip(labels, semigroups)), degree, classes,
-                            ideals)
+    return RingPresentation(g, circuits, quadrics, semigroups, degree,
+                            classes, ideals)
 
 
 def multiply_monomials(g, c, d):
@@ -183,11 +180,10 @@ class GradedPrime:
     def __init__(self, g, pair):
         self.graph = g
         self.label = pair
-        self._cone = Cone(g, pair)
 
     def contains(self, c):
         """Is the monomial of the cycle c a member?"""
-        return not cone_contains(self._cone, c)
+        return not cone_contains(self.graph, self.label, c)
 
     def __repr__(self):
         return f"GradedPrime({self.label!r})"
@@ -205,10 +201,9 @@ def ring_report(presentation):
     return RingReport(
         dimension=betti1(presentation.graph),
         embedded_dimension=len(presentation.generators),
-        minimal_prime_labels=[pair for pair, _ in chambers],
+        minimal_prime_labels=[s.label for s in chambers],
         chamber_volumes=per_chamber_class(
-            subdiagram_volume, [s for _, s in chambers],
-            presentation.chamber_classes),
+            subdiagram_volume, chambers, presentation.chamber_classes),
     )
 
 
@@ -238,7 +233,7 @@ class StrataPoset:
 
     def rays(self, pair):
         if pair not in self._rays:
-            self._rays[pair] = extremal_rays(Cone(self.graph, pair))
+            self._rays[pair] = extremal_rays(self.graph, pair)
         return self._rays[pair]
 
     def leq(self, p, q):
@@ -249,8 +244,7 @@ class StrataPoset:
         inside the cone of q exactly when every extremal ray class of p
         lies in the cone of q.
         """
-        cone_q = Cone(self.graph, q)
-        return all(cone_contains(cone_q, ray) for ray in self.rays(p))
+        return all(cone_contains(self.graph, q, ray) for ray in self.rays(p))
 
     def finite_poset(self):
         return FinitePoset(self.elements(), self.leq)

@@ -72,8 +72,9 @@ from .chains import cone_basis
 from .circuits import (_edge_profiles, circuit_class, compatible_circuits,
                        hypergraph_bijection)
 from .errors import CapacityError
-from .fan import Cone, _facets
+from .fan import _facets
 from .linalg import det_int, hyperplane_through, primitive_vector
+from .orientations import TotCycPair
 
 # The Hilbert-Samuel horizon of a cone of dimension d is d plus this; it
 # suffices on every chamber of the catalog, K4 to K4p3, banana6 and banana7.
@@ -87,17 +88,15 @@ MAX_TORIC_EXPONENTS = 10_000
 
 @dataclass
 class AffineSemigroup:
-    """Lattice points of one cone, presented by its Hilbert basis."""
+    """Lattice points of the cone labelled ``label``, presented by its
+    Hilbert basis."""
 
-    cone: Cone
+    graph: object
+    label: TotCycPair
     circuits: list             # compatible oriented circuits, canonical order
     hilbert_basis: list        # their Chain1 classes, same order
     lattice_rank: int          # dimension of the cone's span
     cycle_basis: object        # CycleBasis of the complement of the support
-
-    @property
-    def graph(self):
-        return self.cone.graph
 
     def coordinates(self, c):
         return self.cycle_basis.coordinates(c)
@@ -118,7 +117,7 @@ class AffineSemigroup:
         of the edge's direction, duplicates merged.  The other edges lie
         on no basis cycle and would give zero rows.
         """
-        g, forward = self.graph, self.cone.label.forward
+        g, forward = self.graph, self.label.forward
         rows = set()
         for e, column in self.cycle_basis.columns.items():
             rows.add(column if forward >> g.edge_index(e) & 1
@@ -147,7 +146,7 @@ def hilbert_basis(g, pair):
     """
     circuits = compatible_circuits(g, pair)
     cycle_basis = cone_basis(g, pair.support)
-    return AffineSemigroup(Cone(g, pair), circuits,
+    return AffineSemigroup(g, pair, circuits,
                            [circuit_class(g, gamma) for gamma in circuits],
                            len(cycle_basis), cycle_basis)
 
@@ -290,7 +289,7 @@ def q_gorenstein(s):
     if d == 0:
         return True, True, {}
     g = s.graph
-    normals = list(_facets(g, s.cycle_basis, *s.cone.label,
+    normals = list(_facets(g, s.cycle_basis, *s.label,
                            [c.support for c in s.circuits],
                            {}).values())
     for rows in itertools.combinations(normals, d):
@@ -561,7 +560,7 @@ def chamber_classes(semigroups):
     names = {}
     for i, s in enumerate(semigroups):
         g = s.graph
-        edges = g.edges_of(~s.cone.label.support)
+        edges = g.edges_of(~s.label.support)
         sets = []
         for gamma in s.circuits:
             if gamma.support not in names:
@@ -624,7 +623,7 @@ def semigroup_report(s, ideal, volume, hs_multiplicity, unimodular):
     qg, gor, m = q_gorenstein(s)
     var_labels = [gamma.to_json(g) for gamma in s.circuits]
     return {
-        "label": s.cone.label.to_json(g),
+        "label": s.label.to_json(g),
         "lattice_rank": s.lattice_rank,
         "hilbert_basis_edges": [c.to_json() for c in s.hilbert_basis],
         "hilbert_basis_coords": [list(x) for x in s.coords],

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import gcd
 from operator import mul
 
-from cographic import (BinomialIdeal, CapacityError, Chain1, Cone,
+from cographic import (BinomialIdeal, CapacityError, Chain1,
                        CycleBasis, OrientationPoset,
                        OrientedCircuit, TotCycPair, compatible_circuits,
                        cone_contains, contract_edge,
@@ -48,7 +48,7 @@ def hilbert_samuel_function_reference(s, horizon):
     def member(pt):
         cached = member_cache.get(pt)
         if cached is None:
-            cached = cone_contains(s.cone, s.chain(pt))
+            cached = cone_contains(s.graph, s.label, s.chain(pt))
             member_cache[pt] = cached
         return cached
 
@@ -313,7 +313,7 @@ def q_gorenstein_reference(s):
     d = s.lattice_rank
     if d == 0:
         return True, True, {}
-    normals = [normal for _, normal in facets_reference(s.cone)]
+    normals = [normal for _, normal in facets_reference(s.graph, s.label)]
     solution = solve_rational(normals, [1] * len(normals))
     if solution is None:
         return False, False, None
@@ -784,7 +784,7 @@ def semigroup_points_up_to_degree(s, bound):
     reference to the Hilbert basis: an independent oracle.
     """
     g = s.graph
-    t, phi = _names(g, s.cone.label)
+    t, phi = _names(g, s.label)
     free = [e for e in g.edges if e not in t]
     points = []
 
@@ -825,16 +825,15 @@ def irreducible_points_up_to_degree(s, bound):
     return out
 
 
-def facets_reference(cone):
+def facets_reference(g, pair):
     """``fan.facets`` with a set of covered edges, a label restricted by
     name and a ``spanning_forest`` per edge off the support, the labels
     sorted by ``sort_key``, in the coordinates of
     ``fundamental_cycle_basis_reference``."""
-    g = cone.graph
-    t, phi = _names(g, cone.label)
+    t, phi = _names(g, pair)
     basis = fundamental_cycle_basis_reference(delete_edges(g, t))
     circuits = [_circuit_names(g, gamma)[0]
-                for gamma in compatible_circuits(g, cone.label)]
+                for gamma in compatible_circuits(g, pair)]
     d = len(basis)
     out = {}
     for e in g.edges:
@@ -848,7 +847,7 @@ def facets_reference(cone):
                           {f: phi[f] for f in covered})
         if label in out or len(spanning_forest(g, covered)[1]) != d - 1:
             continue
-        out[label] = (Cone(g, label), primitive_vector(
+        out[label] = (label, primitive_vector(
             [phi[e] * b.coeff(e) for b in basis.basis]))
     return [out[label] for label in
             sorted(out, key=lambda p: p.sort_key(g))]

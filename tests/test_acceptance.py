@@ -9,7 +9,7 @@ through subset enumeration, cone membership through explicit search.
 
 import itertools
 
-from cographic import (Chain1, Cone, TotCycPair, betti1,
+from cographic import (Chain1, TotCycPair, betti1,
                        build_fan, build_orientation_poset, canonical_form,
                        catalog_graph, catalog_names, check_iso_truncated,
                        circuit_class, common_cone, cone_contains,
@@ -139,7 +139,7 @@ def test_acceptance_1_theta2_basis_matrix():
 
 def test_acceptance_2_fig_ng_chamber():
     g, pair, s = reference_chamber("FIG-NG")
-    facet_list = facets(Cone(g, pair))
+    facet_list = facets(g, pair)
     assert len(facet_list) == 5
     qg, integral, witness = q_gorenstein(s)
     assert qg is False and integral is False and witness is None
@@ -237,8 +237,7 @@ def test_acceptance_6_poset_triangle(fan_of):
             rays_p = strata.rays(p)
             for q in elems:
                 syntactic = OrientationPoset.leq(p, q)
-                cone_order = all(cone_contains(Cone(g, q), r)
-                                 for r in rays_p)
+                cone_order = all(cone_contains(g, q, r) for r in rays_p)
                 prime_order = strata.leq(p, q)
                 assert syntactic == cone_order == prime_order, (name, p, q)
     # and an explicit isomorphism search on one instance for good measure
@@ -340,8 +339,9 @@ def test_acceptance_9_property_suites(rng, fan_of):
         name = rng.choice(small)
         fan = fan_of(name)
         c, d = rng.choice(boxes[name]), rng.choice(boxes[name])
-        explicit = any(cone_contains(k, c) and cone_contains(k, d)
-                       for k in fan.cones)
+        g = fan.graph
+        explicit = any(cone_contains(g, k, c) and cone_contains(g, k, d)
+                       for k in fan.poset)
         assert common_cone(c, d) == explicit
 
     # Hilbert basis equals brute-force irreducibles, every small-cone case

@@ -1,8 +1,9 @@
 import pytest
 
-from cographic import (Chain1, betti1, boundary, canonical_form, catalog_graph,
+from cographic import (Chain1, TotCycPair, betti1, boundary, canonical_form,
+                       catalog_graph, cone_contains, cone_of, decompose_cycle,
                        from_edge_list, fundamental_cycle_basis, inner_product,
-                       is_cycle)
+                       is_cycle, multiply_monomials)
 from cographic.graph import FORWARD, BACKWARD
 
 B2 = from_edge_list([("a", 1, 2), ("b", 1, 2)])
@@ -26,8 +27,26 @@ def test_boundary_loop_vanishes():
 
 
 def test_boundary_unknown_edge():
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="unknown edge id 'zzz'"):
         boundary(B2, Chain1({"zzz": 1}))
+
+
+B3 = catalog_graph("B3")
+B3_CHAMBER = TotCycPair.create(B3, frozenset(), ["e1", "e2"])
+
+
+@pytest.mark.parametrize("call", [
+    lambda c: is_cycle(B3, c),
+    lambda c: cone_of(B3, c),
+    lambda c: cone_contains(B3, B3_CHAMBER, c),
+    lambda c: decompose_cycle(B3, c),
+    lambda c: multiply_monomials(B3, c, Chain1()),
+], ids=["is_cycle", "cone_of", "cone_contains", "decompose_cycle",
+        "multiply_monomials"])
+def test_unknown_edge_raises_value_error(call):
+    # every caller of ``boundary`` reports the edge as its docstring says
+    with pytest.raises(ValueError, match="unknown edge id 'zz'"):
+        call(Chain1({"zz": 1}))
 
 
 def test_is_cycle():

@@ -493,9 +493,8 @@ def test_round_trip_catalog_reports(capsys):
 
 
 # Per-graph objects each command builds: a fan, the circuit list, a
-# semigroup per chamber (one circuit filter each, none through the public
-# ``hilbert_basis``), and a toric ideal and a volume per class of
-# chambers; ``compare`` needs one connectivization per graph.
+# semigroup per chamber (one ``hilbert_basis`` call and one circuit filter
+# each), and a toric ideal and a volume per class of chambers; ``compare`` needs one connectivization per graph.
 # ``semigroup_report`` (one per chamber), the Hilbert-Samuel function
 # (one per class) and the unimodularity test belong to ``analyze`` alone,
 # and the bounded-mass cycles to ``verify-invariant-ring``, which lists
@@ -593,8 +592,7 @@ def test_fan_derives_each_cone_once(monkeypatch, capsys):
 
 def test_ring_builds_one_cycle_basis(monkeypatch, tmp_path, capsys):
     # Every chamber has the bridge support (K4p2's 144 and THETA2's 46
-    # have the empty one); each chamber semigroup once built its own copy
-    # of the same cycle basis.
+    # have the empty one), so all of them share one cycle basis.
     counts = count_calls(monkeypatch, ["compatible_circuits",
                                        "fundamental_cycle_basis"])
     path = tmp_path / "k4p2.graph"

@@ -126,7 +126,7 @@ def test_hs_matches_reference_on_chambers(name, fan_of):
     """
     fan = _fan(name, fan_of)
     for chamber in fan.chambers():
-        s = hilbert_basis(fan.graph, chamber.label)
+        s = hilbert_basis(fan.graph, chamber)
         d = s.lattice_rank
         expected = hilbert_samuel_function_reference(s, d + 6)
         for horizon in range(d + 2, d + 7):
@@ -139,7 +139,7 @@ def test_hs_matches_reference_on_chambers(name, fan_of):
 @pytest.mark.parametrize("name, margin", [("banana6", 6), ("K4p2", 3)])
 def test_hs_matches_reference_on_class_representatives(name, margin, fan_of):
     fan = _fan(name, fan_of)
-    semigroups = [hilbert_basis(fan.graph, chamber.label)
+    semigroups = [hilbert_basis(fan.graph, chamber)
                   for chamber in fan.chambers()]
     for i, (rep, _) in enumerate(chamber_classes(semigroups)):
         if rep != i:
@@ -153,7 +153,7 @@ def test_hs_matches_reference_on_class_representatives(name, margin, fan_of):
 @given(g=multigraphs(), extra=st.integers(0, 5))
 def test_hs_matches_reference_on_random_multigraphs(g, extra):
     for chamber in build_fan(g).chambers():
-        s = hilbert_basis(g, chamber.label)
+        s = hilbert_basis(g, chamber)
         horizon = s.lattice_rank + extra
         assert hilbert_samuel_function(s, horizon) == \
             hilbert_samuel_function_reference(s, horizon)
@@ -172,7 +172,8 @@ def test_contains_matches_cone_contains(name, fan_of, rng):
         points += [tuple(rng.randint(-4, 4) for _ in range(d))
                    for _ in range(40)]
         for pt in points:
-            assert s.contains(pt) == cone_contains(s.cone, s.chain(pt))
+            assert s.contains(pt) == cone_contains(fan.graph, pair,
+                                                   s.chain(pt))
         assert all(s.contains(s.coordinates(c)) for c in s.hilbert_basis)
 
 
@@ -264,7 +265,7 @@ def test_hyperplane_through_matches_reference(points):
 @given(g=multigraphs())
 def test_subdiagram_volume_matches_hs_on_random_multigraphs(g):
     for chamber in build_fan(g).chambers():
-        s = hilbert_basis(g, chamber.label)
+        s = hilbert_basis(g, chamber)
         assert subdiagram_volume(s) == multiplicity_hs_oracle(s)
 
 
@@ -280,8 +281,7 @@ CHAMBER_GRAPHS = {
 def _chamber_semigroups(name):
     """The semigroups of a graph's chambers, and their classes."""
     g = CHAMBER_GRAPHS[name]
-    semigroups = [hilbert_basis(g, cone.label)
-                  for cone in build_fan(g).chambers()]
+    semigroups = [hilbert_basis(g, pair) for pair in build_fan(g).chambers()]
     return semigroups, chamber_classes(semigroups)
 
 
@@ -318,7 +318,7 @@ def test_hull_matches_reference_on_class_representatives(name):
 @given(g=multigraphs())
 def test_hull_matches_reference_on_random_multigraphs(g):
     for chamber in build_fan(g).chambers():
-        _assert_hull_matches_reference(hilbert_basis(g, chamber.label))
+        _assert_hull_matches_reference(hilbert_basis(g, chamber))
 
 
 def _affine_rank(points):
@@ -374,8 +374,7 @@ def test_unimodular_per_class_matches_every_chamber(name):
 
 @given(g=multigraphs())
 def test_unimodular_per_class_matches_every_chamber_on_random_multigraphs(g):
-    semigroups = [hilbert_basis(g, cone.label)
-                  for cone in build_fan(g).chambers()]
+    semigroups = [hilbert_basis(g, pair) for pair in build_fan(g).chambers()]
     assert unimodular_per_class(semigroups, chamber_classes(semigroups)) == \
         [is_unimodular(s) for s in semigroups]
 
@@ -420,8 +419,7 @@ def test_cycles_up_to_mass_matches_reference_on_random_multigraphs(g):
 @pytest.mark.parametrize("name", catalog_names() + ["K4p2", "banana6"])
 def test_per_chamber_class_matches_every_chamber(name, fan_of):
     fan = _fan(name, fan_of)
-    semigroups = [hilbert_basis(fan.graph, cone.label)
-                  for cone in fan.chambers()]
+    semigroups = [hilbert_basis(fan.graph, pair) for pair in fan.chambers()]
     classes = chamber_classes(semigroups)
 
     def hs(s):
@@ -435,7 +433,7 @@ def test_per_chamber_class_matches_every_chamber(name, fan_of):
             [fn(s) for s in semigroups]
     presentation = present_ring(fan)
     assert list(presentation.ideals()) == \
-        [ideal(s) for _, s in presentation.chambers]
+        [ideal(s) for s in presentation.chambers]
 
 
 @pytest.mark.parametrize("name", ["LOOP1", "B2", "K4p3"])
@@ -469,29 +467,29 @@ def test_toric_ideal_matches_reference(name, fan_of):
     """Degrees 1 to 4 on one chamber of each class."""
     fan = _fan(name, fan_of)
     _assert_toric_ideals_match_reference(
-        [hilbert_basis(fan.graph, cone.label) for cone in fan.chambers()])
+        [hilbert_basis(fan.graph, pair) for pair in fan.chambers()])
 
 
 @given(g=multigraphs())
 def test_toric_ideal_matches_reference_on_random_multigraphs(g):
     _assert_toric_ideals_match_reference(
-        [hilbert_basis(g, cone.label) for cone in build_fan(g).chambers()])
+        [hilbert_basis(g, pair) for pair in build_fan(g).chambers()])
 
 
 def _assert_fan_json_matches_cone_functions(fan):
     g = fan.graph
     report = [json.loads(text) for text in fan.to_json()]
     assert len(report) == len(fan)
-    for cone, entry in zip(fan.cones, report):
-        facet_list = facets(cone)
-        assert cone_dimension(cone) == \
-            betti1(delete_edges(g, g.edges_of(cone.label.support)))
+    for pair, entry in zip(fan.poset, report):
+        facet_list = facets(g, pair)
+        assert cone_dimension(g, pair) == \
+            betti1(delete_edges(g, g.edges_of(pair.support)))
         assert entry == {
-            "label": cone.label.to_json(g),
-            "dimension": cone_dimension(cone),
-            "voronoi_face_dim": voronoi_face_dim(cone),
-            "rays": [c.to_json() for c in extremal_rays(cone)],
-            "facets": [sub.label.to_json(g) for sub, _ in facet_list],
+            "label": pair.to_json(g),
+            "dimension": cone_dimension(g, pair),
+            "voronoi_face_dim": voronoi_face_dim(g, pair),
+            "rays": [c.to_json() for c in extremal_rays(g, pair)],
+            "facets": [sub.to_json(g) for sub, _ in facet_list],
             "facet_normals": [list(n) for _, n in facet_list],
         }
 
@@ -568,14 +566,14 @@ def _assert_facets_match_reference(fan):
     g = fan.graph
     _assert_same_basis(fundamental_cycle_basis(g),
                        fundamental_cycle_basis_reference(g))
-    for cone, text in zip(fan.cones, fan.to_json()):
+    for pair, text in zip(fan.poset, fan.to_json()):
         entry = json.loads(text)
-        rest = delete_edges(g, g.edges_of(cone.label.support))
+        rest = delete_edges(g, g.edges_of(pair.support))
         _assert_same_basis(fundamental_cycle_basis(rest),
                            fundamental_cycle_basis_reference(rest))
-        expected = facets_reference(cone)
-        assert facets(cone) == expected
-        assert entry["facets"] == [sub.label.to_json(g) for sub, _ in expected]
+        expected = facets_reference(g, pair)
+        assert facets(g, pair) == expected
+        assert entry["facets"] == [sub.to_json(g) for sub, _ in expected]
         assert entry["facet_normals"] == [list(n) for _, n in expected]
 
 

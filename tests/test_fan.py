@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from cographic import (CapacityError, Chain1, Cone, TotCycPair,
+from cographic import (CapacityError, Chain1, TotCycPair,
                        betti1, from_edge_list,
                        build_fan, build_orientation_poset, catalog_graph,
                        circuit_class, common_cone, compatible_circuits,
@@ -19,14 +19,14 @@ from conftest import k4_plus
 from oracles import support_orientation_of
 
 
-def b3_chamber_cone():
+def b3_chamber():
     g = catalog_graph("B3")
-    return g, Cone(g, TotCycPair.create(g, frozenset(), ["e1", "e2"]))
+    return g, TotCycPair.create(g, frozenset(), ["e1", "e2"])
 
 
-def fig_ng_chamber_cone():
+def fig_ng_chamber():
     g = catalog_graph("FIG-NG")
-    return g, Cone(g, TotCycPair.create(g, frozenset(), g.edges))
+    return g, TotCycPair.create(g, frozenset(), g.edges)
 
 
 def all_cycles_in_box(g, bound):
@@ -37,21 +37,21 @@ def all_cycles_in_box(g, bound):
 
 def test_zero_in_every_cone(graphs):
     for name in ("LOOP1", "B3", "C4"):
-        fan = build_fan(graphs[name])
-        for cone in fan.cones:
-            assert cone_contains(cone, Chain1())
+        g = graphs[name]
+        for pair in build_fan(g).poset:
+            assert cone_contains(g, pair, Chain1())
 
 
 def test_cone_contains_b3_signs():
-    g, cone = b3_chamber_cone()
-    assert cone_contains(cone, Chain1({"e1": 1, "e3": -1}))
-    assert not cone_contains(cone, Chain1({"e2": 1, "e1": -1}))
+    g, pair = b3_chamber()
+    assert cone_contains(g, pair, Chain1({"e1": 1, "e3": -1}))
+    assert not cone_contains(g, pair, Chain1({"e2": 1, "e1": -1}))
 
 
 def test_cone_contains_rejects_non_cycles():
-    g, cone = b3_chamber_cone()
+    g, pair = b3_chamber()
     with pytest.raises(ValueError):
-        cone_contains(cone, Chain1({"e1": 1}))
+        cone_contains(g, pair, Chain1({"e1": 1}))
 
 
 def test_class_lies_in_its_own_support_cone(graphs):
@@ -59,7 +59,7 @@ def test_class_lies_in_its_own_support_cone(graphs):
         g = graphs[name]
         for gamma in enumerate_oriented_circuits(g):
             pair = support_orientation_of(g, [gamma])
-            assert cone_contains(Cone(g, pair), circuit_class(g, gamma))
+            assert cone_contains(g, pair, circuit_class(g, gamma))
 
 
 def test_common_cone_examples():
@@ -80,8 +80,8 @@ def test_common_cone_matches_explicit_poset_search(rng, graphs):
         checked = 0
         while checked < 200 and cycles:
             c, d = rng.choice(cycles), rng.choice(cycles)
-            found = any(cone_contains(k, c) and cone_contains(k, d)
-                        for k in fan.cones)
+            found = any(cone_contains(g, k, c) and cone_contains(g, k, d)
+                        for k in fan.poset)
             assert common_cone(c, d) == found
             checked += 1
 
@@ -106,9 +106,9 @@ def test_cone_of_is_minimal_cone(graphs):
         poset = build_orientation_poset(g)
         for c in all_cycles_in_box(g, 2):
             label = cone_of(g, c)
-            assert cone_contains(Cone(g, label), c)
+            assert cone_contains(g, label, c)
             for other in poset:
-                if cone_contains(Cone(g, other), c):
+                if cone_contains(g, other, c):
                     assert poset.leq(label, other)
 
 
@@ -122,87 +122,89 @@ def test_fan_completeness_box(graphs):
 
 
 def test_cone_dimensions():
-    g, cone = b3_chamber_cone()
-    assert cone_dimension(cone) == 2
-    minimum = Cone(g, TotCycPair(g.edge_mask(g.edges), 0))
-    assert cone_dimension(minimum) == 0
+    g, pair = b3_chamber()
+    assert cone_dimension(g, pair) == 2
+    minimum = TotCycPair(g.edge_mask(g.edges), 0)
+    assert cone_dimension(g, minimum) == 0
     theta = catalog_graph("THETA2")
-    chamber = Cone(theta, TotCycPair.create(theta, frozenset(), theta.edges))
-    assert cone_dimension(chamber) == 4
+    chamber = TotCycPair.create(theta, frozenset(), theta.edges)
+    assert cone_dimension(theta, chamber) == 4
 
 
 def test_dimension_voronoi_complement(fan_of):
     for name in ("B3", "FIG-NG", "THETA2", "TREE3", "C5"):
         fan = fan_of(name)
-        b = betti1(fan.graph)
-        for cone in fan.cones:
-            assert cone_dimension(cone) + voronoi_face_dim(cone) == b
+        g = fan.graph
+        b = betti1(g)
+        for pair in fan.poset:
+            assert cone_dimension(g, pair) + voronoi_face_dim(g, pair) == b
 
 
 def test_extremal_rays_counts():
-    g, cone = b3_chamber_cone()
-    rays = extremal_rays(cone)
+    g, pair = b3_chamber()
+    rays = extremal_rays(g, pair)
     assert len(rays) == 2
-    minimum = Cone(g, TotCycPair(g.edge_mask(g.edges), 0))
-    assert extremal_rays(minimum) == []
+    minimum = TotCycPair(g.edge_mask(g.edges), 0)
+    assert extremal_rays(g, minimum) == []
 
 
 def test_rays_span_dimension(fan_of):
     from oracles import rank
     for name in ("B3", "FIG-NG", "C4"):
         fan = fan_of(name)
-        basis = fundamental_cycle_basis(fan.graph)
-        for cone in fan.cones:
-            rows = [basis.coordinates(r) for r in extremal_rays(cone)]
-            assert rank(rows) == cone_dimension(cone)
+        g = fan.graph
+        basis = fundamental_cycle_basis(g)
+        for pair in fan.poset:
+            rows = [basis.coordinates(r) for r in extremal_rays(g, pair)]
+            assert rank(rows) == cone_dimension(g, pair)
 
 
 def test_facets_of_ray_is_origin():
     g = catalog_graph("LOOP1")
-    ray = Cone(g, TotCycPair.create(g, frozenset(), ["e1"]))
-    fl = facets(ray)
+    ray = TotCycPair.create(g, frozenset(), ["e1"])
+    fl = facets(g, ray)
     assert len(fl) == 1
     sub, normal = fl[0]
-    assert cone_dimension(sub) == 0
+    assert cone_dimension(g, sub) == 0
     assert normal in ((1,), (-1,))
 
 
 def test_facets_fig_ng_chamber_has_five():
-    g, cone = fig_ng_chamber_cone()
-    fl = facets(cone)
+    g, pair = fig_ng_chamber()
+    fl = facets(g, pair)
     assert len(fl) == 5
     for sub, normal in fl:
-        assert cone_dimension(sub) == 3
+        assert cone_dimension(g, sub) == 3
         # primitive normals pair to one on their defining edge functional
         from math import gcd
         assert abs(__import__('functools').reduce(gcd, normal)) == 1
 
 
 def test_facets_b3_chamber_has_two():
-    g, cone = b3_chamber_cone()
-    fl = facets(cone)
+    g, pair = b3_chamber()
+    fl = facets(g, pair)
     assert len(fl) == 2
     # the rays: forcing e1 (or e2) to zero leaves one circuit; forcing e3
     # to zero kills both circuits at once, which is a dimension-2 drop
-    supports = {g.edges_of(sub.label.support) for sub, _ in fl}
+    supports = {g.edges_of(sub.support) for sub, _ in fl}
     assert supports == {("e1",), ("e2",)}
     for sub, _ in fl:
-        assert cone_dimension(sub) == 1
+        assert cone_dimension(g, sub) == 1
 
 
 def test_facet_normals_nonnegative_on_cone(fan_of):
     # every facet normal supports its cone from below
     for name in ("B3", "FIG-NG"):
         fan = fan_of(name)
-        for cone in fan.cones:
-            if cone_dimension(cone) == 0:
+        g = fan.graph
+        for pair in fan.poset:
+            if cone_dimension(g, pair) == 0:
                 continue
             from cographic.chains import fundamental_cycle_basis as fcb
             from cographic.graph import delete_edges
-            g = fan.graph
-            basis = fcb(delete_edges(g, g.edges_of(cone.label.support)))
-            rays = [basis.coordinates(r) for r in extremal_rays(cone)]
-            for _, normal in facets(cone):
+            basis = fcb(delete_edges(g, g.edges_of(pair.support)))
+            rays = [basis.coordinates(r) for r in extremal_rays(g, pair)]
+            for _, normal in facets(g, pair):
                 values = [sum(a * b for a, b in zip(normal, ray))
                           for ray in rays]
                 assert all(v >= 0 for v in values)
@@ -215,9 +217,9 @@ def test_facet_normal_independent_of_cutting_edge(fan_of):
     for name in ("B3", "FIG-NG", "C4"):
         fan = fan_of(name)
         g = fan.graph
-        for cone in fan.cones:
-            support, forward = cone.label
-            d = cone_dimension(cone)
+        for pair in fan.poset:
+            support, forward = pair
+            d = cone_dimension(g, pair)
             if d == 0:
                 continue
             basis = cone_basis(g, support)
@@ -227,7 +229,7 @@ def test_facet_normal_independent_of_cutting_edge(fan_of):
                 if support & bit:
                     continue
                 label = face_label(g, support | bit, forward & ~bit)
-                if cone_dimension(Cone(g, label)) != d - 1:
+                if cone_dimension(g, label) != d - 1:
                     continue
                 column = basis.columns[e]
                 normal = (column if forward & bit
@@ -244,7 +246,7 @@ def test_build_fan_counts():
     assert len(loop) == 3 and len(loop.chambers()) == 2
     b3 = build_fan(catalog_graph("B3"))
     assert len(b3) == 13 and len(b3.chambers()) == 6
-    dims = sorted(cone_dimension(k) for k in b3.cones)
+    dims = sorted(cone_dimension(b3.graph, k) for k in b3.poset)
     assert dims == [0] + [1] * 6 + [2] * 6
 
 
@@ -252,17 +254,18 @@ def test_distinct_labels_have_distinct_point_sets(fan_of):
     # generic points separate the cones pairwise
     for name in ("LOOP1", "B3", "C4", "FIG-NG"):
         fan = fan_of(name)
+        g = fan.graph
         generic = []
-        for cone in fan.cones:
+        for pair in fan.poset:
             total = Chain1()
-            for ray in extremal_rays(cone):
+            for ray in extremal_rays(g, pair):
                 total = total + ray
             generic.append(total)
-        for i, ki in enumerate(fan.cones):
-            for j, kj in enumerate(fan.cones):
+        for i, ki in enumerate(fan.poset):
+            for j, kj in enumerate(fan.poset):
                 if i < j:
-                    assert not (cone_contains(ki, generic[j])
-                                and cone_contains(kj, generic[i]))
+                    assert not (cone_contains(g, ki, generic[j])
+                                and cone_contains(g, kj, generic[i]))
 
 
 def test_label_map_is_order_isomorphism(fan_of):
@@ -277,7 +280,7 @@ def test_label_map_is_order_isomorphism(fan_of):
                 for p in fan.poset}
         for p in fan.poset:
             for q in fan.poset:
-                contained = all(cone_contains(Cone(fan.graph, q), r)
+                contained = all(cone_contains(fan.graph, q, r)
                                 for r in rays[p])
                 assert contained == OrientationPoset.leq(p, q)
 
@@ -321,7 +324,7 @@ def test_fan_poset_isomorphic_to_orientation_poset():
             for p in fan.poset}
 
     def cone_leq(p, q):
-        return all(cone_contains(Cone(g, q), r) for r in rays[p])
+        return all(cone_contains(g, q, r) for r in rays[p])
 
     cone_poset = FinitePoset(list(fan.poset), cone_leq)
     orient_poset = FinitePoset(list(fan.poset), OrientationPoset.leq)
@@ -351,7 +354,6 @@ def test_fan_builds_no_orientation(labels_checked):
     fan = build_fan(k4_plus(4))
     assert len(fan) == 19963
     assert len(fan.chambers()) == 768
-    assert len(fan.cones) == 19963
     assert sum(1 for _ in fan.to_json()) == 19963
     assert labels_checked == []
 

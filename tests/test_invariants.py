@@ -102,10 +102,10 @@ def test_product_zero_sets_agree_pairwise():
     # Mass 3 reaches THETA2's triangles, not just its 2-cycles.
     for name in ("B3", "THETA2"):
         g = catalog_graph(name)
-        cones = build_fan(g).cones
+        poset = build_fan(g).poset
         cycles = cycles_up_to_mass(g, 3)
-        holding = {c: {i for i, cone in enumerate(cones)
-                       if cone_contains(cone, c)} for c in cycles}
+        holding = {c: {i for i, pair in enumerate(poset)
+                       if cone_contains(g, pair, c)} for c in cycles}
         for c in cycles:
             for d in cycles:
                 shared = not holding[c].isdisjoint(holding[d])

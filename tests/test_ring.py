@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from cographic import (Chain1, Cone, GradedPrime, TotCycPair,
+from cographic import (Chain1, GradedPrime, TotCycPair,
                        betti1, build_fan, catalog_graph, circuit_class,
                        cone_contains, delete_edges, enumerate_oriented_circuits,
                        enumerate_tco, find_poset_isomorphism,
@@ -34,7 +34,7 @@ def test_present_fig_nh_contains_the_binomial():
     g = catalog_graph("FIG-NH")
     p = present_ring(build_fan(g), degree=3)
     reference = TotCycPair.create(g, frozenset(), g.edges)
-    by_label = dict(zip((pair for pair, _ in p.chambers), p.ideals()))
+    by_label = dict(zip((s.label for s in p.chambers), p.ideals()))
     assert reference in by_label
     assert len(by_label[reference]) == 1
 
@@ -207,7 +207,7 @@ def test_sum_of_primes_is_cone_intersection(fan_of):
         def inside(pair):
             if pair not in members:
                 members[pair] = {i for i, c in enumerate(cycles)
-                                 if cone_contains(Cone(g, pair), c)}
+                                 if cone_contains(g, pair, c)}
             return members[pair]
 
         maxelts = fan.poset.maximal_elements()
@@ -240,9 +240,10 @@ def test_restriction_maps_commute_with_multiplication(fan_of):
         fan = fan_of(name)
         g = fan.graph
         cycles = box_cycles(g)
-        for cone in fan.cones:
+        for pair in fan.poset:
             def restrict(c):
-                return c if (c is not None and cone_contains(cone, c)) else None
+                return (c if c is not None and cone_contains(g, pair, c)
+                        else None)
             for a in cycles:
                 for b in cycles:
                     lhs = restrict(multiply_monomials(g, a, b))

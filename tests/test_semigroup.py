@@ -137,8 +137,8 @@ def test_toric_ideal_b3_chamber_free():
 def test_toric_ideal_degree_one_always_empty(fan_of):
     for name in ("B3", "FIG-NG", "THETA2"):
         fan = fan_of(name)
-        for cone in fan.chambers():
-            s = hilbert_basis(fan.graph, cone.label)
+        for pair in fan.chambers():
+            s = hilbert_basis(fan.graph, pair)
             assert toric_ideal_up_to_degree(s, 1).generators == []
 
 
@@ -163,8 +163,8 @@ def test_toric_ideal_generators_balance(fan_of):
     # post-hoc kernel condition on every reported generator
     for name in ("FIG-NG", "FIG-NH", "THETA2"):
         fan = fan_of(name)
-        for cone in fan.chambers()[:6]:
-            s = hilbert_basis(fan.graph, cone.label)
+        for pair in fan.chambers()[:6]:
+            s = hilbert_basis(fan.graph, pair)
             ideal = toric_ideal_up_to_degree(s, 3)
             for u, v in ideal.generators:
                 left = Chain1()
@@ -198,7 +198,7 @@ def test_q_gorenstein_b3_chamber():
     # the witness pairs to one against every facet normal
     basis = s.cycle_basis
     coords = tuple(m.get(f, Fraction(0)) for f in basis.coforest)
-    for _, normal in facets(s.cone):
+    for _, normal in facets(s.graph, s.label):
         assert sum(a * b for a, b in zip(normal, coords)) == 1
 
 
@@ -227,7 +227,7 @@ def test_q_gorenstein_sweep_consistency(fan_of):
                 assert gor, (name, pair)
             if qg and s.lattice_rank > 0:
                 coords = tuple(m.get(f, 0) for f in s.cycle_basis.coforest)
-                for _, normal in facets(s.cone):
+                for _, normal in facets(s.graph, s.label):
                     assert sum(a * b for a, b in zip(normal, coords)) == 1
             if not qg:
                 failures += 1
@@ -238,10 +238,10 @@ def test_basis_elements_are_extremal(fan_of):
     # each Hilbert basis element lies on d-1 independent facet normals
     for name in ("B3", "FIG-NG", "THETA2", "FIG-NH"):
         fan = fan_of(name)
-        for cone in fan.chambers()[:8]:
-            s = hilbert_basis(fan.graph, cone.label)
+        for pair in fan.chambers()[:8]:
+            s = hilbert_basis(fan.graph, pair)
             d = s.lattice_rank
-            normals = [n for _, n in facets(s.cone)]
+            normals = [n for _, n in facets(s.graph, s.label)]
             for c in s.hilbert_basis:
                 coords = s.coordinates(c)
                 vanishing = [n for n in normals
@@ -293,9 +293,9 @@ def test_volume_does_not_depend_on_the_apex(data):
 
 def test_subdiagram_volume_builds_no_fraction(fan_of, monkeypatch):
     # the hull volume is integer arithmetic from end to end
-    samples = [hilbert_basis(fan_of(name).graph, cone.label)
+    samples = [hilbert_basis(fan_of(name).graph, pair)
                for name in ("THETA2", "FIG-NH")
-               for cone in fan_of(name).chambers()[:4]]
+               for pair in fan_of(name).chambers()[:4]]
     expected = [multiplicity_hs_oracle(s) for s in samples]
 
     def no_fraction(*args):
@@ -323,8 +323,7 @@ def test_hilbert_samuel_needs_no_sign_test(fan_of, monkeypatch):
     # Membership is read off the packed keys, so the DP never calls
     # ``AffineSemigroup.contains``; the values stay the reference's.
     fan = fan_of("THETA2")
-    semigroups = [hilbert_basis(fan.graph, cone.label)
-                  for cone in fan.chambers()]
+    semigroups = [hilbert_basis(fan.graph, pair) for pair in fan.chambers()]
     reps = [semigroups[i]
             for i, (rep, _) in enumerate(chamber_classes(semigroups))
             if rep == i]
@@ -363,8 +362,8 @@ def test_hilbert_samuel_edge_cases(fan_of):
 def test_multiplicity_two_routes_agree_on_sample_chambers(fan_of):
     for name in ("FIG-NG", "THETA2"):
         fan = fan_of(name)
-        for cone in fan.chambers()[:5]:
-            s = hilbert_basis(fan.graph, cone.label)
+        for pair in fan.chambers()[:5]:
+            s = hilbert_basis(fan.graph, pair)
             assert subdiagram_volume(s) == multiplicity_hs_oracle(s)
 
 
@@ -386,7 +385,7 @@ def test_hs_oracle_unstable_horizon_raises(monkeypatch):
 
 def _supports(s):
     g = s.graph
-    edges = g.edges_of(~s.cone.label.support)
+    edges = g.edges_of(~s.label.support)
     return edges, [frozenset(g.edges_of(gamma.support))
                    for gamma in s.circuits]
 
@@ -409,8 +408,7 @@ def test_matched_chambers_share_hs_volume_and_ideal(g):
     # edge bijection carries one chamber's directed circuit supports onto
     # another's, both generator sets span their lattices, and the second
     # chamber's HS function, volume and (transported) ideal are the first's.
-    semigroups = [hilbert_basis(g, cone.label)
-                  for cone in build_fan(g).chambers()]
+    semigroups = [hilbert_basis(g, pair) for pair in build_fan(g).chambers()]
     direct = [(spans_lattice(s),
                hilbert_samuel_function(s, s.lattice_rank + 2),
                subdiagram_volume(s),
@@ -432,7 +430,7 @@ def test_opposite_chambers_share_hs_volume_and_ideal(g):
     # The reversal of a chamber is a chamber, its generators are the
     # negated generators in the same order, it shares the chamber's class,
     # and the three invariants agree without any transport.
-    labels = [cone.label for cone in build_fan(g).chambers()]
+    labels = build_fan(g).chambers()
     semigroups = [hilbert_basis(g, pair) for pair in labels]
     classes = chamber_classes(semigroups)
     for i, (pair, s) in enumerate(zip(labels, semigroups)):
@@ -462,7 +460,7 @@ def test_opposite_class_pairs_every_chamber(name, fan_of):
     # share a class.  Each generator permutation is a permutation and
     # carries the chamber's supports onto the representative's.
     fan = build_fan(NON_CATALOG[name]) if name in NON_CATALOG else fan_of(name)
-    labels = [cone.label for cone in fan.chambers()]
+    labels = fan.chambers()
     semigroups = [hilbert_basis(fan.graph, pair) for pair in labels]
     classes = chamber_classes(semigroups)
     for i, (rep, perm) in enumerate(classes):

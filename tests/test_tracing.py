@@ -51,7 +51,10 @@ def test_every_traced_name_exists(tracing):
         assert callable(getattr(owner, attribute, None)), attribute
 
 
-def test_fan_runs_under_the_tracer_and_uninstall_restores(tracing):
+def _run_under_tracer(tracing, argv, spans):
+    """Run the CLI on ``argv`` with the tracer installed and check that it
+    exits 0, records ``spans`` among its span names, closes every span and
+    that ``uninstall`` restores every binding.  Returns the stdout."""
     from cographic import cli
 
     before = _bindings(tracing)
@@ -61,16 +64,32 @@ def test_fan_runs_under_the_tracer_and_uninstall_restores(tracing):
         assert cli.main is not before[cli, "main"]
         out = io.StringIO()
         with redirect_stdout(out):
-            code = cli.main(["fan", "B3"])
+            code = cli.main(argv)
     finally:
         tracer.uninstall()
     assert code == 0
-    assert '"num_cones":13' in out.getvalue()
     names = {name for name, *_ in tracer.spans}
-    assert {"cli.main", "fan.build", "fan.to_json", "orientations.poset",
-            "circuits.compatible", "cli.emit"} <= names
+    assert {"cli.main", "cli.emit"} | spans <= names
     assert all(end is not None for _, _, end, _, _ in tracer.spans)
     after = _bindings(tracing)
     assert after.keys() == before.keys()
     for key, original in before.items():
         assert after[key] is original, key
+    return out.getvalue()
+
+
+def test_fan_runs_under_the_tracer_and_uninstall_restores(tracing):
+    out = _run_under_tracer(tracing, ["fan", "B3"], {
+        "fan.build", "fan.to_json", "orientations.poset",
+        "circuits.compatible"})
+    assert '"num_cones":13' in out
+
+
+@pytest.mark.parametrize("argv, spans", [
+    (["ring", "FIG-NG"], {"ring.present", "semigroup.hilbert_basis"}),
+    (["analyze", "THETA2"], {"ring.present", "semigroup.hilbert_basis",
+                             "semigroup.hs"}),
+], ids=["ring-FIG-NG", "analyze-THETA2"])
+def test_ring_and_analyze_run_under_the_tracer_and_uninstall_restores(
+        tracing, argv, spans):
+    _run_under_tracer(tracing, argv, spans)
