@@ -14,8 +14,8 @@ All arithmetic is exact, over the integers and rationals.
 """
 
 from .graph import (Graph, from_edge_list, delete_edges, contract_edge,
-                    separating_edges, betti1, connected_components,
-                    parse_graph_text, graph_to_text, FORWARD, BACKWARD)
+                    separating_edges, betti1, parse_graph_text,
+                    graph_to_text, FORWARD, BACKWARD)
 from .chains import (Chain1, boundary, is_cycle, inner_product,
                      fundamental_cycle_basis, cone_basis, canonical_form,
                      CycleBasis)
@@ -26,16 +26,14 @@ from .circuits import (OrientedCircuit, enumerate_oriented_circuits,
                        circuit_class, concordant, compatible_circuits,
                        decompose_cycle, hypergraph_bijection)
 from .fan import (Fan, build_fan, cone_contains, common_cone, cone_of,
-                  cone_dimension, voronoi_face_dim, extremal_rays, facets,
-                  FinitePoset, find_poset_isomorphism)
+                  cone_dimension, voronoi_face_dim, extremal_rays, facets)
 from .semigroup import (AffineSemigroup, BinomialIdeal, hilbert_basis,
                         spans_lattice, is_unimodular, toric_ideal_up_to_degree,
                         is_homogeneous, q_gorenstein, subdiagram_volume,
                         multiplicity_hs_oracle, hilbert_samuel_function,
                         chamber_classes, semigroup_report)
-from .ring import (RingPresentation, RingReport, GradedPrime, present_ring,
-                   multiply_monomials, ring_report,
-                   StrataPoset, strata_poset, sum_of_primes)
+from .ring import (RingPresentation, RingReport, present_ring,
+                   multiply_monomials, ring_report, sum_of_primes)
 from .invariants import (OrientedMonomial, check_iso_truncated,
                          cycles_up_to_mass)
 from .torelli import (two_edge_cuts, three_edge_connectivization,
@@ -45,7 +43,7 @@ from .errors import CapacityError, GraphParseError
 
 __all__ = [
     "Graph", "from_edge_list", "delete_edges", "contract_edge",
-    "separating_edges", "betti1", "connected_components", "parse_graph_text",
+    "separating_edges", "betti1", "parse_graph_text",
     "graph_to_text", "FORWARD", "BACKWARD",
     "Chain1", "boundary", "is_cycle", "inner_product",
     "fundamental_cycle_basis", "cone_basis", "canonical_form", "CycleBasis",
@@ -56,14 +54,12 @@ __all__ = [
     "hypergraph_bijection",
     "Fan", "build_fan", "cone_contains", "common_cone", "cone_of",
     "cone_dimension", "voronoi_face_dim", "extremal_rays", "facets",
-    "FinitePoset", "find_poset_isomorphism",
     "AffineSemigroup", "BinomialIdeal", "hilbert_basis", "spans_lattice",
     "is_unimodular", "toric_ideal_up_to_degree", "is_homogeneous",
     "q_gorenstein", "subdiagram_volume", "multiplicity_hs_oracle",
     "hilbert_samuel_function", "chamber_classes", "semigroup_report",
-    "RingPresentation", "RingReport", "GradedPrime", "present_ring",
-    "multiply_monomials", "ring_report", "StrataPoset", "strata_poset",
-    "sum_of_primes",
+    "RingPresentation", "RingReport", "present_ring",
+    "multiply_monomials", "ring_report", "sum_of_primes",
     "OrientedMonomial", "check_iso_truncated",
     "cycles_up_to_mass",
     "two_edge_cuts", "three_edge_connectivization", "cyclically_equivalent",

@@ -61,11 +61,10 @@ def _load_graph(arg):
     raise GraphParseError(f"no such file or bundled example: {arg}")
 
 
-def _emit(obj, summary=None):
+def _emit(obj, summary):
     _write_json(sys.stdout.write, obj)
     sys.stdout.write("\n")
-    if summary:
-        print(summary, file=sys.stderr)
+    print(summary, file=sys.stderr)
 
 
 def _write_json(write, value):

@@ -4,7 +4,10 @@ Every pair (T, phi) labels the cone of cycles vanishing on T whose signs
 off T agree with phi.  All geometry here is symbolic: membership is a
 sign check, dimension is a Betti number, extremal rays are compatible
 circuit classes, and facets come from forcing one more functional to
-vanish.  No floating point and no half-space solver anywhere.
+vanish.  No floating point and no half-space solver anywhere.  Cone
+inclusion is the poset's order, ``OrientationPoset.leq``; the
+ray-containment order and the order-isomorphism search that check it
+are test oracles.
 
 Cost model.  A cone is its label, the edge-index bitmasks of the support
 T and of the forward edges of phi (``TotCycPair``), together with its
@@ -40,13 +43,10 @@ from dataclasses import dataclass
 
 from .chains import cone_basis, is_cycle
 from .circuits import _circuit_table, circuit_class, compatible_circuits
-from .errors import CapacityError
 from .graph import betti1, spanning_forest
 from .jsontext import dumps
 from .orientations import (OrientationPoset, TotCycPair,
                            build_orientation_poset, label_texts)
-
-MAX_ISOMORPHISM_SIZE = 5000
 
 
 def cone_contains(g, pair, c):
@@ -232,116 +232,3 @@ def build_fan(g):
     """One cone per orientation-poset element, addressed by its label;
     inclusion mirrors the poset.  Only the poset's mask walk runs here."""
     return Fan(g, build_orientation_poset(g))
-
-
-# -- generic finite posets and isomorphism testing ----------------------
-
-
-class FinitePoset:
-    """A finite poset given by explicit elements and comparisons.
-
-    Building it makes n^2 ``leq`` calls, and it exists for the isomorphism
-    search, so the size cap of that search is checked before any of them.
-    """
-
-    def __init__(self, elements, leq):
-        self.elements = list(elements)
-        n = len(self.elements)
-        if n > MAX_ISOMORPHISM_SIZE:
-            raise CapacityError("poset isomorphism size cap", n,
-                                MAX_ISOMORPHISM_SIZE)
-        self.up = [set() for _ in range(n)]    # j in up[i]  <=>  e_i <= e_j
-        self.down = [set() for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                if leq(self.elements[i], self.elements[j]):
-                    self.up[i].add(j)
-                    self.down[j].add(i)
-
-    def __len__(self):
-        return len(self.elements)
-
-    def covers(self):
-        """covers_up[i] = elements immediately above i: those above i and
-        above nothing else above i."""
-        up = self.up
-        covers_up = []
-        for i, ups in enumerate(up):
-            above = ups - {i}
-            covers_up.append(above - set().union(*(up[k] - {k} for k in above)))
-        return covers_up
-
-
-def find_poset_isomorphism(p, q):
-    """An order isomorphism between two finite posets, or None.
-
-    Backtracking over refinement classes: elements are first colored by an
-    iterated neighborhood signature over the covering relation, then
-    matched class against class with incremental consistency checks.
-    """
-    n = len(p)
-    if n != len(q):
-        return None
-    if n == 0:
-        return {}
-
-    def refine(poset):
-        cov_up = poset.covers()
-        cov_down = [set() for _ in range(len(poset))]
-        for i, ups in enumerate(cov_up):
-            for j in ups:
-                cov_down[j].add(i)
-        color = [(len(poset.up[i]), len(poset.down[i])) for i in range(len(poset))]
-        while True:
-            sig = [
-                (color[i],
-                 tuple(sorted(color[j] for j in cov_up[i])),
-                 tuple(sorted(color[j] for j in cov_down[i])))
-                for i in range(len(poset))
-            ]
-            palette = {s: k for k, s in enumerate(sorted(set(sig)))}
-            new = [palette[s] for s in sig]
-            if len(set(new)) == len(set(color)):
-                return new
-            color = new
-
-    cp, cq = refine(p), refine(q)
-    if sorted(cp) != sorted(cq):
-        return None
-
-    by_color = {}
-    for j, c in enumerate(cq):
-        by_color.setdefault(c, []).append(j)
-    # most-constrained first: rare colors, high comparability degree
-    order = sorted(range(n), key=lambda i: (len(by_color[cp[i]]),
-                                            -len(p.up[i]) - len(p.down[i]), i))
-    mapping = [None] * n
-    used = [False] * n
-
-    def extend(k):
-        if k == n:
-            return True
-        i = order[k]
-        for j in by_color.get(cp[i], ()):
-            if used[j]:
-                continue
-            ok = True
-            for prev in order[:k]:
-                pj = mapping[prev]
-                if ((prev in p.down[i]) != (pj in q.down[j]) or
-                        (prev in p.up[i]) != (pj in q.up[j])):
-                    ok = False
-                    break
-            if ok:
-                mapping[i] = j
-                used[j] = True
-                if extend(k + 1):
-                    return True
-                mapping[i] = None
-                used[j] = False
-        return False
-
-    if not extend(0):
-        return None
-    return {p.elements[i]: q.elements[mapping[i]] for i in range(n)}
-

@@ -15,10 +15,11 @@ Graphs are immutable after construction; all operations return new graphs.
 
 Every undirected connectivity question is read off one greedy spanning
 forest (``spanning_forest``, one union-find pass over the edges): the
-first Betti number is the size of the coforest and the components are
-the classes of its roots.  ``separating_edges`` costs one union-find per
-forest edge, at most |V| - 1 of them; ``torelli.two_edge_cuts`` costs one
-per candidate pair of non-bridge edges.
+first Betti number is the size of the coforest, and two vertices are
+joined by a path exactly when they share a root.  ``separating_edges``
+costs one union-find per forest edge, at most |V| - 1 of them;
+``torelli.two_edge_cuts`` costs one per candidate pair of non-bridge
+edges.
 """
 
 from .errors import GraphParseError
@@ -197,15 +198,6 @@ def spanning_forest(g, edges):
         else:
             coforest.append(e)
     return forest, coforest, find
-
-
-def connected_components(g):
-    """Partition of the vertex set into components (list of frozensets)."""
-    root = spanning_forest(g, g.edges)[2]
-    groups = {}
-    for v in g.vertices:
-        groups.setdefault(root(v), []).append(v)
-    return [frozenset(vs) for vs in groups.values()]
 
 
 def separating_edges(g):

@@ -26,14 +26,20 @@ ideal per class, and the rest of the class receives it with its
 variables permuted only when ``ideals`` is read, one chamber at a time:
 the report encodes each chamber's entry and drops it, so the 1.33M
 binomials of ``ring K4x2``'s 3,608 chambers are never held at once.
+
+The graded prime of a cone holds the monomials of the cycles outside it,
+so a cycle's monomial lies in the prime of ``pair`` exactly when
+``not cone_contains(g, pair, c)``.  The strata are the orientation
+poset: its labels index them and its order is reverse inclusion of
+their primes.  A sum of primes is the prime of the cones' intersection,
+whose label ``sum_of_primes`` gives.
 """
 
 from dataclasses import dataclass
 
 from .chains import is_cycle
 from .circuits import concordant, enumerate_oriented_circuits
-from .fan import (common_cone, cone_contains, extremal_rays, face_label,
-                  FinitePoset)
+from .fan import common_cone, face_label
 from .graph import betti1
 from .jsontext import dumps
 from .orientations import label_texts
@@ -169,26 +175,6 @@ def multiply_monomials(g, c, d):
     return None
 
 
-class GradedPrime:
-    """The graded prime of a cone: monomials of cycles outside it.
-
-    The minimum poset element yields the graded maximal ideal (every
-    nonzero cycle's monomial is a member); membership is antitone in the
-    poset.
-    """
-
-    def __init__(self, g, pair):
-        self.graph = g
-        self.label = pair
-
-    def contains(self, c):
-        """Is the monomial of the cycle c a member?"""
-        return not cone_contains(self.graph, self.label, c)
-
-    def __repr__(self):
-        return f"GradedPrime({self.label!r})"
-
-
 def ring_report(presentation):
     """Dimension, embedded dimension, minimal primes, and multiplicity of
     a presented ring.
@@ -205,54 +191,6 @@ def ring_report(presentation):
         chamber_volumes=per_chamber_class(
             subdiagram_volume, chambers, presentation.chamber_classes),
     )
-
-
-# -- strata ---------------------------------------------------------------
-
-
-class StrataPoset:
-    """Scheme strata: sums of minimal primes, ordered by reverse inclusion.
-
-    Every sum of graded primes is again a graded prime, the one attached
-    to the intersection of the cones; the assignment label -> prime is an
-    isomorphism onto the strata, so the elements here are the poset labels
-    and the order is computed through cone containment of extremal rays,
-    not read off the label order.
-    """
-
-    def __init__(self, graph, poset):
-        self.graph = graph
-        self.poset = poset
-        self._rays = {}
-
-    def elements(self):
-        return list(self.poset)
-
-    def prime(self, pair):
-        return GradedPrime(self.graph, pair)
-
-    def rays(self, pair):
-        if pair not in self._rays:
-            self._rays[pair] = extremal_rays(self.graph, pair)
-        return self._rays[pair]
-
-    def leq(self, p, q):
-        """Stratum order: prime(p) >= prime(q) as ideals.
-
-        Containment of graded primes is decided on the cones: the prime of
-        a cone contains the prime of a larger one, and the cone of p sits
-        inside the cone of q exactly when every extremal ray class of p
-        lies in the cone of q.
-        """
-        return all(cone_contains(self.graph, q, ray) for ray in self.rays(p))
-
-    def finite_poset(self):
-        return FinitePoset(self.elements(), self.leq)
-
-
-def strata_poset(fan):
-    """The strata poset of a built fan's ring."""
-    return StrataPoset(fan.graph, fan.poset)
 
 
 def sum_of_primes(g, pairs):

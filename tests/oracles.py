@@ -3,8 +3,10 @@
 Each ``*_reference`` oracle keeps the straightforward formulation of a
 routine whose production version was rewritten for speed or brevity; differential
 tests compare the two outputs exactly.  The rest are brute-force
-enumerations that only tests use, and the rational and Smith-form
-eliminations that the determinant-only product replaced.
+enumerations that only tests use, the rational and Smith-form
+eliminations that the determinant-only product replaced, and a generic
+finite poset with an order-isomorphism search, which the tests compare
+the orientation poset's order with.
 """
 
 import heapq
@@ -15,8 +17,8 @@ from operator import mul
 
 from cographic import (BinomialIdeal, CapacityError, Chain1,
                        CycleBasis, OrientationPoset,
-                       OrientedCircuit, TotCycPair, compatible_circuits,
-                       cone_contains, contract_edge,
+                       OrientedCircuit, TotCycPair, circuit_class,
+                       compatible_circuits, cone_contains, contract_edge,
                        delete_edges, fundamental_cycle_basis,
                        is_cycle, separating_edges)
 from cographic.graph import FORWARD, BACKWARD, spanning_forest
@@ -517,6 +519,129 @@ def maximal_elements_reference(poset):
 
     return [p for p in poset.elements
             if not any(q != p and leq(p, q) for q in candidates(p))]
+
+
+class FinitePoset:
+    """A finite poset given by explicit elements and comparisons: n^2
+    ``leq`` calls build it."""
+
+    def __init__(self, elements, leq):
+        self.elements = list(elements)
+        n = len(self.elements)
+        self.up = [set() for _ in range(n)]    # j in up[i]  <=>  e_i <= e_j
+        self.down = [set() for _ in range(n)]
+        for i in range(n):
+            for j in range(n):
+                if leq(self.elements[i], self.elements[j]):
+                    self.up[i].add(j)
+                    self.down[j].add(i)
+
+    def __len__(self):
+        return len(self.elements)
+
+    def covers(self):
+        """covers_up[i] = elements immediately above i: those above i and
+        above nothing else above i."""
+        up = self.up
+        covers_up = []
+        for i, ups in enumerate(up):
+            above = ups - {i}
+            covers_up.append(above - set().union(*(up[k] - {k} for k in above)))
+        return covers_up
+
+
+def find_poset_isomorphism(p, q):
+    """An order isomorphism between two finite posets, or None.
+
+    Backtracking over refinement classes: elements are first colored by an
+    iterated neighborhood signature over the covering relation, then
+    matched class against class with incremental consistency checks.
+
+    The search recurses once per element, so its recursion depth is the
+    poset size.  It serves posets under about 1,000 elements, Python's
+    default recursion limit; every catalog poset the tests use is under
+    that (THETA2's 261 is the largest).
+    """
+    n = len(p)
+    if n != len(q):
+        return None
+    if n == 0:
+        return {}
+
+    def refine(poset):
+        cov_up = poset.covers()
+        cov_down = [set() for _ in range(len(poset))]
+        for i, ups in enumerate(cov_up):
+            for j in ups:
+                cov_down[j].add(i)
+        color = [(len(poset.up[i]), len(poset.down[i])) for i in range(len(poset))]
+        while True:
+            sig = [
+                (color[i],
+                 tuple(sorted(color[j] for j in cov_up[i])),
+                 tuple(sorted(color[j] for j in cov_down[i])))
+                for i in range(len(poset))
+            ]
+            palette = {s: k for k, s in enumerate(sorted(set(sig)))}
+            new = [palette[s] for s in sig]
+            if len(set(new)) == len(set(color)):
+                return new
+            color = new
+
+    cp, cq = refine(p), refine(q)
+    if sorted(cp) != sorted(cq):
+        return None
+
+    by_color = {}
+    for j, c in enumerate(cq):
+        by_color.setdefault(c, []).append(j)
+    # most-constrained first: rare colors, high comparability degree
+    order = sorted(range(n), key=lambda i: (len(by_color[cp[i]]),
+                                            -len(p.up[i]) - len(p.down[i]), i))
+    mapping = [None] * n
+    used = [False] * n
+
+    def extend(k):
+        if k == n:
+            return True
+        i = order[k]
+        for j in by_color.get(cp[i], ()):
+            if used[j]:
+                continue
+            ok = True
+            for prev in order[:k]:
+                pj = mapping[prev]
+                if ((prev in p.down[i]) != (pj in q.down[j]) or
+                        (prev in p.up[i]) != (pj in q.up[j])):
+                    ok = False
+                    break
+            if ok:
+                mapping[i] = j
+                used[j] = True
+                if extend(k + 1):
+                    return True
+                mapping[i] = None
+                used[j] = False
+        return False
+
+    if not extend(0):
+        return None
+    return {p.elements[i]: q.elements[mapping[i]] for i in range(n)}
+
+
+def cone_leq_reference(g):
+    """Cone inclusion decided on rays, not on labels: ``leq(p, q)`` holds
+    when every extremal ray of the cone of p, the class of a compatible
+    circuit, passes the sign test of the cone of q.  Each label's rays are
+    listed once."""
+    rays = {}
+
+    def leq(p, q):
+        if p not in rays:
+            rays[p] = [circuit_class(g, c) for c in compatible_circuits(g, p)]
+        return all(cone_contains(g, q, r) for r in rays[p])
+
+    return leq
 
 
 def covers_reference(poset):

@@ -460,15 +460,53 @@ def test_every_private_helper_has_a_caller():
                 f"{module}: {helper.name} has no caller"
 
 
+def _referenced_names(tree, skip=()):
+    """Names, attributes and imported names that ``tree`` refers to,
+    leaving out the nodes inside the definitions in ``skip``."""
+    inside = {id(node) for definition in skip for node in ast.walk(definition)}
+    return {getattr(node, "id", None) or getattr(node, "attr", None)
+            or node.name
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
+            and id(node) not in inside}
+
+
+def test_every_public_name_has_a_caller():
+    # A name the package exports that no package module uses, apart from
+    # its own definition and ``__init__.py``, and that no demo or
+    # benchmark script uses, has only tests for callers.
+    package = Path(cographic.__file__).parent
+    root = Path(__file__).resolve().parent.parent
+    scripts = set().union(*(
+        _referenced_names(ast.parse(path.read_text()))
+        for path in [*root.glob("demos/**/*.py"), *root.glob("bench/**/*.py")]))
+    modules = [ast.parse(path.read_text()) for path in package.glob("*.py")
+               if path.name != "__init__.py"]
+
+    def defines(statement, name):
+        if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+            return statement.name == name
+        return (isinstance(statement, ast.Assign)
+                and any(getattr(t, "id", None) == name
+                        for t in statement.targets))
+
+    uncalled = []
+    for name in cographic.__all__:
+        if name in scripts:
+            continue
+        if not any(name in _referenced_names(
+                tree, [s for s in tree.body if defines(s, name)])
+                for tree in modules):
+            uncalled.append(name)
+    assert uncalled == []
+
+
 def test_every_oracle_has_a_test():
     # A public function of ``oracles.py`` that no test module refers to is
     # a reference nothing is compared with.
     tests = Path(__file__).parent
-    referenced = {getattr(node, "id", None) or getattr(node, "attr", None)
-                  or node.name
-                  for path in tests.glob("test_*.py")
-                  for node in ast.walk(ast.parse(path.read_text()))
-                  if isinstance(node, (ast.Name, ast.Attribute, ast.alias))}
+    referenced = set().union(*(_referenced_names(ast.parse(path.read_text()))
+                               for path in tests.glob("test_*.py")))
     for oracle in ast.parse((tests / "oracles.py").read_text()).body:
         if (isinstance(oracle, ast.FunctionDef)
                 and not oracle.name.startswith("_")):

@@ -6,18 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cographic import (Chain1, betti1, build_fan, check_iso_truncated,
-                       circuit_class, connected_components, decompose_cycle,
+                       circuit_class, decompose_cycle,
                        delete_edges, enumerate_oriented_circuits,
                        enumerate_tco, fundamental_cycle_basis, hilbert_basis,
                        multiplicity_hs_oracle, present_ring, ring_report,
                        separating_edges, spans_lattice, subdiagram_volume)
 from conftest import multigraphs
+from oracles import connected_components_reference
 
 
 @given(g=multigraphs(max_edges=6))
 def test_random_counts_and_poset_shape(g):
     assert betti1(g) == len(g.edges) - len(g.vertices) + \
-        len(connected_components(g))
+        len(connected_components_reference(g))
     fan = build_fan(g)
     poset = fan.poset
     minimum = poset.minimum

@@ -2,14 +2,12 @@ import itertools
 
 import pytest
 
-from cographic import (Chain1, GradedPrime, TotCycPair,
+from cographic import (Chain1, TotCycPair,
                        betti1, build_fan, catalog_graph, circuit_class,
                        cone_contains, delete_edges, enumerate_oriented_circuits,
-                       enumerate_tco, find_poset_isomorphism,
-                       fundamental_cycle_basis,
+                       enumerate_tco, fundamental_cycle_basis,
                        multiply_monomials, present_ring, ring_report,
-                       separating_edges, strata_poset, sum_of_primes,
-                       FinitePoset)
+                       separating_edges, sum_of_primes)
 from cographic.orientations import OrientationPoset
 from conftest import k4_plus
 from oracles import concordant_reference
@@ -92,36 +90,38 @@ def test_multiplication_laws_sampled(rng, graphs):
             assert left == right
 
 
+# The graded prime of a cone holds the monomials of the cycles outside it:
+# membership is ``not cone_contains``.
+
+
 def test_graded_prime_minimum_is_maximal_ideal():
     g = catalog_graph("B3")
-    prime = GradedPrime(g, TotCycPair(g.edge_mask(g.edges), 0))
-    assert not prime.contains(Chain1())
+    minimum = TotCycPair(g.edge_mask(g.edges), 0)
+    assert cone_contains(g, minimum, Chain1())
     for c in box_cycles(g):
         if not c.is_zero():
-            assert prime.contains(c)
+            assert not cone_contains(g, minimum, c)
 
 
 def test_graded_prime_chamber_membership():
     g = catalog_graph("B3")
     chamber = TotCycPair.create(g, frozenset(), ["e1", "e2"])
-    prime = GradedPrime(g, chamber)
-    assert prime.contains(Chain1({"e3": 1, "e1": -1}))
-    assert not prime.contains(Chain1({"e1": 1, "e3": -1}))
+    assert not cone_contains(g, chamber, Chain1({"e3": 1, "e1": -1}))
+    assert cone_contains(g, chamber, Chain1({"e1": 1, "e3": -1}))
 
 
 def test_graded_prime_membership_antitone(fan_of):
     fan = fan_of("B3")
+    g = fan.graph
     poset = fan.poset
-    cycles = box_cycles(fan.graph)
+    cycles = box_cycles(g)
     for p in poset:
         for q in poset:
             if not OrientationPoset.leq(p, q):
                 continue
-            pp = GradedPrime(fan.graph, p)
-            pq = GradedPrime(fan.graph, q)
             for c in cycles:
-                if pq.contains(c):
-                    assert pp.contains(c)
+                if not cone_contains(g, q, c):
+                    assert not cone_contains(g, p, c)
 
 
 def brute_tco_count(g):
@@ -215,22 +215,6 @@ def test_sum_of_primes_is_cone_intersection(fan_of):
             for b in maxelts:
                 label = sum_of_primes(g, [a, b])
                 assert inside(label) == inside(a) & inside(b)
-
-
-def test_strata_poset_matches_orientation_poset(fan_of):
-    for name in ("LOOP1", "B3", "C4"):
-        sp = strata_poset(fan_of(name))
-        elems = sp.elements()
-        for p in elems:
-            for q in elems:
-                assert sp.leq(p, q) == OrientationPoset.leq(p, q)
-
-
-def test_strata_poset_isomorphic_to_fan_poset(fan_of):
-    sp = strata_poset(fan_of("B3"))
-    strata = sp.finite_poset()
-    orient = FinitePoset(sp.elements(), OrientationPoset.leq)
-    assert find_poset_isomorphism(strata, orient) is not None
 
 
 def test_restriction_maps_commute_with_multiplication(fan_of):
