@@ -12,11 +12,13 @@ Sorted keys put the growing list first: ``"cones"`` in ``fan``,
 ``"chambers"`` in ``analyze``, and ``"chambers"`` inside
 ``"presentation"`` in ``ring``.  So stdout gets a short prefix, then
 each entry as the fan or the ring presentation makes it, then the rest
-of the report, and the bytes are those of one ``json.dumps`` of the
-whole.  Every value that can fail is computed before the first byte:
-the poset and its cap, and in ``ring`` and ``analyze`` every class
-value (toric ideal and its cap, volume, Hilbert-Samuel multiplicity and
-its horizon, unimodularity), so an error leaves stdout empty.
+of the report.  In ``orientations`` the list follows the graph summary,
+one ``orientations.phi_texts`` entry per orientation.  The bytes are
+those of one ``json.dumps`` of the whole.  Every value that can fail is
+computed before the first byte: the poset and its cap, and in ``ring``
+and ``analyze`` every class value (toric ideal and its cap, volume,
+Hilbert-Samuel multiplicity and its horizon, unimodularity), so an error
+leaves stdout empty.
 
 When the reader of stdout goes away (``cographic fan G | head``), the
 next write raises ``BrokenPipeError``: ``main`` points stdout at
@@ -34,7 +36,7 @@ from .fan import build_fan
 from .graph import betti1, parse_graph_text, separating_edges
 from .invariants import check_iso_truncated
 from .jsontext import dumps
-from .orientations import enumerate_tco
+from .orientations import enumerate_tco, phi_texts
 from .circuits import enumerate_oriented_circuits
 from .ring import DEFAULT_DEGREE_BOUND, present_ring, ring_report
 from .semigroup import (multiplicity_hs_oracle, per_chamber_class,
@@ -139,11 +141,8 @@ def cmd_analyze(args):
 def cmd_orientations(args):
     g = _load_graph(args.graph)
     tcos = enumerate_tco(g)
-    bits = [(e, 1 << g.edge_index(e)) for e in sorted(g.edges)]
     _emit({"graph": _graph_summary(g),
-           "totally_cyclic_orientations": [
-               {e: "+" if forward & bit else "-" for e, bit in bits}
-               for forward in tcos]},
+           "totally_cyclic_orientations": phi_texts(g, 0, tcos)},
           f"orientations: {len(tcos)} totally cyclic")
     return EXIT_OK
 

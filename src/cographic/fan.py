@@ -16,18 +16,19 @@ compatible circuits, which are mask pairs too (``OrientedCircuit``).  A
 ``build_fan`` is the poset's mask walk and nothing more.  Every cone
 function takes the graph and the label, ``(g, pair)``; ``chambers``
 filters the labels on the bridge mask and ``len`` reads the list.
-``_facets`` cuts the face of each edge e off T as the OR of the circuit
-supports that miss e, a few integer operations per circuit; the face's
-label is (all ^ covered, forward & covered), kept as a plain tuple, and
-faces are deduplicated by it.  A face's dimension, the Betti number of
-its covered edges, comes from one memo keyed by the covered mask, so
-``Fan.to_json`` runs one ``spanning_forest`` per distinct face rather
-than one per edge per cone.  A facet normal is a signed column of
-``chains.cone_basis``, which keeps the last basis; the poset lists its
-cones grouped by support, so ``to_json`` builds one per support.
-Every face label is a poset element and the poset is in ``sort_key``
-order, so ``to_json`` orders each cone's facets by the poset's index;
-standalone ``facets`` sorts them by that key.  Edge names appear only in
+Facets come off the graph's one bond table, not off circuits: forcing an
+edge e off T to zero also zeroes each f with {e, f} a bond of the
+complement, and ``_cuts`` lists each distinct support S_e = T + e + those
+f once per support, with the first edge that gives it.  The face is a
+facet exactly when phi stays totally cyclic off S_e: one AND and one
+lookup in the poset's index per candidate in ``Fan.to_json``, one
+``is_totally_cyclic`` in ``facets`` and ``semigroup.q_gorenstein``.  A
+facet normal is a signed column of ``chains.cone_basis``, which keeps the
+last basis; the poset lists its cones grouped by support, so ``to_json``
+builds one basis and one list of candidates, with both signs of each
+normal encoded, per support.  ``to_json`` orders each cone's facets by
+their index in the poset, which is in ``sort_key`` order; ``facets``
+sorts them by that key.  Edge names appear only in
 the JSON.  ``to_json`` yields each cone's entry as JSON text, one string
 per cone, assembled from pieces encoded once each: a label's text once
 per poset element (``label_texts`` encodes T and the signed edge names
@@ -40,13 +41,15 @@ with the poset, not with the output: about 110 MiB for the 338 MB of
 """
 
 from dataclasses import dataclass
+from functools import cache
 
 from .chains import cone_basis, is_cycle
 from .circuits import _circuit_table, circuit_class, compatible_circuits
 from .graph import betti1, spanning_forest
 from .jsontext import dumps
-from .orientations import (OrientationPoset, TotCycPair,
-                           build_orientation_poset, label_texts)
+from .orientations import (OrientationPoset, TotCycPair, _bonds,
+                           build_orientation_poset, is_totally_cyclic,
+                           label_texts)
 
 
 def cone_contains(g, pair, c):
@@ -119,52 +122,46 @@ def facets(g, pair):
     Forcing one more edge functional to zero cuts a face; the faces of
     dimension one less are the facets.  Normals are reported in the
     coordinates of the fundamental cycle basis of the complement of the
-    support, deduplicated up to positive scaling.  Edge e cuts the face
-    covered by the cone's compatible circuits that avoid e.
+    support, deduplicated up to positive scaling.  The face of edge e is a
+    facet exactly when ``is_totally_cyclic`` holds off its ``_cuts``
+    support.
 
     Returns a list of (facet label, normal) pairs in canonical label order.
     """
-    basis = cone_basis(g, pair.support)
-    supports = [c.support for c in compatible_circuits(g, pair)]
-    found = sorted(_facets(g, basis, *pair, supports, {}).items(),
-                   key=lambda item: TotCycPair(*item[0]).sort_key(g))
-    return [(TotCycPair(*face), normal) for face, normal in found]
+    found = _facets(g, cone_basis(g, pair.support).columns, pair)
+    return sorted(found, key=lambda item: item[0].sort_key(g))
 
 
-def _facets(g, basis, support, forward, supports, dims):
-    """The facets of the cone whose label has the masks ``(support,
-    forward)``, as a dict from each facet label's masks to its normal.
-
-    ``basis`` is the cycle basis of the complement of the support and
-    ``supports`` are the support masks of the cone's compatible circuits.
-    ``dims`` maps a covered mask to the Betti number of its edges and is
-    filled as faces are met.  The first edge in g's order that cuts a
-    facet gives its normal, its basis column signed by phi, primitive
-    because fundamental cycles have coefficients 0 and +-1.
-    """
-    full = (1 << len(g.edges)) - 1
-    d = len(basis)
-    out = {}
+def _cuts(g, support):
+    """(S_e, bit of e, e) for each distinct candidate facet support of the
+    cones with support mask ``support``, with the first edge e giving it.
+    S_e is T, e and each f such that a row of g's bond table meets the
+    bridgeless complement in {e, f}: the bridges left once e is cut."""
+    rest = ~support
+    partners = {}
+    for cut, _ in _bonds(g)[1]:
+        c = cut & rest
+        if c.bit_count() == 2:
+            for bit in (c & -c, c & (c - 1)):
+                partners[bit] = partners.get(bit, 0) | c
+    found = {}
     for i, e in enumerate(g.edges):
         bit = 1 << i
-        if support & bit:
-            continue
-        covered = 0
-        for s in supports:
-            if not s & bit:
-                covered |= s
-        face = (full ^ covered, forward & covered)
-        if face in out:
-            continue
-        dim = dims.get(covered)
-        if dim is None:
-            forest = spanning_forest(g, g.edges_of(covered))
-            dim = dims[covered] = len(forest[1])
-        if dim == d - 1:
-            column = basis.columns[e]
-            out[face] = (column if forward & bit
-                         else tuple([-a for a in column]))
-    return out
+        if rest & bit:
+            found.setdefault(support | bit | partners.get(bit, 0), (bit, e))
+    return [(s, bit, e) for s, (bit, e) in found.items()]
+
+
+def _facets(g, columns, pair):
+    """(facet label, normal) of the cone ``pair`` in the order of the
+    first edge that cuts each facet.  The normal is that edge's column of
+    ``columns``, the cone's basis's, signed by phi: primitive, since
+    fundamental cycles have coefficients 0 and +-1."""
+    support, forward = pair
+    return [(TotCycPair(s, forward & ~s), columns[e] if forward & bit
+             else tuple([-a for a in columns[e]]))
+            for s, bit, e in _cuts(g, support)
+            if is_totally_cyclic(g, s, forward)]
 
 
 @dataclass
@@ -192,19 +189,18 @@ class Fan:
         ``voronoi_face_dim`` give them.  The entry is assembled from
         pieces encoded once each: every label once per poset element,
         every ray once per oriented circuit and every facet normal once
-        per distinct vector.  The poset lists its cones grouped by
-        support, so ``cone_basis`` builds a cycle basis only when the
-        support changes, and each cone filters the circuit table once.
+        per distinct vector.  ``cone_basis`` and ``_cuts`` run only when
+        the support changes; each cone filters the circuit table once and
+        looks each facet candidate up in the poset's index.
         """
         g = self.graph
         total = betti1(g)
-        index = self.poset._index
+        find = self.poset._index.get
         labels = list(label_texts(g, self.poset))
         rays = {c: dumps(circuit_class(g, c).to_json())
                 for _, _, gamma, reversal in _circuit_table(g)
                 for c in (gamma, reversal)}
-        normals = {}
-        dims = {}
+        encode = cache(dumps)
         support = None
         for pair, label in zip(self.poset, labels):
             if pair.support != support:
@@ -212,20 +208,19 @@ class Fan:
                 basis = cone_basis(g, support)
                 head = f'{{"dimension":{len(basis)},"facet_normals":['
                 tail = f'],"voronoi_face_dim":{total - len(basis)}}}'
-            circuits = compatible_circuits(g, pair)
-            found = sorted((index[k], normal) for k, normal in _facets(
-                g, basis, *pair, [c.support for c in circuits], dims).items())
-            facet_normals = []
-            for _, normal in found:
-                text = normals.get(normal)
-                if text is None:
-                    text = normals[normal] = dumps(normal)
-                facet_normals.append(text)
+                cuts = [(s, bit, encode(basis.columns[e]),
+                         encode(tuple([-a for a in basis.columns[e]])))
+                        for s, bit, e in _cuts(g, support)]
+            forward = pair.forward
+            found = sorted([(k, plus if forward & bit else minus)
+                            for s, bit, plus, minus in cuts
+                            if (k := find((s, forward & ~s))) is not None])
             yield "".join([
-                head, ",".join(facet_normals),
-                '],"facets":[', ",".join([labels[i] for i, _ in found]),
+                head, ",".join([text for _, text in found]),
+                '],"facets":[', ",".join([labels[k] for k, _ in found]),
                 '],"label":', label,
-                ',"rays":[', ",".join([rays[c] for c in circuits]), tail])
+                ',"rays":[', ",".join([rays[c] for c in
+                                       compatible_circuits(g, pair)]), tail])
 
 
 def build_fan(g):

@@ -36,7 +36,7 @@ class Graph:
     """
 
     __slots__ = ("vertices", "edges", "_ends", "_vindex", "_eindex", "_hash",
-                 "_circuit_table", "_cone_basis")
+                 "_circuit_table", "_bonds", "_cone_basis")
 
     def __init__(self, vertices, edges, ends):
         self.vertices = tuple(vertices)
@@ -54,11 +54,11 @@ class Graph:
                 raise ValueError(f"edge {e!r} references an unknown vertex")
         self._hash = hash((self.vertices, self.edges,
                            tuple(self._ends[e] for e in self.edges)))
-        # Filled by ``circuits`` on first use.  A graph never changes, so
-        # the table never goes stale, and threads racing to fill it build
-        # equal tables.  ``chains.cone_basis`` keeps (support, basis) of its
-        # last call, which a racing thread may replace but never corrupt.
-        self._circuit_table = self._cone_basis = None
+        # Tables filled on first use.  A graph never changes, so they never
+        # go stale, and racing threads build equal ones.  ``cone_basis``
+        # keeps (support, basis) of its last call, which a racing thread
+        # may replace but never corrupt.
+        self._circuit_table = self._bonds = self._cone_basis = None
 
     # -- basic accessors -------------------------------------------------
 

@@ -13,30 +13,29 @@ minimal edge cut of the graph has all its edges crossing the same way
 ch. 3).  Every total-cyclicity decision here works on that rule, over
 edge-index bitmasks: an orientation is the mask of its forward edges.
 
-Cost model.  ``bond_table`` lists the bonds once per enumeration, one row
-per bond with its cut mask and the mask of its edges whose reference
+Cost model.  ``bond_table`` lists the bonds once per graph, one row per
+bond with its cut mask and the mask of its edges whose reference
 direction leaves the side X that holds the component's first vertex.  It
 grows the connected sets X one neighbour at a time and keeps those whose
 rest of the component is connected, so it costs a few integer operations
-per connected set: C(n, 2) rows for an n-cycle, one for a banana.  A
-support mask is skipped with one AND per bond when a bond meets it in a
-single edge, a bridge of the subgraph.  Otherwise its edges are fixed one
-at a time, forward before backward, and each bond is checked with an XOR
-and an AND as soon as its last edge in the support is fixed, so a prefix
-that directs a bond is never extended; no graph is built per edge subset
-and no strong-connectivity search runs.  ``enumerate_tco`` returns the
-accepted forward masks; it returns at once on a graph with a bridge,
-before the table, so a tree costs one bridge search.  The
-poset builds its table over the non-bridge edges, since every support
-avoids the bridges, and stores each element as its ``TotCycPair``, a
-named pair of ints: T's mask and the forward mask, already in
-``sort_key`` order.  ``leq``, ``minimum``, ``maximal_elements`` and the
-index are integer operations on those masks; edge names are read only
-where a label enters (``TotCycPair.create``) or leaves (``to_json``, or
-``label_texts`` for a report's many labels as JSON text).
-``is_totally_cyclic`` checks one given label, the one ``create`` is
-handed, against the bond table of its complement: one XOR and one AND
-per bond, after the same linear bridge search.
+per connected set: C(n, 2) rows for an n-cycle, one for a banana.  The
+graph keeps its bridge mask and the table of its other edges in one slot
+(``_bonds``), which the poset walk, ``enumerate_tco``,
+``is_totally_cyclic`` and ``fan``'s facets read; ``enumerate_tco``
+returns at once on a graph with a bridge, before the table.  A support mask is skipped with one AND per bond when a
+bond meets it in a single edge, a bridge of the subgraph.  Otherwise its
+edges are fixed one at a time, forward before backward, and each bond is
+checked with an XOR and an AND as soon as its last edge in the support
+is fixed, so a prefix that directs a bond is never extended; no graph is
+built per edge subset and no strong-connectivity search runs.  The
+poset stores each element as its ``TotCycPair``, a named pair of ints:
+T's mask and the forward mask, already in ``sort_key`` order.  ``leq``,
+``minimum``, ``maximal_elements`` and the index are integer operations
+on those masks; edge names are read only where a label enters
+(``TotCycPair.create``) or leaves (``to_json``, or ``label_texts`` and
+``phi_texts`` for many as JSON text).  ``is_totally_cyclic`` checks one
+given label with one AND against the bridges and one XOR and one AND
+per row, and builds no graph.
 """
 
 import itertools
@@ -44,7 +43,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .errors import CapacityError
-from .graph import delete_edges, separating_edges
+from .graph import separating_edges
 from .jsontext import dumps
 
 MAX_ORIENTATION_EDGES = 20
@@ -110,22 +109,33 @@ def bond_table(g, edges):
     return rows
 
 
+def _bonds(g):
+    """The bridge mask of g and the ``bond_table`` rows of its other
+    edges, built on first use and kept on the graph; a forest has none."""
+    if g._bonds is None:
+        bridges = g.edge_mask(separating_edges(g))
+        free = g.edges_of(~bridges)
+        g._bonds = (bridges, bond_table(g, free) if free else [])
+    return g._bonds
+
+
 def is_totally_cyclic(g, support, forward):
     """Does the forward-edge mask ``forward`` give a totally cyclic
     orientation of the spanning subgraph off the edge mask ``support``?
 
-    It does when it directs no bond of that subgraph: every bond has edges
-    crossing both ways.  A bridge is a bond of one edge, which every
-    orientation directs, so a subgraph with one is rejected before its
-    bond table is grown; a tree's table has a row per connected vertex
-    set.  Bits of ``forward`` inside ``support`` are ignored.
+    It does when it directs no bond of that subgraph.  The subgraph must
+    avoid g's bridges; then each of its bonds is what some row of g's
+    table (``_bonds``) meets it in, so no row may meet it in one edge or
+    cross it one way only.  Bits of ``forward`` inside ``support`` are
+    ignored.
     """
-    rest = delete_edges(g, g.edges_of(support))
-    if separating_edges(rest):
+    bridges, rows = _bonds(g)
+    if bridges & ~support:
         return False
-    for cut, out in bond_table(g, rest.edges):
-        x = (forward ^ out) & cut
-        if not x or x == cut:
+    for cut, out in rows:
+        c = cut & ~support
+        x = (forward ^ out) & c
+        if c and (not x or x == c):
             return False
     return True
 
@@ -180,7 +190,7 @@ def enumerate_tco(g):
                             MAX_ORIENTATION_EDGES)
     if separating_edges(g):
         return []
-    return _forward_masks(bond_table(g, g.edges), (1 << m) - 1)
+    return _forward_masks(_bonds(g)[1], (1 << m) - 1)
 
 
 class TotCycPair(NamedTuple):
@@ -226,26 +236,24 @@ class TotCycPair(NamedTuple):
                         for e in sorted(g.edges_of(~support))}}
 
 
+def phi_texts(g, support, forwards):
+    """``jsontext.dumps`` of phi, the sign of each edge off ``support`` by
+    id, for each forward mask of ``forwards``: one pick per edge."""
+    signs = [(dumps(e) + ':"+"', dumps(e) + ':"-"', 1 << g.edge_index(e))
+             for e in sorted(g.edges_of(~support))]
+    for forward in forwards:
+        yield "{" + ",".join([plus if forward & bit else minus
+                              for plus, minus, bit in signs]) + "}"
+
+
 def label_texts(g, pairs):
     """``jsontext.dumps(pair.to_json(g))`` for each label of ``pairs``, in
-    order.
-
-    The T list and both signed entries of each edge off T are encoded
-    once per run of labels with one support, the order the poset lists
-    them in, so each further label of the run costs one pick per edge off
-    T and no dict.
-    """
-    support = None
-    for pair in pairs:
-        if pair.support != support:
-            support = pair.support
-            head = '{"T":' + dumps(list(g.edges_of(support))) + ',"phi":{'
-            signs = [(dumps(e) + ':"+"', dumps(e) + ':"-"',
-                      1 << g.edge_index(e))
-                     for e in sorted(g.edges_of(~support))]
-        forward = pair.forward
-        yield head + ",".join([plus if forward & bit else minus
-                               for plus, minus, bit in signs]) + "}}"
+    order, with T and the ``phi_texts`` pieces encoded once per run of
+    labels with one support, the order the poset lists them in."""
+    for support, run in itertools.groupby(pairs, lambda p: p.support):
+        head = '{"T":' + dumps(list(g.edges_of(support))) + ',"phi":'
+        for phi in phi_texts(g, support, [pair.forward for pair in run]):
+            yield head + phi + "}"
 
 
 class OrientationPoset:
@@ -296,7 +304,7 @@ class OrientationPoset:
         cyclic orientation uses one, and every element lies below one whose
         support is exactly the bridges.  So those are the maximal ones.
         """
-        bridges = self.graph.edge_mask(separating_edges(self.graph))
+        bridges = _bonds(self.graph)[0]
         return [p for p in self.elements if p.support == bridges]
 
 
@@ -312,9 +320,8 @@ def build_orientation_poset(g):
     m = len(g.edges)
     if m > MAX_POSET_EDGES:
         raise CapacityError("orientation poset edge cap", m, MAX_POSET_EDGES)
-    bridges = g.edge_mask(separating_edges(g))
-    free = [e for i, e in enumerate(g.edges) if not bridges >> i & 1]
-    bonds = bond_table(g, free)
+    bridges, rows = _bonds(g)
+    free = g.edges_of(~bridges)
     full = (1 << m) - 1
     # tuple.__new__ costs about a third of the generated NamedTuple
     # __new__, paid once per element
@@ -324,5 +331,5 @@ def build_orientation_poset(g):
         for t in itertools.combinations(free, k):
             support = bridges | g.edge_mask(t)
             elements += [new(TotCycPair, (support, f))
-                         for f in _forward_masks(bonds, full ^ support)]
+                         for f in _forward_masks(rows, full ^ support)]
     return OrientationPoset(g, elements)

@@ -23,9 +23,10 @@ Cost model, for a cone of dimension d with n Hilbert basis elements:
   the first subset that brings the gcd to 1; unimodularity stops at the
   first minor of a second absolute value, and a unimodular class
   representative settles its whole class (below).
-- Gorenstein test: d x d determinants over d-subsets of the facet
-  normals until one is nonzero, then d more for Cramer's rule and one
-  integer dot product per normal.
+- Gorenstein test: one ``is_totally_cyclic`` per facet candidate of
+  ``fan._cuts``, at most one per edge, then d x d determinants over
+  d-subsets of the normals until one is nonzero, d more for Cramer's
+  rule and one integer dot product per normal.
 - Hull volume: beneath-beyond over the n generators, so the work grows
   with the facets found rather than with C(n, d).  A start simplex
   costs d + 1 planes of ``hyperplane_through``; each further generator
@@ -276,11 +277,12 @@ def q_gorenstein(s):
     Solves normal(m) = 1 over the rationals for all primitive facet
     normals.  The normals of a full-dimensional pointed cone span the dual
     space, so a solution is unique when it exists; the ring is Gorenstein
-    in the integral sense when that solution is a lattice point.  Cramer's
-    rule solves the first d normals, in ``combinations`` order, with a
-    nonzero determinant; the solution then stands if every normal pairs
-    to 1 with it.  The point pairs each edge's basis column with the
-    numerators, over the determinant.
+    in the integral sense when that solution is a lattice point.  The
+    normals come in the order of the first edge that cuts each facet
+    (``fan._facets``).  Cramer's rule solves the first d normals,
+    in ``combinations`` order, with a nonzero determinant; the solution
+    then stands if every normal pairs to 1 with it.  The point pairs each
+    edge's basis column with the numerators, over the determinant.
 
     Returns (q_gorenstein, gorenstein_integral, m) where m is the rational
     cycle realizing the pairings, as a dict edge -> Fraction, or None.
@@ -288,10 +290,7 @@ def q_gorenstein(s):
     d = s.lattice_rank
     if d == 0:
         return True, True, {}
-    g = s.graph
-    normals = list(_facets(g, s.cycle_basis, *s.label,
-                           [c.support for c in s.circuits],
-                           {}).values())
+    normals = [n for _, n in _facets(s.graph, s.cycle_basis.columns, s.label)]
     for rows in itertools.combinations(normals, d):
         det = det_int(rows)
         if det:

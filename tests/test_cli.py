@@ -12,7 +12,8 @@ from pathlib import Path
 import pytest
 
 import cographic
-from cographic import build_orientation_poset, catalog_graph, semigroup
+from cographic import (build_orientation_poset, catalog_graph, orientations,
+                       semigroup)
 from cographic.cli import main
 from cographic.catalog import CATALOG
 from cographic.graph import graph_to_text
@@ -612,13 +613,29 @@ def test_short_hs_horizon_names_the_horizon_needed(capsys, monkeypatch):
                    "(4-th differences not stable): size 6 exceeds cap 3\n")
 
 
+def bond_tables(monkeypatch):
+    """The graph of every ``orientations.bond_table`` call."""
+    graphs = []
+    original = orientations.bond_table
+
+    def counted(g, edges):
+        graphs.append(g)
+        return original(g, edges)
+
+    monkeypatch.setattr(orientations, "bond_table", counted)
+    return graphs
+
+
 def test_fan_derives_each_cone_once(monkeypatch, capsys):
-    # One circuit filter per cone, and one cycle basis per support: the
-    # poset lists its cones grouped by support.
+    # One circuit filter per cone, one cycle basis per support (the poset
+    # lists its cones grouped by support), and one bond table for the
+    # graph, shared by the poset walk and every cone's facets.
     counts = count_calls(monkeypatch, ["compatible_circuits",
                                        "fundamental_cycle_basis"])
+    tables = bond_tables(monkeypatch)
     code, out, _ = run_cli(capsys, "fan", "THETA2")
     assert code == 0
+    assert len(tables) == 1
     cones = json.loads(out)["num_cones"]
     assert cones == 261
     poset = build_orientation_poset(catalog_graph("THETA2"))
@@ -630,19 +647,26 @@ def test_fan_derives_each_cone_once(monkeypatch, capsys):
 
 def test_ring_builds_one_cycle_basis(monkeypatch, tmp_path, capsys):
     # Every chamber has the bridge support (K4p2's 144 and THETA2's 46
-    # have the empty one), so all of them share one cycle basis.
+    # have the empty one), so all of them share one cycle basis.  The
+    # graph keeps one bond table, which the poset walk and each of
+    # analyze's 46 ``q_gorenstein`` facet tests read.
     counts = count_calls(monkeypatch, ["compatible_circuits",
-                                       "fundamental_cycle_basis"])
+                                       "fundamental_cycle_basis",
+                                       "q_gorenstein"])
+    tables = bond_tables(monkeypatch)
     path = tmp_path / "k4p2.graph"
     path.write_text(graph_to_text(k4_plus(2)))
-    for command, name, chambers in [("ring", str(path), 144),
-                                    ("analyze", "THETA2", 46)]:
+    for command, name, chambers, gorenstein in [
+            ("ring", str(path), 144, 0), ("analyze", "THETA2", 46, 46)]:
         counts.update(dict.fromkeys(counts, 0))
+        tables.clear()
         code, out, _ = run_cli(capsys, command, name)
         assert code == 0
         assert json.loads(out)["ring"]["num_minimal_primes"] == chambers
         assert counts == {"compatible_circuits": chambers,
-                          "fundamental_cycle_basis": 1}
+                          "fundamental_cycle_basis": 1,
+                          "q_gorenstein": gorenstein}
+        assert len(tables) == 1
 
 
 def test_compare_connectivizes_each_graph_once(calls, capsys):

@@ -24,15 +24,17 @@ unimodularity where the class is unimodular; the reference is every
 chamber on its own.  ``Fan.to_json`` derives each cone's entry
 from one cycle basis and one circuit list; the references are the
 public per-cone functions, and the cone dimension's is the Betti number
-of the graph with the support deleted.  Facets are read off edge
-bitmasks with one dimension per distinct face; the reference builds a
-label and a spanning forest per edge off the support.  A fundamental
+of the graph with the support deleted.  Facets are read off the
+graph's bond table, one candidate support per edge off the support and
+one total-cyclicity test or poset lookup each; the reference covers each
+edge's face with compatible circuits, builds its label and a spanning
+forest.  A fundamental
 cycle is read off one rooted forest by depth; the reference runs a
 breadth-first search per cycle.  A cone's basis is kept in one slot per
-graph, keyed by its support; the reference builds one per support.  The
-isomorphism oracle's finite poset reads its covers off one set
-difference per element; the reference tests every element between each
-comparable pair.  The Betti number, bridges and two-edge cuts are read
+graph, keyed by its support; the reference builds one per support.  A cone's
+facets are its lower covers in the poset.  The isomorphism oracle's
+finite poset reads those covers off one set difference per element; the
+reference tests every element between each comparable pair.  The Betti number, bridges and two-edge cuts are read
 off one spanning forest; the references search depth-first per question and build a
 graph per candidate pair, and the reference connectivization
 recomputes every bridge after each contraction.  The toric ideal walks
@@ -42,8 +44,8 @@ generators and takes dot products.  The orientation poset and the totally
 cyclic orientations are read off the bond table of the graph as bitmask
 sign vectors; the references build a graph per edge subset and test every
 sign vector by strong connectivity.  So does the reference of the one
-total-cyclicity test of a given label, which checks the bond table of
-its complement.  Outputs must agree exactly.
+total-cyclicity test of a given label, which checks the graph's bond
+table off the label's support.  Outputs must agree exactly.
 """
 
 import json
@@ -586,19 +588,32 @@ def test_facets_and_cycle_bases_match_references_on_random_multigraphs(g):
     _assert_facets_match_reference(build_fan(g))
 
 
-def _assert_covers_match_reference(poset):
-    finite = FinitePoset(list(poset), poset.leq)
-    assert finite.covers() == covers_reference(finite)
+def _assert_covers_match_reference(fan):
+    """The facets of every cone, standalone and in ``Fan.to_json``, are
+    its lower covers in the poset, whose covers match the cubic search."""
+    g = fan.graph
+    elements = list(fan.poset)
+    finite = FinitePoset(elements, fan.poset.leq)
+    covers_up = finite.covers()
+    assert covers_up == covers_reference(finite)
+    lower = [[] for _ in elements]
+    for i, above in enumerate(covers_up):
+        for j in above:
+            lower[j].append(i)
+    for pair, text, below in zip(elements, fan.to_json(), lower):
+        covers = [elements[i] for i in sorted(below)]
+        assert [face for face, _ in facets(g, pair)] == covers
+        assert json.loads(text)["facets"] == [p.to_json(g) for p in covers]
 
 
 @pytest.mark.parametrize("name", catalog_names() + ["K4"])
 def test_covers_match_reference(name, fan_of):
-    _assert_covers_match_reference(_fan(name, fan_of).poset)
+    _assert_covers_match_reference(_fan(name, fan_of))
 
 
 @given(g=multigraphs())
 def test_covers_match_reference_on_random_multigraphs(g):
-    _assert_covers_match_reference(build_orientation_poset(g))
+    _assert_covers_match_reference(build_fan(g))
 
 
 CONNECTIVITY_GRAPHS = {
