@@ -14,11 +14,11 @@ All arithmetic is exact, over the integers and rationals.
 """
 
 from .graph import (Graph, from_edge_list, delete_edges, contract_edge,
-                    separating_edges, betti1, parse_graph_text,
-                    graph_to_text, FORWARD, BACKWARD)
+                    betti1, parse_graph_text, graph_to_text, FORWARD,
+                    BACKWARD)
 from .chains import (Chain1, boundary, is_cycle, inner_product,
                      fundamental_cycle_basis, cone_basis, canonical_form,
-                     CycleBasis)
+                     CycleBasis, separating_edges)
 from .orientations import (TotCycPair, OrientationPoset,
                            is_totally_cyclic, enumerate_tco,
                            build_orientation_poset)
@@ -43,10 +43,10 @@ from .errors import CapacityError, GraphParseError
 
 __all__ = [
     "Graph", "from_edge_list", "delete_edges", "contract_edge",
-    "separating_edges", "betti1", "parse_graph_text",
-    "graph_to_text", "FORWARD", "BACKWARD",
+    "betti1", "parse_graph_text", "graph_to_text", "FORWARD", "BACKWARD",
     "Chain1", "boundary", "is_cycle", "inner_product",
     "fundamental_cycle_basis", "cone_basis", "canonical_form", "CycleBasis",
+    "separating_edges",
     "TotCycPair", "OrientationPoset", "is_totally_cyclic",
     "enumerate_tco", "build_orientation_poset",
     "OrientedCircuit", "enumerate_oriented_circuits", "circuit_class",

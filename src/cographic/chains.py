@@ -126,6 +126,8 @@ class CycleBasis:
 
     ``columns`` maps each edge on some basis cycle to its coefficients in
     the basis cycles: the pairing against the edge in these coordinates.
+    An edge without a column lies on no cycle, so it is a bridge, and
+    ``series_classes`` groups the others by the cycles they lie on.
     """
 
     __slots__ = ("graph", "forest", "coforest", "basis", "columns")
@@ -152,6 +154,18 @@ class CycleBasis:
         """Inverse of :meth:`coordinates`."""
         return Chain1({e: sum(map(mul, col, coords))
                        for e, col in self.columns.items()})
+
+    def series_classes(self):
+        """The edges with a column, grouped by the column up to signs, in
+        first-edge order and each class in edge order.  Over GF(2) the
+        basis spans every cycle, so a class is a set of edges on the same
+        cycles: any two of them separate the graph together."""
+        classes = {}
+        for e in self.graph.edges:
+            column = self.columns.get(e)
+            if column is not None:
+                classes.setdefault(tuple(map(abs, column)), []).append(e)
+        return [tuple(c) for c in classes.values()]
 
 
 def fundamental_cycle_basis(g):
@@ -213,6 +227,14 @@ def cone_basis(g, support):
         slot = g._cone_basis = (support, fundamental_cycle_basis(
             delete_edges(g, g.edges_of(support))))
     return slot[1]
+
+
+def separating_edges(g):
+    """All bridges of g, in canonical order: the edges with no column in
+    ``cone_basis(g, 0)``, which lie on no cycle.  Loops and members of
+    parallel pairs are never bridges."""
+    columns = cone_basis(g, 0).columns
+    return tuple(e for e in g.edges if e not in columns)
 
 
 def canonical_form(g, c):

@@ -31,9 +31,10 @@ import sys
 from collections.abc import Iterator
 
 from . import catalog
+from .chains import separating_edges
 from .errors import CapacityError, GraphParseError
 from .fan import build_fan
-from .graph import betti1, parse_graph_text, separating_edges
+from .graph import betti1, parse_graph_text
 from .invariants import check_iso_truncated
 from .jsontext import dumps
 from .orientations import enumerate_tco, phi_texts

@@ -16,25 +16,25 @@ compatible circuits, which are mask pairs too (``OrientedCircuit``).  A
 ``build_fan`` is the poset's mask walk and nothing more.  Every cone
 function takes the graph and the label, ``(g, pair)``; ``chambers``
 filters the labels on the bridge mask and ``len`` reads the list.
-Facets come off the graph's one bond table, not off circuits: forcing an
-edge e off T to zero also zeroes each f with {e, f} a bond of the
-complement, and ``_cuts`` lists each distinct support S_e = T + e + those
-f once per support, with the first edge that gives it.  The face is a
-facet exactly when phi stays totally cyclic off S_e: one AND and one
-lookup in the poset's index per candidate in ``Fan.to_json``, one
-``is_totally_cyclic`` in ``facets`` and ``semigroup.q_gorenstein``.  A
-facet normal is a signed column of ``chains.cone_basis``, which keeps the
-last basis; the poset lists its cones grouped by support, so ``to_json``
-builds one basis and one list of candidates, with both signs of each
-normal encoded, per support.  ``to_json`` orders each cone's facets by
-their index in the poset, which is in ``sort_key`` order; ``facets``
-sorts them by that key.  Edge names appear only in
-the JSON.  ``to_json`` yields each cone's entry as JSON text, one string
-per cone, assembled from pieces encoded once each: a label's text once
-per poset element (``label_texts`` encodes T and the signed edge names
-once per support), shared by the facet lists that name it, a ray's once
-per oriented circuit, keyed by its mask pair, and a facet normal's once
-per distinct vector.  It keeps the label texts, one per cone, and one
+Facets come off the cycle basis of the support, not off circuits:
+forcing an edge e off T to zero also zeroes every f that lies on the same
+cycles off T, and ``_cuts`` lists one candidate support S_e = T + the
+class of e per class of ``CycleBasis.series_classes``, with the class's
+first edge.  The face is a facet exactly when phi stays totally cyclic
+off S_e: one AND and one lookup in the poset's index per candidate in
+``Fan.to_json``, one ``is_totally_cyclic`` in ``facets`` and
+``semigroup.q_gorenstein``.  A facet normal is a signed column of
+``chains.cone_basis``, which keeps the last basis; the poset lists its
+cones grouped by support, so ``to_json`` builds one basis and one list
+of candidates, with both signs of each normal encoded, per support.
+``to_json`` orders each cone's facets by their index in the poset, which
+is in ``sort_key`` order; ``facets`` sorts them by that key.  Edge names
+appear only in the JSON.  ``to_json`` yields each cone's entry as JSON
+text, one string per cone, assembled from pieces encoded once each: a
+label's text once per poset element (``label_texts`` encodes T and the
+signed edge names once per support), shared by the facet lists that name
+it, a ray's once per oriented circuit, keyed by its mask pair, and a
+facet normal's once per distinct vector.  It keeps the label texts, one per cone, and one
 entry at a time, so the ``fan`` report is written in memory that grows
 with the poset, not with the output: about 110 MiB for the 338 MB of
 ``fan K4x2``.
@@ -45,9 +45,9 @@ from functools import cache
 
 from .chains import cone_basis, is_cycle
 from .circuits import _circuit_table, circuit_class, compatible_circuits
-from .graph import betti1, spanning_forest
+from .graph import betti1
 from .jsontext import dumps
-from .orientations import (OrientationPoset, TotCycPair, _bonds,
+from .orientations import (OrientationPoset, TotCycPair,
                            build_orientation_poset, is_totally_cyclic,
                            label_texts)
 
@@ -84,8 +84,9 @@ def cone_of(g, c):
 
 
 def cone_dimension(g, pair):
-    """Dimension of the cone's span, i.e. the Betti number off the support."""
-    return len(spanning_forest(g, g.edges_of(~pair.support))[1])
+    """Dimension of the cone's span, i.e. the Betti number off the support:
+    the size of its ``cone_basis``."""
+    return len(cone_basis(g, pair.support))
 
 
 def voronoi_face_dim(g, pair):
@@ -128,39 +129,29 @@ def facets(g, pair):
 
     Returns a list of (facet label, normal) pairs in canonical label order.
     """
-    found = _facets(g, cone_basis(g, pair.support).columns, pair)
+    found = _facets(g, cone_basis(g, pair.support), pair)
     return sorted(found, key=lambda item: item[0].sort_key(g))
 
 
-def _cuts(g, support):
-    """(S_e, bit of e, e) for each distinct candidate facet support of the
-    cones with support mask ``support``, with the first edge e giving it.
-    S_e is T, e and each f such that a row of g's bond table meets the
-    bridgeless complement in {e, f}: the bridges left once e is cut."""
-    rest = ~support
-    partners = {}
-    for cut, _ in _bonds(g)[1]:
-        c = cut & rest
-        if c.bit_count() == 2:
-            for bit in (c & -c, c & (c - 1)):
-                partners[bit] = partners.get(bit, 0) | c
-    found = {}
-    for i, e in enumerate(g.edges):
-        bit = 1 << i
-        if rest & bit:
-            found.setdefault(support | bit | partners.get(bit, 0), (bit, e))
-    return [(s, bit, e) for s, (bit, e) in found.items()]
+def _cuts(g, basis, support):
+    """(S_e, bit of e, e) for each candidate facet support of the cones
+    with support mask ``support`` and cycle basis ``basis``: S_e is T and
+    one class of ``basis.series_classes()``, the edges that lie on the
+    same cycles off T, and e is the first edge of that class."""
+    return [(support | g.edge_mask(c), 1 << g.edge_index(c[0]), c[0])
+            for c in basis.series_classes()]
 
 
-def _facets(g, columns, pair):
+def _facets(g, basis, pair):
     """(facet label, normal) of the cone ``pair`` in the order of the
     first edge that cuts each facet.  The normal is that edge's column of
-    ``columns``, the cone's basis's, signed by phi: primitive, since
-    fundamental cycles have coefficients 0 and +-1."""
+    ``basis``, the cone's, signed by phi: primitive, since fundamental
+    cycles have coefficients 0 and +-1."""
     support, forward = pair
+    columns = basis.columns
     return [(TotCycPair(s, forward & ~s), columns[e] if forward & bit
              else tuple([-a for a in columns[e]]))
-            for s, bit, e in _cuts(g, support)
+            for s, bit, e in _cuts(g, basis, support)
             if is_totally_cyclic(g, s, forward)]
 
 
@@ -210,7 +201,7 @@ class Fan:
                 tail = f'],"voronoi_face_dim":{total - len(basis)}}}'
                 cuts = [(s, bit, encode(basis.columns[e]),
                          encode(tuple([-a for a in basis.columns[e]])))
-                        for s, bit, e in _cuts(g, support)]
+                        for s, bit, e in _cuts(g, basis, support)]
             forward = pair.forward
             found = sorted([(k, plus if forward & bit else minus)
                             for s, bit, plus, minus in cuts

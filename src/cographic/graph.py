@@ -16,10 +16,10 @@ Graphs are immutable after construction; all operations return new graphs.
 Every undirected connectivity question is read off one greedy spanning
 forest (``spanning_forest``, one union-find pass over the edges): the
 first Betti number is the size of the coforest, and two vertices are
-joined by a path exactly when they share a root.  ``separating_edges``
-costs one union-find per forest edge, at most |V| - 1 of them;
-``torelli.two_edge_cuts`` costs one per candidate pair of non-bridge
-edges.
+joined by a path exactly when they share a root.  Separating edges are
+read off the fundamental cycles of that forest: bridges by
+``chains.separating_edges`` and separating pairs by
+``CycleBasis.series_classes``, one pass over the basis columns each.
 """
 
 from .errors import GraphParseError
@@ -200,22 +200,6 @@ def spanning_forest(g, edges):
     return forest, coforest, find
 
 
-def separating_edges(g):
-    """All bridges of g, in canonical order.
-
-    Only forest edges can separate, since a coforest edge closes a cycle;
-    a forest edge separates when its ends fall in different components
-    without it.  Loops and members of parallel pairs are never bridges.
-    """
-    bridges = []
-    for e in spanning_forest(g, g.edges)[0]:
-        root = spanning_forest(g, [f for f in g.edges if f != e])[2]
-        s, t = g.ends(e)
-        if root(s) != root(t):
-            bridges.append(e)
-    return tuple(bridges)
-
-
 def betti1(g):
     """First Betti number: |E| - |V| + number of components, which is the
     size of the coforest."""
@@ -255,6 +239,12 @@ def parse_graph_text(text):
 
 
 def graph_to_text(g):
+    """The text format of g.  An id it cannot hold, empty or with
+    whitespace or ``#`` in it, raises ``ValueError``."""
+    for x in g.vertices + g.edges:
+        text = str(x)
+        if not text or "#" in text or any(ch.isspace() for ch in text):
+            raise ValueError(f"id {x!r} cannot be written as graph text")
     lines = [f"vertex {v}" for v in g.vertices]
     lines += [f"edge {e} {g.ends(e)[0]} {g.ends(e)[1]}" for e in g.edges]
     return "\n".join(lines) + "\n"

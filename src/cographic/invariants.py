@@ -27,10 +27,10 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from math import comb
 
-from .chains import Chain1, boundary, cone_basis
+from .chains import Chain1, boundary, canonical_form, cone_basis
 from .errors import CapacityError
 from .fan import common_cone
-from .graph import FORWARD, BACKWARD, betti1
+from .graph import FORWARD, betti1
 
 MAX_INVARIANT_CHAINS = 100_000
 
@@ -44,12 +44,10 @@ class OrientedMonomial:
 
     @classmethod
     def from_weight(cls, g, c):
-        """Canonical monomial of a chain: exponent |c(e)| on the signed side."""
-        items = []
-        for e in g.sort_edges(c.support()):
-            n = c.coeff(e)
-            items.append(((e, FORWARD if n > 0 else BACKWARD), abs(n)))
-        return cls(tuple(items))
+        """Canonical monomial of a chain: exponent |c(e)| on the signed
+        side, as ``canonical_form`` splits it."""
+        support, phi, mult = canonical_form(g, c)
+        return cls(tuple(((e, phi[e]), mult[e]) for e in support))
 
     def weight(self):
         acc = {}

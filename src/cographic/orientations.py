@@ -19,10 +19,12 @@ direction leaves the side X that holds the component's first vertex.  It
 grows the connected sets X one neighbour at a time and keeps those whose
 rest of the component is connected, so it costs a few integer operations
 per connected set: C(n, 2) rows for an n-cycle, one for a banana.  The
-graph keeps its bridge mask and the table of its other edges in one slot
-(``_bonds``), which the poset walk, ``enumerate_tco``,
-``is_totally_cyclic`` and ``fan``'s facets read; ``enumerate_tco``
-returns at once on a graph with a bridge, before the table.  A support mask is skipped with one AND per bond when a
+graph keeps its bridge mask, read off one cycle basis
+(``chains.separating_edges``), and the table of its other edges in one
+slot (``_bonds``).  Only the orientation rule reads it: the poset walk,
+``enumerate_tco`` and ``is_totally_cyclic``, which ``fan``'s facets call;
+``enumerate_tco`` returns at once on a graph with a bridge, before the
+table.  A support mask is skipped with one AND per bond when a
 bond meets it in a single edge, a bridge of the subgraph.  Otherwise its
 edges are fixed one at a time, forward before backward, and each bond is
 checked with an XOR and an AND as soon as its last edge in the support
@@ -43,7 +45,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .errors import CapacityError
-from .graph import separating_edges
+from .chains import separating_edges
 from .jsontext import dumps
 
 MAX_ORIENTATION_EDGES = 20

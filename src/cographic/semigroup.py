@@ -24,7 +24,8 @@ Cost model, for a cone of dimension d with n Hilbert basis elements:
   first minor of a second absolute value, and a unimodular class
   representative settles its whole class (below).
 - Gorenstein test: one ``is_totally_cyclic`` per facet candidate of
-  ``fan._cuts``, at most one per edge, then d x d determinants over
+  ``fan._cuts``, one per class of ``CycleBasis.series_classes``, at most
+  one per edge, then d x d determinants over
   d-subsets of the normals until one is nonzero, d more for Cramer's
   rule and one integer dot product per normal.
 - Hull volume: beneath-beyond over the n generators, so the work grows
@@ -290,7 +291,7 @@ def q_gorenstein(s):
     d = s.lattice_rank
     if d == 0:
         return True, True, {}
-    normals = [n for _, n in _facets(s.graph, s.cycle_basis.columns, s.label)]
+    normals = [n for _, n in _facets(s.graph, s.cycle_basis, s.label)]
     for rows in itertools.combinations(normals, d):
         det = det_int(rows)
         if det:

@@ -1,18 +1,20 @@
 """When do two graphs share the same ring?
 
 Exactly when their 3-edge connectivizations are cyclically equivalent:
-contract every bridge, then repeatedly contract one member of each
-separating pair, and compare the circuit hypergraphs up to an edge
+contract every bridge and all but one edge of each class of pairwise
+separating edges, and compare the circuit hypergraphs up to an edge
 bijection.  The connectivization is not unique but its cyclic equivalence
-class is, so any deterministic tie-break works; this one always contracts
-the lowest-id member.
+class is, so any deterministic tie-break works; this one keeps the last
+edge of each class.  Bridges and classes are read off one cycle basis
+(``CycleBasis.series_classes``).
 """
 
-import itertools
+from itertools import combinations
 
+from .chains import cone_basis
 from .circuits import _circuit_table, hypergraph_bijection
 from .errors import CapacityError
-from .graph import betti1, contract_edge, separating_edges, spanning_forest
+from .graph import contract_edge
 from .orientations import MAX_POSET_EDGES
 
 
@@ -21,41 +23,31 @@ def two_edge_cuts(g):
     removal disconnects the graph, in lexicographic edge-index order.
     Loops never participate.
 
-    Deleting a non-bridge lowers the first Betti number by one, and
-    deleting a second one lowers it by one more unless the pair
-    separates; so a pair is a cut exactly when the two deletions lower it
-    by one in all."""
-    bridges = set(separating_edges(g))
-    candidates = [e for e in g.edges if not g.is_loop(e) and e not in bridges]
-    base = betti1(g)
-    cuts = []
-    for e, f in itertools.combinations(candidates, 2):
-        rest = [h for h in g.edges if h != e and h != f]
-        if len(spanning_forest(g, rest)[1]) == base - 1:
-            cuts.append((e, f))
-    return cuts
+    Two such edges lie on the same cycles, so the pairs are those inside
+    each class of ``series_classes``."""
+    pairs = [pair for c in cone_basis(g, 0).series_classes()
+             for pair in combinations(c, 2)]
+    return sorted(pairs, key=lambda p: (g.edge_index(p[0]),
+                                        g.edge_index(p[1])))
 
 
 def three_edge_connectivization(g):
-    """Contract all bridges, then one member of each separating pair.
+    """Contract every edge except the last edge of its class of
+    ``series_classes``; bridges have no class, so all of them go.
 
-    Contracting a bridge keeps the other bridges and makes no new one, so
-    the bridges of g are contracted in one pass, in canonical order.  The
-    lowest-id member of the lexicographically first pair goes each round;
-    pair members are never loops, so contraction is always legal.  The
-    result has no bridges and no separating pairs, and the first Betti
-    number is preserved throughout.
+    A cut of G/e is a cut of G that avoids e, so contraction makes no new
+    bridge or separating pair, and one pass leaves none.  A cycle meets
+    each class in all of its edges or in none, so the contracted edges
+    form a forest and none becomes a loop.  A merge keeps the
+    lower-ordered vertex in any order of contraction.  The first Betti
+    number is preserved.
     """
     if len(g.edges) > MAX_POSET_EDGES:
         raise CapacityError("connectivization edge cap", len(g.edges),
                             MAX_POSET_EDGES)
-    for e in separating_edges(g):
+    kept = {c[-1] for c in cone_basis(g, 0).series_classes()}
+    for e in [e for e in g.edges if e not in kept]:
         g = contract_edge(g, e)
-    while True:
-        cuts = two_edge_cuts(g)
-        if not cuts:
-            break
-        g = contract_edge(g, cuts[0][0])
     return g
 
 

@@ -629,7 +629,12 @@ def bond_tables(monkeypatch):
 def test_fan_derives_each_cone_once(monkeypatch, capsys):
     # One circuit filter per cone, one cycle basis per support (the poset
     # lists its cones grouped by support), and one bond table for the
-    # graph, shared by the poset walk and every cone's facets.
+    # graph, shared by the poset walk and every cone's facets.  The
+    # supports are counted first, since that poset's bridge search builds
+    # a cycle basis of its own.
+    poset = build_orientation_poset(catalog_graph("THETA2"))
+    supports = len({pair.support for pair in poset})
+    assert supports == 34
     counts = count_calls(monkeypatch, ["compatible_circuits",
                                        "fundamental_cycle_basis"])
     tables = bond_tables(monkeypatch)
@@ -638,9 +643,6 @@ def test_fan_derives_each_cone_once(monkeypatch, capsys):
     assert len(tables) == 1
     cones = json.loads(out)["num_cones"]
     assert cones == 261
-    poset = build_orientation_poset(catalog_graph("THETA2"))
-    supports = len({pair.support for pair in poset})
-    assert supports == 34
     assert counts == {"compatible_circuits": cones,
                       "fundamental_cycle_basis": supports}
 
@@ -675,6 +677,19 @@ def test_compare_connectivizes_each_graph_once(calls, capsys):
     assert json.loads(out)["same_ring"] is True
     assert calls == dict.fromkeys(COUNTED, 0) | {
         "three_edge_connectivization": 2}
+
+
+def test_compare_connectivizes_in_one_pass(monkeypatch, capsys):
+    # Each input graph's bridges and separating classes come off one cycle
+    # basis, and no bond table is built: the cycles' edge sets alone
+    # decide the 3-edge connectivization.
+    counts = count_calls(monkeypatch, ["fundamental_cycle_basis"])
+    tables = bond_tables(monkeypatch)
+    code, out, _ = run_cli(capsys, "compare", "C5", "C7")
+    assert code == 0
+    assert json.loads(out)["same_ring"] is True
+    assert counts == {"fundamental_cycle_basis": 2}
+    assert tables == []
 
 
 @pytest.mark.parametrize("name", ["B3", "THETA2", "FIG-NH"])

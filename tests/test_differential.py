@@ -25,22 +25,24 @@ chamber on its own.  ``Fan.to_json`` derives each cone's entry
 from one cycle basis and one circuit list; the references are the
 public per-cone functions, and the cone dimension's is the Betti number
 of the graph with the support deleted.  Facets are read off the
-graph's bond table, one candidate support per edge off the support and
-one total-cyclicity test or poset lookup each; the reference covers each
-edge's face with compatible circuits, builds its label and a spanning
-forest.  A fundamental
+classes of the support's cycle basis columns, one candidate support per
+class and one total-cyclicity test or poset lookup each; the reference
+covers each edge's face with compatible circuits, builds its label and a
+spanning forest.  A fundamental
 cycle is read off one rooted forest by depth; the reference runs a
 breadth-first search per cycle.  A cone's basis is kept in one slot per
 graph, keyed by its support; the reference builds one per support.  A cone's
 facets are its lower covers in the poset.  The isomorphism oracle's
 finite poset reads those covers off one set difference per element; the
-reference tests every element between each comparable pair.  The Betti number, bridges and two-edge cuts are read
-off one spanning forest; the references search depth-first per question and build a
-graph per candidate pair, and the reference connectivization
-recomputes every bridge after each contraction.  The toric ideal walks
-multisets of generators and sums
-their coordinates; the reference deduplicates the words over the
-generators and takes dot products.  The orientation poset and the totally
+reference tests every element between each comparable pair.  The Betti
+number is read off one spanning forest, and the bridges, two-edge cuts
+and connectivization off the columns of one cycle basis; the references
+search depth-first per question and build a graph per candidate pair,
+and the reference connectivization recomputes every bridge after each
+contraction; one graph above the circuit cap keeps that route uncapped.
+The toric ideal walks multisets of generators and sums their
+coordinates; the reference deduplicates the words over the generators
+and takes dot products.  The orientation poset and the totally
 cyclic orientations are read off the bond table of the graph as bitmask
 sign vectors; the references build a graph per edge subset and test every
 sign vector by strong connectivity.  So does the reference of the one
@@ -75,7 +77,7 @@ from cographic import (BinomialIdeal, TotCycPair, betti1,
                        two_edge_cuts, voronoi_face_dim)
 from cographic.fan import face_label
 from cographic.jsontext import dumps
-from cographic.orientations import label_texts
+from cographic.orientations import MAX_ORIENTATION_EDGES, label_texts
 from cographic import semigroup
 from cographic.semigroup import (_supporting_planes, _volume,
                                  per_chamber_class, permute_ideal,
@@ -641,6 +643,24 @@ def test_connectivity_matches_references(name):
 @given(g=multigraphs(max_vertices=6, max_edges=9))
 def test_connectivity_matches_references_on_random_multigraphs(g):
     _assert_connectivity_matches_references(g)
+
+
+def test_separating_edges_match_references_above_the_caps():
+    # The 4 x 4 grid (24 edges) with a loop and a pendant bridge, above
+    # the circuit cap (20 edges): bridges and two-edge cuts have no cap.
+    # Each corner's two edges form a cut; the pendant edge is the only
+    # bridge.
+    spec = [(f"h{r}{c}", f"v{r}{c}", f"v{r}{c + 1}")
+            for r in range(4) for c in range(3)]
+    spec += [(f"u{r}{c}", f"v{r}{c}", f"v{r + 1}{c}")
+             for r in range(3) for c in range(4)]
+    g = from_edge_list(spec + [("loop", "v11", "v11"), ("tail", "v22", "w")])
+    assert len(g.edges) == 26 > MAX_ORIENTATION_EDGES
+    assert separating_edges(g) == separating_edges_reference(g) == ("tail",)
+    cuts = two_edge_cuts(g)
+    assert cuts == two_edge_cuts_reference(g)
+    assert cuts == [("h00", "u00"), ("h02", "u03"),
+                    ("h30", "u20"), ("h32", "u23")]
 
 
 POSET_GRAPHS = {

@@ -1,8 +1,10 @@
 import pytest
+from hypothesis import given
 
 from cographic import (betti1, catalog_graph, contract_edge, delete_edges,
                        from_edge_list, graph_to_text, parse_graph_text,
                        separating_edges, GraphParseError)
+from conftest import multigraphs
 from oracles import connected_components_reference
 
 
@@ -158,6 +160,27 @@ def test_text_round_trip(graphs):
         assert graph_to_text(again) == text
         assert [again.ends(e) for e in again.edges] == \
             [tuple(map(str, g.ends(e))) for e in g.edges]
+
+
+@given(g=multigraphs())
+def test_text_round_trip_on_random_multigraphs(g):
+    assert parse_graph_text(graph_to_text(g)) == g
+
+
+@pytest.mark.parametrize("spec, bad", [
+    ([("a b", "u", "v"), ("c", "v", "u")], "a b"),
+    ([("", "u", "v")], ""),
+    ([("a", "u", "v"), ("b#", "v", "u")], "b#"),
+    ([("a", "u", "v w")], "v w"),
+    ([("a", "u\t", "v")], "u\t"),
+    ([("a", "#", "v")], "#"),
+])
+def test_text_rejects_ids_it_cannot_hold(spec, bad):
+    # Whitespace splits a line and '#' starts a comment, so such an id
+    # would not read back; writing it raises instead of writing bad text.
+    with pytest.raises(ValueError) as err:
+        graph_to_text(from_edge_list(spec))
+    assert repr(bad) in str(err.value)
 
 
 def test_parse_errors_carry_line_numbers():

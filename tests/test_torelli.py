@@ -69,7 +69,8 @@ def test_connectivize_idempotent(graphs):
 def test_connectivize_choice_independent(graphs):
     # contracting the other member of each separating pair lands in the
     # same cyclic equivalence class
-    from cographic.graph import contract_edge, separating_edges
+    from cographic.chains import separating_edges
+    from cographic.graph import contract_edge
     from cographic.torelli import two_edge_cuts as cuts
 
     def connectivize_other(g):
