@@ -27,9 +27,13 @@ prebuilt.  A label is already a pair of masks, so each call costs a few
 integer operations per row and allocates nothing but the result list.
 
 ``hypergraph_bijection`` decides whether two families of edge sets agree
-up to an edge bijection.  It serves both the ring-equivalence decision
-(circuit supports of two graphs) and the chamber classes of
-``semigroup.chamber_classes`` (directed circuit supports of two chambers).
+up to an edge bijection.  It serves the ring-equivalence decision
+(circuit supports of two graphs).  The chamber classes of
+``semigroup.chamber_classes`` (directed circuit supports of two
+chambers) share its backtracking, ``_find_bijection``, but prepare each
+side once: a chamber's edge profiles and search plan, and a
+representative's candidate lists and target sets, serve every search
+that chamber or representative takes part in.
 """
 
 from typing import NamedTuple
@@ -235,33 +239,38 @@ def _edge_profiles(edges, sets):
     return {e: tuple(sorted(n)) for e, n in sizes.items()}
 
 
-def hypergraph_bijection(edges_a, sets_a, edges_b, sets_b):
-    """An edge bijection carrying every set of ``sets_a`` onto a set of
-    ``sets_b``, as a dict from ``edges_a`` to ``edges_b``, or None.
-
-    Backtracking, pruned by the multisets of set sizes and by each edge's
-    profile of set sizes through it.  Edges are mapped most constrained
-    first (rarest profile, then ``edges_a`` order), each to the first
-    unused edge of ``edges_b`` with its profile.  A set is checked once,
-    when the last of its edges in that order is mapped.
-    """
-    if len(edges_a) != len(edges_b) or \
-            sorted(map(len, sets_a)) != sorted(map(len, sets_b)):
-        return None
-    pa = _edge_profiles(edges_a, sets_a)
-    pb = _edge_profiles(edges_b, sets_b)
-    if sorted(pa.values()) != sorted(pb.values()):
-        return None
-    candidates = {}
-    for f in edges_b:
-        candidates.setdefault(pb[f], []).append(f)
-    order = sorted(edges_a, key=lambda e: len(candidates[pa[e]]))
+def _search_plan(edges, sets, profiles):
+    """The order ``_find_bijection`` maps the edges in, most constrained
+    first (rarest profile, then ``edges`` order), each edge's profile in
+    that order, and for each position the sets whose last edge in that
+    order sits there."""
+    counts = {}
+    for p in profiles.values():
+        counts[p] = counts.get(p, 0) + 1
+    order = sorted(edges, key=lambda e: counts[profiles[e]])
     position = {e: k for k, e in enumerate(order)}
     completes = [[] for _ in order]
-    for s in sets_a:
+    for s in sets:
         if s:
             completes[max(map(position.get, s))].append(s)
-    targets = set(map(frozenset, sets_b))
+    return order, [profiles[e] for e in order], completes
+
+
+def _candidates(edges, profiles):
+    """The edges of each profile, in ``edges`` order."""
+    candidates = {}
+    for f in edges:
+        candidates.setdefault(profiles[f], []).append(f)
+    return candidates
+
+
+def _find_bijection(plan, candidates, targets):
+    """Backtracking along a ``_search_plan``: each edge goes to the first
+    unused candidate of its profile, and a set is checked against the
+    frozensets ``targets`` once, when the last of its edges is mapped.
+    The two sides must have the same sorted profiles.  Returns the edge
+    mapping or None."""
+    order, wanted, completes = plan
     mapping = {}
     used = set()
 
@@ -269,7 +278,7 @@ def hypergraph_bijection(edges_a, sets_a, edges_b, sets_b):
         if k == len(order):
             return True
         e = order[k]
-        for f in candidates[pa[e]]:
+        for f in candidates[wanted[k]]:
             if f in used:
                 continue
             mapping[e] = f
@@ -284,3 +293,25 @@ def hypergraph_bijection(edges_a, sets_a, edges_b, sets_b):
 
     return mapping if extend(0) else None
 
+
+def hypergraph_bijection(edges_a, sets_a, edges_b, sets_b):
+    """An edge bijection carrying every set of ``sets_a`` onto a set of
+    ``sets_b``, as a dict from ``edges_a`` to ``edges_b``, or None.
+
+    Backtracking (``_find_bijection``), pruned by the multisets of set
+    sizes and by each edge's profile of set sizes through it.  Edges are
+    mapped most constrained first (rarest profile, then ``edges_a``
+    order), each to the first unused edge of ``edges_b`` with its
+    profile.  A set is checked once, when the last of its edges in that
+    order is mapped.
+    """
+    if len(edges_a) != len(edges_b) or \
+            sorted(map(len, sets_a)) != sorted(map(len, sets_b)):
+        return None
+    pa = _edge_profiles(edges_a, sets_a)
+    pb = _edge_profiles(edges_b, sets_b)
+    if sorted(pa.values()) != sorted(pb.values()):
+        return None
+    return _find_bijection(_search_plan(edges_a, sets_a, pa),
+                           _candidates(edges_b, pb),
+                           set(map(frozenset, sets_b)))

@@ -104,6 +104,7 @@ def _graph_summary(g):
 
 def cmd_analyze(args):
     g = _load_graph(args.graph)
+    summary = _graph_summary(g)
     fan = build_fan(g)
     poset = fan.poset
     presentation = present_ring(fan, degree=args.degree)
@@ -117,7 +118,7 @@ def cmd_analyze(args):
                 zip(semigroups, presentation.ideals(),
                     report.chamber_volumes, hs, unimodular))
     out = {
-        "graph": _graph_summary(g),
+        "graph": summary,
         "orientation_poset": {
             "size": len(poset),
             "num_maximal": len(semigroups),
@@ -170,9 +171,10 @@ def cmd_fan(args):
 
 def cmd_ring(args):
     g = _load_graph(args.graph)
+    summary = _graph_summary(g)
     presentation = present_ring(build_fan(g), degree=args.degree)
     report = ring_report(presentation)
-    _emit({"graph": _graph_summary(g),
+    _emit({"graph": summary,
            "ring": report.to_json(g),
            "presentation": presentation.to_json()},
           f"ring: dim={report.dimension} embdim={report.embedded_dimension} "

@@ -240,11 +240,18 @@ def parse_graph_text(text):
 
 def graph_to_text(g):
     """The text format of g.  An id it cannot hold, empty or with
-    whitespace or ``#`` in it, raises ``ValueError``."""
-    for x in g.vertices + g.edges:
-        text = str(x)
-        if not text or "#" in text or any(ch.isspace() for ch in text):
-            raise ValueError(f"id {x!r} cannot be written as graph text")
+    whitespace or ``#`` in it, raises ``ValueError``, and so do two
+    vertex ids or two edge ids written as the same text, which would
+    read back as one."""
+    for kind, ids in (("vertex", g.vertices), ("edge", g.edges)):
+        written = set()
+        for x in ids:
+            text = str(x)
+            if not text or "#" in text or any(ch.isspace() for ch in text):
+                raise ValueError(f"id {x!r} cannot be written as graph text")
+            if text in written:
+                raise ValueError(f"two {kind} ids are written as {text!r}")
+            written.add(text)
     lines = [f"vertex {v}" for v in g.vertices]
     lines += [f"edge {e} {g.ends(e)[0]} {g.ends(e)[1]}" for e in g.edges]
     return "\n".join(lines) + "\n"

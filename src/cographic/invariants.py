@@ -13,21 +13,36 @@ The torus action itself is never evaluated on field elements.
 Cost model.  Write B(n, D) = sum_k 2^k C(n, k) C(D, k) for the number of
 points of Z^n with L1 norm at most D.  For a graph with m edges, first
 Betti number b and degree D, half (a) walks the B(m, D) ambient chains.
-The bounded cycles are found on the ball of radius D in their
-fundamental-basis coordinates, B(b, D) points: a cycle's coordinates are
-its coefficients on the non-forest edges, so their L1 norm is at most its
-mass.  Half (b) visits each pair of cycles of total mass at most D, and a
-pair's coordinates lie in the ball of Z^(2b), so there are at most
-B(2b, D) pairs.  Before any enumeration, ``check_iso_truncated`` raises
-``CapacityError`` when the larger of B(m, D) and B(2b, D) exceeds
-``MAX_INVARIANT_CHAINS``.
+Each is one packed integer key (``_ambient_steps``): a balanced base-B
+digit per vertex for its boundary, in the low digits, then one per edge
+for the chain.  B = 2^w is the least power of two above 2D + 1
+(``_digit_width``).  Every digit of a chain in the ball lies in [-D, D],
+so two such keys differ by less than B in each digit, and a sum of
+digits times powers of B with every digit below B in absolute value is
+zero only when every digit is: its lowest nonzero digit is not a
+multiple of B.  So the key is injective on the ball, the chain has zero
+boundary exactly when the vertex digits vanish, one AND, and a chain is
+listed exactly when its key is among the keys of the list, one set
+lookup.  The walk reaches each point from another by one int add, so a
+point costs one add, one AND, one compare and one set lookup, with no
+``Chain1`` and no boundary dict.  The bounded cycles are found
+on the ball of radius D in their fundamental-basis coordinates, B(b, D)
+points: a cycle's coordinates are its coefficients on the non-forest
+edges, so their L1 norm is at most its mass.  Each point is the packed
+key of its cycle, decoded digit by digit, and only the cycles within the
+mass get a ``Chain1``.  Half (b) visits each unordered pair of cycles of
+total mass at most D once, since both zero tests are symmetric and the
+product commutes, and a pair's coordinates lie in the ball of Z^(2b),
+so there are at most B(2b, D) pairs.  Before any enumeration,
+``check_iso_truncated`` raises ``CapacityError`` when the larger of
+B(m, D) and B(2b, D) exceeds ``MAX_INVARIANT_CHAINS``.
 """
 
 from bisect import bisect_right
 from dataclasses import dataclass
 from math import comb
 
-from .chains import Chain1, boundary, canonical_form, cone_basis
+from .chains import Chain1, canonical_form, cone_basis
 from .errors import CapacityError
 from .fan import common_cone
 from .graph import FORWARD, betti1
@@ -66,31 +81,43 @@ class OrientedMonomial:
         return f"OrientedMonomial({body or '1'})"
 
 
-def _l1_ball(n, radius):
-    """The points of Z^n with L1 norm at most ``radius``.
+def _l1_ball(steps, radius):
+    """The sums of k_i * steps[i] over the points k of Z^n, n the number
+    of steps, with L1 norm at most ``radius``: one integer per point.
 
-    Each point is the tuple of its nonzero coordinates as (index, value)
-    pairs in increasing index order.  Every step extends a point by one
-    nonzero coordinate, so the work follows the points yielded and their
-    supports, not n.
+    Every step extends a point by one nonzero coordinate past its last
+    one, so each point is reached once, and the work follows the points
+    yielded and their supports, not n.  With steps that pack distinct
+    digits of a base B > 2 * radius the sums are distinct keys.
     """
-    stack = [((), 0, radius)] if radius >= 0 else []
+    n = len(steps)
+    stack = [(0, 0, radius)] if radius >= 0 else []
     while stack:
-        point, start, budget = stack.pop()
-        yield point
+        key, start, budget = stack.pop()
+        yield key
         if budget:
             for i in range(start, n):
-                for k in range(1, budget + 1):
-                    stack.append((point + ((i, k),), i + 1, budget - k))
-                    stack.append((point + ((i, -k),), i + 1, budget - k))
+                step = steps[i]
+                up = down = key
+                for rest in range(budget - 1, -1, -1):
+                    up += step
+                    down -= step
+                    stack.append((up, i + 1, rest))
+                    stack.append((down, i + 1, rest))
 
 
 def _l1_ball_size(n, radius):
-    """The number of points ``_l1_ball(n, radius)`` yields: choose k
+    """The number of points ``_l1_ball`` yields for n steps: choose k
     nonzero coordinates, their signs, and their absolute values as k
     positive parts of at most ``radius``."""
     return sum(2 ** k * comb(n, k) * comb(radius, k)
                for k in range(min(n, radius) + 1))
+
+
+def _digit_width(bound):
+    """Bits w of a balanced digit in [-bound, bound]: the base 2^w is the
+    least power of two above 2 * bound + 1."""
+    return (2 * bound + 1).bit_length()
 
 
 def cycles_up_to_mass(g, bound):
@@ -99,27 +126,63 @@ def cycles_up_to_mass(g, bound):
     Enumerated through the fundamental basis: a cycle's coordinates are
     its coefficients on the non-forest edges, so their L1 norm is at most
     its mass and a search of the L1 ball of radius ``bound`` is
-    exhaustive.  Sorted by mass, then by coefficients.
+    exhaustive.  A basis cycle's coefficients are 0 or +-1, so a point's
+    coefficients lie in [-bound, bound], and the point is walked as the
+    packed key of its cycle, one digit per edge; the digits are read back
+    with an offset of half the base in each field.  Sorted by mass, then
+    by coefficients.
     """
-    basis = cone_basis(g, 0).basis
+    w = _digit_width(bound)
+    half = 1 << w - 1
+    mask = (1 << w) - 1
+    edges = g.edges
+    shifts = range(0, w * len(edges), w)
+    offset = sum(half << shift for shift in shifts)
+    steps = [sum(n << w * g.edge_index(e) for e, n in c.items())
+             for c in cone_basis(g, 0).basis]
     found = []
-    for point in _l1_ball(len(basis), bound):
-        acc = {}
-        for i, k in point:
-            for e, n in basis[i].items():
-                acc[e] = acc.get(e, 0) + k * n
-        c = Chain1(acc)
-        if c.l1() <= bound:
-            found.append(c)
+    for key in _l1_ball(steps, bound):
+        key += offset
+        digits = [(key >> shift & mask) - half for shift in shifts]
+        if sum(map(abs, digits)) <= bound:
+            found.append(Chain1(zip(edges, digits)))
     found.sort(key=lambda c: (c.l1(), sorted(c.items())))
     return found
 
 
-def _signed_chains_up_to_mass(g, bound):
-    """All integer chains (not just cycles) with L1 norm <= bound."""
-    edges = list(g.edges)
-    for point in _l1_ball(len(edges), bound):
-        yield Chain1({edges[i]: k for i, k in point})
+def _ambient_steps(g, degree):
+    """Each edge's step of the ambient walk of ``check_iso_truncated``:
+    B^head - B^tail in the vertex digits, then B^i in the digit of edge
+    i above them, for the base B of ``_digit_width(degree)``.  Returns
+    the steps and the mask of the vertex digits."""
+    w = _digit_width(degree)
+    low = len(g.vertices)
+    vertex = g.vertex_index
+    steps = []
+    for i, e in enumerate(g.edges):
+        s, t = g.ends(e)
+        steps.append((1 << w * (low + i)) + (1 << w * vertex(t))
+                     - (1 << w * vertex(s)))
+    return steps, (1 << w * low) - 1
+
+
+def _invariance_agrees(g, degree, cycles):
+    """Among the chains of L1 norm at most ``degree``, are those with zero
+    boundary exactly the chains ``cycles`` lists (each of L1 norm at most
+    ``degree``)?
+
+    Walks the packed keys of the module cost model: a chain's key is the
+    sum of its edges' steps, so the listed chains get theirs by the same
+    linear map, and a listed chain with nonzero boundary meets its own
+    key at a point that is not invariant.
+    """
+    steps, low = _ambient_steps(g, degree)
+    keys = {sum(n * steps[g.edge_index(e)] for e, n in c.items())
+            for c in cycles}
+    for key in _l1_ball(steps, degree):
+        if (not key & low) != (key in keys):
+            return False
+    return True
 
 
 def check_iso_truncated(g, degree):
@@ -142,18 +205,15 @@ def check_iso_truncated(g, degree):
         raise CapacityError("invariant check chain cap", size,
                             MAX_INVARIANT_CHAINS)
     ordered = cycles_up_to_mass(g, degree)
-    cycles = set(ordered)
     basis = [OrientedMonomial.from_weight(g, c) for c in ordered]
 
     # (a) weight map is a bijection onto the bounded cycles
     weights = [m.weight() for m in basis]
-    if len(set(weights)) != len(weights) or set(weights) != cycles:
+    if len(set(weights)) != len(weights) or set(weights) != set(ordered):
         return False
     # and the invariance criterion agrees on every bounded ambient monomial
-    for chain in _signed_chains_up_to_mass(g, degree):
-        invariant = not boundary(g, chain)
-        if invariant != (chain in cycles):
-            return False
+    if not _invariance_agrees(g, degree, ordered):
+        return False
 
     # (b) product laws agree pairwise within the degree budget.  In the
     # ambient ring U[e+] * U[e-] = 0, so a product of monomials vanishes
@@ -163,10 +223,12 @@ def check_iso_truncated(g, degree):
     exponents = {w: dict(m.exponents) for w, m in zip(weights, basis)}
     flipped = {w: frozenset((e, -d) for e, d in exps)
                for w, exps in exponents.items()}
-    # ``ordered`` is sorted by mass, so each c pairs with a prefix.
+    # Both zero tests are symmetric and the product commutes, so each
+    # unordered pair is visited once.  ``ordered`` is sorted by mass, so
+    # the i-th cycle pairs with a prefix of the first i + 1.
     masses = [c.l1() for c in ordered]
-    for c, mass in zip(ordered, masses):
-        for d in ordered[:bisect_right(masses, degree - mass)]:
+    for i, (c, mass) in enumerate(zip(ordered, masses)):
+        for d in ordered[:min(i + 1, bisect_right(masses, degree - mass))]:
             ambient_zero = not flipped[c].isdisjoint(exponents[d])
             ring_zero = not common_cone(c, d)
             if ambient_zero != ring_zero:

@@ -47,16 +47,23 @@ Cost model, for a cone of dimension d with n Hilbert basis elements:
   product.  Paid once per class of chambers (below), it is still the
   largest single cost of ``analyze``.
 - Toric ideal: all exponent vectors of degree at most the bound, C(n +
-  degree, n) - 1 of them, grouped by image.  More than
-  ``MAX_TORIC_EXPONENTS`` raise a capacity error before any is listed.
+  degree, n) - 1 of them, grouped by image.  A multiset of k generators
+  extends one of k - 1, and its image is one packed integer key, so it
+  costs one tuple, one int add and one dict insert.  Only the pairs of
+  multisets that share an image and have disjoint supports are counted
+  out into exponent vectors.  More than ``MAX_TORIC_EXPONENTS`` raise a
+  capacity error before any is listed.
 
 Chambers whose directed circuit supports agree up to an edge bijection
 have isomorphic semigroups (``chamber_classes``), so callers pay the
 Hilbert-Samuel, hull and toric ideal costs once per class
 (``per_chamber_class``; the other members of a class get its ideal
 through ``permute_ideal``).  A chamber and its reversal always share a
-class.  The class search costs one backtracking bijection search per
-chamber and representative with the same rank and edge profiles.
+class.  The class search computes each chamber's edge profiles once,
+its search plan once if its bucket already has a representative, and a
+representative's candidate lists and set index once; then it costs one
+backtracking bijection search per chamber and representative with the
+same rank and edge profiles.
 Unimodularity is a class property too, but witness minors, lattice
 spanning and the Gorenstein point depend on generator order or sign, so
 members of a non-unimodular class are tested on their own
@@ -71,8 +78,8 @@ from math import comb, gcd
 from operator import itemgetter, mul, sub
 
 from .chains import cone_basis
-from .circuits import (_edge_profiles, circuit_class, compatible_circuits,
-                       hypergraph_bijection)
+from .circuits import (_candidates, _edge_profiles, _find_bijection,
+                       _search_plan, circuit_class, compatible_circuits)
 from .errors import CapacityError
 from .fan import _facets
 from .linalg import det_int, hyperplane_through, primitive_vector
@@ -213,9 +220,17 @@ def toric_ideal_up_to_degree(s, degree):
     """All primitive disjoint-support binomials of total degree <= degree.
 
     Exponent vectors are walked as multisets of k generators for k = 1 ..
-    degree, and grouped by their image, the sum of the chosen generators'
-    coordinates; within a group, every unordered pair with disjoint
-    supports and coprime joint entries yields one generator.  Raises
+    degree, each the multiset of k - 1 generators it extends by one
+    generator of index at least their last, and grouped by their image,
+    the sum of the chosen generators' coordinates.  The image is one
+    packed integer key, the key of the multiset it extends plus the
+    generator's key: a generator's coordinates are 0 or +-1, so an
+    image's lie in [-degree, degree] and two images differ by at most
+    2 * degree in each, less than the base, which makes the key
+    injective.  Within a group, every unordered pair with disjoint
+    supports and coprime joint entries yields one generator; a pair is
+    counted out into exponent vectors only once its supports are
+    disjoint.  Raises
     ``CapacityError`` when there are more than ``MAX_TORIC_EXPONENTS``
     exponent vectors.
     """
@@ -226,20 +241,27 @@ def toric_ideal_up_to_degree(s, degree):
     if count > MAX_TORIC_EXPONENTS:
         raise CapacityError(f"toric ideal exponent cap at degree {degree}",
                             count, MAX_TORIC_EXPONENTS)
-    coords = s.coords
+    w = (2 * degree).bit_length()
+    keys = [sum(x << w * j for j, x in enumerate(c)) for c in s.coords]
 
     by_image = {}
-    for k in range(1, degree + 1):
-        for chosen in itertools.combinations_with_replacement(range(n), k):
-            image = tuple(map(sum, zip(*(coords[i] for i in chosen))))
-            u = tuple(map(chosen.count, range(n)))
-            by_image.setdefault(image, []).append(u)
+    level = [((), 0, 0)]   # (multiset, image key, least index to add)
+    for _ in range(degree):
+        grown = []
+        for chosen, key, low in level:
+            for i in range(low, n):
+                multiset, image = chosen + (i,), key + keys[i]
+                by_image.setdefault(image, []).append(multiset)
+                grown.append((multiset, image, i))
+        level = grown
 
     generators = []
     for group in by_image.values():
-        for u, v in itertools.combinations(group, 2):
-            if any(ui and vi for ui, vi in zip(u, v)):
+        for a, b in itertools.combinations(group, 2):
+            if not set(a).isdisjoint(b):
                 continue  # supports overlap
+            u = tuple(map(a.count, range(n)))
+            v = tuple(map(b.count, range(n)))
             if gcd(*u, *v) != 1:
                 continue
             generators.append((u, v) if u >= v else (v, u))
@@ -554,6 +576,11 @@ def chamber_classes(semigroups):
     and sorted edge profiles, and each is searched against the
     representatives of its bucket only.  The chambers are those of one
     graph, and each circuit support mask becomes a set of edge ids once.
+    A chamber's edge profiles are computed once, its search plan once
+    when it has a bucket to search, and a representative's candidates,
+    target sets and set index once when it founds its bucket: the sorted
+    profiles key the bucket, so the searches need no further pruning
+    than ``hypergraph_bijection``'s profile tests.
     """
     buckets = {}
     classes = []
@@ -566,18 +593,20 @@ def chamber_classes(semigroups):
             if gamma.support not in names:
                 names[gamma.support] = frozenset(g.edges_of(gamma.support))
             sets.append(names[gamma.support])
-        profiles = sorted(_edge_profiles(edges, sets).values())
-        bucket = buckets.setdefault((s.lattice_rank, tuple(profiles)), [])
-        for j, rep_edges, rep_sets in bucket:
-            bijection = hypergraph_bijection(edges, sets, rep_edges, rep_sets)
+        profiles = _edge_profiles(edges, sets)
+        bucket = buckets.setdefault(
+            (s.lattice_rank, tuple(sorted(profiles.values()))), [])
+        plan = _search_plan(edges, sets, profiles) if bucket else None
+        for j, candidates, index in bucket:
+            bijection = _find_bijection(plan, candidates, index)
             if bijection is not None:
-                index = {supp: k for k, supp in enumerate(rep_sets)}
                 classes.append((j, tuple(
                     index[frozenset(map(bijection.get, supp))]
                     for supp in sets)))
                 break
         else:
-            bucket.append((i, edges, sets))
+            bucket.append((i, _candidates(edges, profiles),
+                           {supp: k for k, supp in enumerate(sets)}))
             classes.append((i, tuple(range(len(sets)))))
     return classes
 

@@ -16,7 +16,7 @@ from math import gcd
 from operator import mul
 
 from cographic import (BinomialIdeal, CapacityError, Chain1,
-                       CycleBasis, OrientationPoset,
+                       CycleBasis, OrientationPoset, boundary,
                        OrientedCircuit, TotCycPair, circuit_class,
                        compatible_circuits, cone_contains, contract_edge,
                        delete_edges, fundamental_cycle_basis,
@@ -900,6 +900,37 @@ def cycles_up_to_mass_reference(g, bound):
             found.append(c)
     found.sort(key=lambda c: (c.l1(), sorted(c.items())))
     return found
+
+
+def l1_ball_points(n, radius):
+    """The points of Z^n with L1 norm at most ``radius``, each the tuple
+    of its nonzero coordinates as (index, value) pairs in increasing
+    index order."""
+    stack = [((), 0, radius)] if radius >= 0 else []
+    while stack:
+        point, start, budget = stack.pop()
+        yield point
+        if budget:
+            for i in range(start, n):
+                for k in range(1, budget + 1):
+                    stack.append((point + ((i, k),), i + 1, budget - k))
+                    stack.append((point + ((i, -k),), i + 1, budget - k))
+
+
+def signed_chains_up_to_mass(g, bound):
+    """All integer chains (not just cycles) with L1 norm <= bound."""
+    edges = list(g.edges)
+    for point in l1_ball_points(len(edges), bound):
+        yield Chain1({edges[i]: k for i, k in point})
+
+
+def invariance_agrees_reference(g, degree, cycles):
+    """``invariants._invariance_agrees`` one ``Chain1`` and one
+    ``boundary`` dict per ambient chain: the chains of L1 norm at most
+    ``degree`` with zero boundary are exactly those ``cycles`` lists."""
+    cycles = set(cycles)
+    return all((not boundary(g, chain)) == (chain in cycles)
+               for chain in signed_chains_up_to_mass(g, degree))
 
 
 def semigroup_points_up_to_degree(s, bound):

@@ -699,3 +699,28 @@ def test_invariant_check_enumerates_cycles_once(name, calls, capsys):
     assert code == 0
     assert json.loads(out)["passed"] is True
     assert calls == dict.fromkeys(COUNTED, 0) | {"cycles_up_to_mass": 1}
+
+
+def test_invariant_check_builds_no_boundary(monkeypatch, capsys):
+    # The ambient walk tests zero boundary on packed keys, one AND per
+    # chain, and lists the bounded cycles once: no ``boundary`` dict is
+    # built for any of THETA2's 3,653 chains of mass at most 5.
+    counts = count_calls(monkeypatch, ["boundary", "cycles_up_to_mass"])
+    code, out, _ = run_cli(capsys, "--degree", "5",
+                           "verify-invariant-ring", "THETA2")
+    assert code == 0
+    assert json.loads(out)["passed"] is True
+    assert counts == {"boundary": 0, "cycles_up_to_mass": 1}
+
+
+@pytest.mark.parametrize("command", ["ring", "analyze"])
+def test_graph_summary_shares_the_bridgeless_basis(command, monkeypatch,
+                                                   capsys):
+    # The summary's bridges come off the basis of the whole graph, and the
+    # chambers off the basis of the graph less its bridges.  The summary
+    # is read before the chambers, so each is built once.
+    counts = count_calls(monkeypatch, ["fundamental_cycle_basis"])
+    code, out, _ = run_cli(capsys, command, "TREE3")
+    assert code == 0
+    assert json.loads(out)["graph"]["separating_edges"] == ["e1", "e2"]
+    assert counts == {"fundamental_cycle_basis": 2}

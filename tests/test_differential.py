@@ -18,7 +18,10 @@ spanning is the gcd of the maximal minors and the Gorenstein point comes
 from Cramer's rule; the references take the Smith normal form and a
 rational Gauss-Jordan solve.  Bounded-mass
 cycles are enumerated on the L1 ball of their basis coordinates; the
-reference searches the coordinate box.  The HS function, volume and
+reference searches the coordinate box.  The invariance criterion walks
+the ambient ball as packed keys, a boundary test is one AND and a
+listed chain one set lookup; the reference builds a chain and a
+boundary dict per point.  The HS function, volume and
 toric ideal are computed once per class of chambers, and so is
 unimodularity where the class is unimodular; the reference is every
 chamber on its own.  ``Fan.to_json`` derives each cone's entry
@@ -59,7 +62,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from cographic import (BinomialIdeal, TotCycPair, betti1,
+from cographic import (BinomialIdeal, Chain1, TotCycPair, betti1,
                        build_fan,
                        build_orientation_poset, catalog_graph,
                        catalog_names, compatible_circuits, concordant,
@@ -76,6 +79,7 @@ from cographic import (BinomialIdeal, TotCycPair, betti1,
                        three_edge_connectivization, toric_ideal_up_to_degree,
                        two_edge_cuts, voronoi_face_dim)
 from cographic.fan import face_label
+from cographic.invariants import _invariance_agrees
 from cographic.jsontext import dumps
 from cographic.orientations import MAX_ORIENTATION_EDGES, label_texts
 from cographic import semigroup
@@ -94,6 +98,7 @@ from oracles import (FinitePoset, build_orientation_poset_reference,
                      fundamental_cycle_basis_reference,
                      hilbert_samuel_function_reference,
                      hyperplane_through_reference,
+                     invariance_agrees_reference,
                      is_totally_cyclic_reference, is_unimodular_reference,
                      maximal_elements_reference, permute_ideal_reference,
                      q_gorenstein_reference,
@@ -417,6 +422,32 @@ def test_cycles_up_to_mass_matches_reference(name, graphs):
 @given(g=multigraphs(max_edges=4))
 def test_cycles_up_to_mass_matches_reference_on_random_multigraphs(g):
     _assert_cycles_match_reference(g)
+
+
+def _assert_invariance_matches_reference(g, degree):
+    """Both walks accept the bounded cycles, and reject the list with a
+    cycle dropped, with a non-cycle added, and with both."""
+    cycles = cycles_up_to_mass(g, degree)
+    lists = [cycles, cycles[:-1]]
+    strays = [e for e in g.edges if not g.is_loop(e)]
+    if degree and strays:
+        stray = Chain1({strays[-1]: 1})
+        lists += [cycles + [stray], cycles[:-1] + [stray]]
+    for listed, expected in zip(lists, [True, False, False, False]):
+        assert _invariance_agrees(g, degree, listed) is expected
+        assert invariance_agrees_reference(g, degree, listed) is expected
+
+
+@pytest.mark.parametrize("name", catalog_names() + ["K4", "K4p2"])
+def test_invariance_walk_matches_reference(name, graphs):
+    g = graphs[name] if name in graphs else from_edge_list(NON_CATALOG[name])
+    for degree in range(5):
+        _assert_invariance_matches_reference(g, degree)
+
+
+@given(g=multigraphs(), degree=st.integers(0, 4))
+def test_invariance_walk_matches_reference_on_random_multigraphs(g, degree):
+    _assert_invariance_matches_reference(g, degree)
 
 
 @pytest.mark.parametrize("name", catalog_names() + ["K4p2", "banana6"])

@@ -4,6 +4,7 @@ from hypothesis import given
 from cographic import (betti1, catalog_graph, contract_edge, delete_edges,
                        from_edge_list, graph_to_text, parse_graph_text,
                        separating_edges, GraphParseError)
+from cographic.graph import Graph
 from conftest import multigraphs
 from oracles import connected_components_reference
 
@@ -181,6 +182,19 @@ def test_text_rejects_ids_it_cannot_hold(spec, bad):
     with pytest.raises(ValueError) as err:
         graph_to_text(from_edge_list(spec))
     assert repr(bad) in str(err.value)
+
+
+def test_text_rejects_ids_that_merge():
+    # Vertex 1 and vertex "1" are both written as 1, so the text would
+    # read back with one vertex; edge ids are strings once built by
+    # from_edge_list, but a Graph built directly may hold others.
+    g = from_edge_list([("a", 1, "1"), ("b", "1", 1)])
+    assert len(g.vertices) == 2
+    with pytest.raises(ValueError, match="two vertex ids are written as '1'"):
+        graph_to_text(g)
+    h = Graph(["v"], [1, "1"], {1: ("v", "v"), "1": ("v", "v")})
+    with pytest.raises(ValueError, match="two edge ids are written as '1'"):
+        graph_to_text(h)
 
 
 def test_parse_errors_carry_line_numbers():

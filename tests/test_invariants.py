@@ -1,13 +1,15 @@
 import pytest
 
 from cographic import (Chain1, boundary, build_fan, catalog_graph,
+                       catalog_names,
                        check_iso_truncated, common_cone, cone_contains,
                        cycles_up_to_mass, from_edge_list, multiply_monomials)
 from cographic import invariants
 from cographic.graph import FORWARD, BACKWARD
-from cographic.invariants import (OrientedMonomial, _l1_ball, _l1_ball_size,
-                                  _signed_chains_up_to_mass)
+from cographic.invariants import (OrientedMonomial, _ambient_steps,
+                                  _digit_width, _l1_ball, _l1_ball_size)
 from conftest import k4_plus
+from oracles import l1_ball_points, signed_chains_up_to_mass
 
 
 def invariant_monomials(g, degree):
@@ -57,7 +59,7 @@ def test_monomials_biject_with_bounded_cycles(graphs):
 def test_invariance_criterion_matches_cycle_condition():
     g = catalog_graph("B2")
     cycles = set(cycles_up_to_mass(g, 3))
-    for chain in _signed_chains_up_to_mass(g, 3):
+    for chain in signed_chains_up_to_mass(g, 3):
         monomial = OrientedMonomial.from_weight(g, chain)
         assert monomial.weight() == chain
         invariant = not boundary(g, chain)
@@ -71,9 +73,11 @@ def test_check_iso_trees_any_degree():
 
 
 def test_l1_ball_counts_and_norms():
+    # The packed walk over the steps B^i yields the key sum_i k_i B^i of
+    # each point k, which must be the keys of the points the oracle lists.
     for n in range(6):
         for radius in range(-1, 6):
-            points = list(_l1_ball(n, radius))
+            points = list(l1_ball_points(n, radius))
             assert len(set(points)) == len(points)
             assert len(points) == (_l1_ball_size(n, radius)
                                    if radius >= 0 else 0)
@@ -83,6 +87,23 @@ def test_l1_ball_counts_and_norms():
                 indices = [i for i, _ in point]
                 assert indices == sorted(set(indices))
                 assert all(0 <= i < n for i in indices)
+            w = _digit_width(max(radius, 0))
+            keys = list(_l1_ball([1 << w * i for i in range(n)], radius))
+            assert sorted(keys) == sorted(
+                sum(k << w * i for i, k in point) for point in points)
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_ambient_keys_are_distinct(name):
+    # One key per ambient chain of mass at most the degree: a dropped
+    # cycle that shared its key with a listed one would go unseen.  The
+    # verdict alone cannot show it: a base of 4 at degree 3 merges chains
+    # of C3 and still accepts its cycles.
+    g = catalog_graph(name)
+    for degree in range(7):
+        steps, _ = _ambient_steps(g, degree)
+        keys = set(_l1_ball(steps, degree))
+        assert len(keys) == _l1_ball_size(len(g.edges), degree)
 
 
 def test_check_iso_doubled_k4():

@@ -1,5 +1,6 @@
 from collections import Counter
 from dataclasses import replace
+from types import SimpleNamespace
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,8 @@ from cographic.semigroup import AffineSemigroup, _volume, permute_ideal
 from conftest import K4_EDGES, k4_plus, multigraphs
 from oracles import (hilbert_samuel_function_reference,
                      irreducible_points_up_to_degree, rank,
-                     semigroup_points_up_to_degree, spans_lattice_reference)
+                     semigroup_points_up_to_degree, spans_lattice_reference,
+                     toric_ideal_reference)
 
 
 def chamber(name):
@@ -140,6 +142,21 @@ def test_toric_ideal_degree_one_always_empty(fan_of):
         for pair in fan.chambers():
             s = hilbert_basis(fan.graph, pair)
             assert toric_ideal_up_to_degree(s, 1).generators == []
+
+
+def test_toric_image_keys_separate_mixed_signs():
+    # In a cone's semigroup each coordinate has one sign, the direction
+    # of its coforest edge, so two images differ by at most the degree
+    # there.  The packed image key must also separate generators whose
+    # coordinates, 0 or +-1, have both signs: their images differ by up
+    # to twice the degree.  At degree 1, (1, 0) and (-1, 1) collide in
+    # base 2 and must not.
+    coords = [(1, 0), (-1, 1), (0, -1), (1, 1)]
+    s = SimpleNamespace(hilbert_basis=coords, coords=coords, lattice_rank=2,
+                        coordinates=lambda c: c)
+    for degree in range(1, 5):
+        assert toric_ideal_up_to_degree(s, degree) == \
+            toric_ideal_reference(s, degree)
 
 
 def test_fig_nh_single_binomial():
